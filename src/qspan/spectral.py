@@ -1,13 +1,14 @@
 """Signless Laplacian assembly and spectral computations.
 
 Provides the dense signless Laplacian Q = D + A of a bipartite graph, its
-spectral radius via power iteration (Jacobi rotation fallback), quotient
+spectral radius via power iteration (LAPACK eigh fallback), quotient
 matrices of vertex partitions, exact characteristic polynomials of small
 integer matrices, and bracketed root finding for those polynomials.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from .errors import CapacityError, InputError, InternalError, NumericalError
 from .graph_core import BipartiteGraph, iter_bits
 
 DENSE_CAP = 4096        # largest order accepted for dense spectral work
-JACOBI_CAP = 512        # fallback eigensolver cap
 CHAR_POLY_CAP = 8       # exact characteristic polynomial cap
 
 
@@ -139,43 +139,10 @@ def _power_iteration(arr: np.ndarray, tol: float, cap: int):
     return value, residual, cap, False
 
 
-def _jacobi_largest(arr: np.ndarray):
-    """Cyclic Jacobi rotations; returns (largest eigenvalue, its vector, sweeps)."""
-    a = arr.copy()
-    t = a.shape[0]
-    v = np.eye(t)
-    scale = max(1.0, float(np.abs(a).max()))
-    sweeps = 0
-    for sweeps in range(1, 101):
-        off = float(np.sqrt(max(0.0, (a * a).sum() - (np.diag(a) ** 2).sum())))
-        if off <= 1e-14 * scale * t:
-            break
-        for p in range(t - 1):
-            for q in range(p + 1, t):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                sign = 1.0 if theta >= 0 else -1.0
-                tan = sign / (abs(theta) + np.hypot(1.0, theta))
-                c = 1.0 / np.sqrt(1.0 + tan * tan)
-                s = tan * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    idx = int(np.argmax(np.diag(a)))
-    vec = v[:, idx]
-    vec = vec / np.linalg.norm(vec)
-    return float(a[idx, idx]), vec, sweeps
+def check_tol(tol: float) -> None:
+    """Reject a tolerance that is not a finite positive number."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tolerance must be finite and > 0, got {tol!r}")
 
 
 def spectral_radius(mtx: SymMatrix, tol: float = 1e-10) -> SpectralEstimate:
@@ -184,9 +151,10 @@ def spectral_radius(mtx: SymMatrix, tol: float = 1e-10) -> SpectralEstimate:
     Power iteration with the all-ones start vector and Rayleigh readout;
     for the signless Laplacian of a connected graph the target is a simple
     Perron root, so the start vector is never orthogonal to it. If the
-    iteration stalls (tiny spectral gap), falls back to Jacobi rotations
-    for orders up to JACOBI_CAP.
+    iteration stalls (tiny spectral gap), falls back to LAPACK eigh; the
+    estimate then reports the power steps spent before the fallback.
     """
+    check_tol(tol)
     if mtx.order > DENSE_CAP:
         raise CapacityError(f"order {mtx.order} exceeds dense cap {DENSE_CAP}")
     arr = mtx.entries
@@ -195,14 +163,9 @@ def spectral_radius(mtx: SymMatrix, tol: float = 1e-10) -> SpectralEstimate:
     value, residual, iters, ok = _power_iteration(arr, tol, cap=100 * mtx.order)
     if ok:
         return SpectralEstimate(value, residual, iters, "power")
-    if mtx.order <= JACOBI_CAP:
-        jval, jvec, sweeps = _jacobi_largest(arr)
-        jres = float(np.linalg.norm(arr @ jvec - jval * jvec))
-        return SpectralEstimate(jval, jres, sweeps, "jacobi")
-    raise NumericalError(
-        f"power iteration did not reach tolerance {tol} in {100 * mtx.order} steps",
-        best=value,
-    )
+    vals, vecs = np.linalg.eigh(arr)
+    value, vec = float(vals[-1]), vecs[:, -1]
+    return SpectralEstimate(value, float(np.linalg.norm(arr @ vec - value * vec)), iters, "eigh")
 
 
 def _partition_masks(g: BipartiteGraph, partition):

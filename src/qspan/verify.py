@@ -11,10 +11,12 @@ Three entry points:
 * subgraph_monotonicity_fuzz: randomized check that the spectral radius
   never grows when edges are deleted, with exact strictness spot checks.
 
-The enumeration engine vectorizes connectivity filtering and batched power
-iteration with numpy; everything it certifies is re-checked through the
-ordinary object-level code paths (construct_tree, part_preserving_isomorphic)
-on the handful of graphs near the bound.
+The enumeration engine works on numpy chunks of edge bitmasks: a vectorized
+connectivity filter, then the Anderson-Morley degree bound, which prunes every
+graph that cannot reach the threshold, then one batched LAPACK eigvalsh over
+the survivors. Everything it certifies is re-checked through the ordinary
+object-level code paths (construct_tree, part_preserving_isomorphic) on the
+handful of graphs near the bound.
 """
 
 from __future__ import annotations
@@ -49,12 +51,17 @@ from .graph_core import (
     part_preserving_isomorphic,
     to_edge_list,
 )
-from .spectral import char_poly, exact_char_poly, signless_laplacian, spectral_radius
+from .spectral import (
+    char_poly,
+    check_tol,
+    exact_char_poly,
+    signless_laplacian,
+    spectral_radius,
+)
 from .trees import construct_tree, find_violation_flow, verify_certificate
 
 ENUMERATION_CAP = 24      # at most 2**24 labeled graphs per census
 ENGINE_CHUNK = 1 << 16    # masks per worker task
-ENGINE_TOL = 1e-9         # batched power iteration residual target
 
 
 @dataclass(frozen=True)
@@ -99,13 +106,13 @@ def enumerate_bipartite(m: int, n: int, connected_only: bool = False):
         raise CapacityError(f"m*n={m * n} exceeds enumeration cap {ENUMERATION_CAP}")
 
     def gen():
-        full = (1 << n) - 1
-        for mask in range(1 << (m * n)):
-            adj = tuple((mask >> (a * n)) & full for a in range(m))
-            g = BipartiteGraph(m, n, adj)
-            if connected_only and not is_connected(g):
-                continue
-            yield g
+        total = 1 << (m * n)
+        for lo in range(0, total, ENGINE_CHUNK):
+            masks = np.arange(lo, min(lo + ENGINE_CHUNK, total), dtype=np.int64)
+            if connected_only:
+                masks = masks[_connected_filter(masks, m, n)]
+            for mask in masks.tolist():
+                yield _graph_from_mask(mask, m, n)
 
     return gen()
 
@@ -130,12 +137,27 @@ def _connected_filter(masks: np.ndarray, m: int, n: int) -> np.ndarray:
     return member.all(axis=0) & (reach == full_b)
 
 
-def _batched_radius(masks: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Spectral radius of Q for each mask via batched power iteration.
+def _anderson_morley_bound(masks: np.ndarray, m: int, n: int) -> np.ndarray:
+    """max over edges ab of d(a) + d(b) for each mask.
 
-    Stragglers that miss the residual target within the iteration cap are
-    recomputed one by one through spectral_radius, so the returned values
-    depend only on each graph alone (identical under any chunking).
+    For bipartite G the signless Laplacian Q is similar to the Laplacian L,
+    so this bound on the largest Laplacian eigenvalue (Anderson & Morley,
+    Lin. Multilin. Alg. 1985) is also an upper bound on q(G). It is computed
+    as the max over a of d(a) + (largest degree among the neighbours of a).
+    Degrees are at most ENUMERATION_CAP, so int8 holds every sum.
+    """
+    bit = [[((masks >> (a * n + b)) & 1).astype(np.int8) for b in range(n)] for a in range(m)]
+    deg_b = [sum(bit[a][b] for a in range(m)) for b in range(n)]
+    return np.maximum.reduce([
+        sum(row) + np.maximum.reduce([x * d for x, d in zip(row, deg_b)]) for row in bit
+    ])
+
+
+def _batched_radius(masks: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Spectral radius of Q for each mask, from one batched LAPACK eigvalsh.
+
+    Each matrix of the stack is solved on its own, so a graph's value does
+    not depend on which chunk it was batched with.
     """
     t = m + n
     count = masks.size
@@ -148,34 +170,7 @@ def _batched_radius(masks: np.ndarray, m: int, n: int) -> np.ndarray:
     idx_b = np.arange(m, t)
     q[:, idx_a, idx_a] = bits.sum(axis=2)
     q[:, idx_b, idx_b] = bits.sum(axis=1)
-
-    x = np.full((count, t), 1.0 / np.sqrt(t))
-    lam = np.zeros(count)
-    done = np.zeros(count, dtype=bool)
-    active = np.arange(count)
-    cap = 400 * t
-    for _ in range(cap // 8):
-        qa = q[active]
-        xa = x[active]
-        for _ in range(8):
-            y = np.einsum("gtu,gu->gt", qa, xa)
-            norm = np.linalg.norm(y, axis=1)
-            norm[norm == 0.0] = 1.0
-            xa = y / norm[:, None]
-        y = np.einsum("gtu,gu->gt", qa, xa)
-        lam_a = np.einsum("gt,gt->g", xa, y)
-        resid = np.linalg.norm(y - lam_a[:, None] * xa, axis=1)
-        ok = resid <= ENGINE_TOL
-        lam[active[ok]] = lam_a[ok]
-        done[active[ok]] = True
-        x[active] = xa
-        active = active[~ok]
-        if active.size == 0:
-            break
-    for i in active:
-        g = _graph_from_mask(int(masks[i]), m, n)
-        lam[i] = spectral_radius(signless_laplacian(g), tol=ENGINE_TOL).value
-    return lam
+    return np.linalg.eigvalsh(q)[:, -1]
 
 
 def _graph_from_mask(mask: int, m: int, n: int) -> BipartiteGraph:
@@ -192,17 +187,21 @@ class ScanStats:
     extremal_copies: list    # (mask, attains_within_tol) pairs
 
 
+def _near_band(masks: np.ndarray, m: int, n: int, qstar: float, tol: float):
+    """(masks, radii) of the graphs with q >= qstar - tol. The Anderson-Morley
+    bound drops only graphs it proves to lie below; eigvalsh solves the rest."""
+    candidates = masks[_anderson_morley_bound(masks, m, n) >= qstar - tol]
+    lam = _batched_radius(candidates, m, n)
+    keep = lam >= qstar - tol
+    return candidates[keep], lam[keep]
+
+
 def _scan_chunk(args) -> ScanStats:
     k, m, n, qstar, tol, lo, hi = args
     masks = np.arange(lo, hi, dtype=np.int64)
     connected = masks[_connected_filter(masks, m, n)]
-    stats = ScanStats(int(connected.size), 0, 0, [], [])
-    if connected.size == 0:
-        return stats
-    lam = _batched_radius(connected, m, n)
-    near = connected[lam >= qstar - tol]
-    near_lam = lam[lam >= qstar - tol]
-    stats.graphs_above_bound = int(near.size)
+    near, near_lam = _near_band(connected, m, n, qstar, tol)
+    stats = ScanStats(int(connected.size), int(near.size), 0, [], [])
     gstar = extremal_graph(k, m, n)
     demand = DegreeDemand.uniform(m, k)
     for mask, value in zip(near.tolist(), near_lam.tolist()):
@@ -221,13 +220,16 @@ def _scan_chunk(args) -> ScanStats:
 
 def scan_stats(k: int, m: int, n: int, tol: float = 1e-7, jobs: int | None = None) -> ScanStats:
     """Run the census engine over all 2**(m*n) masks and merge chunk stats
-    in mask order (identical output for any job count)."""
+    in mask order (identical output for any job count). jobs defaults to the
+    number of CPUs this process may run on."""
+    check_tol(tol)
     total = 1 << (m * n)
     qstar = spectral_threshold(k, m, n)
     ranges = [(k, m, n, qstar, tol, lo, min(lo + ENGINE_CHUNK, total))
               for lo in range(0, total, ENGINE_CHUNK)]
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     if jobs > 1 and len(ranges) > 1:
         with Pool(processes=jobs) as pool:
             parts = pool.map(_scan_chunk, ranges)
@@ -252,6 +254,7 @@ def certify_threshold(k: int, m: int, n: int, tol: float = 1e-7,
     graph; the extremal graph itself must show up, attain the threshold, and
     be infeasible.
     """
+    check_tol(tol)
     if k < 3 or m < 3:
         raise InputError(f"need k >= 3 and m >= 3, got k={k}, m={m}")
     if n < (k - 1) * m + 1:

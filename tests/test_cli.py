@@ -71,7 +71,13 @@ class TestSpectral:
         assert report["schema"] == "1"
         assert report["m"] == 3 and report["n"] == 7
         assert report["q"] == pytest.approx(10.0, abs=1e-9)
-        assert report["method"] in ("power", "jacobi")
+        assert report["method"] in ("power", "eigh")
+
+    def test_nan_tol_is_input_error(self, k37, capsys):
+        assert main(["spectral", k37, "--tol", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "tolerance" in captured.err
+        assert captured.out == ""
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["spectral", str(tmp_path / "nope.graph")]) == 2
@@ -197,6 +203,12 @@ class TestVerifyTheorem:
     def test_bad_params(self, capsys):
         assert main(["verify-theorem", "--k", "2", "--m", "3", "--n", "7"]) == 2
         capsys.readouterr()
+
+    def test_negative_tol_is_input_error(self, capsys):
+        assert main(["verify-theorem", "--k", "3", "--m", "3", "--n", "7", "--tol", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "tolerance" in captured.err
+        assert captured.out == ""
 
 
 class TestArgparseBehaviour:

@@ -1,7 +1,7 @@
 """Spectral radius, quotient matrices, and exact characteristic polynomials.
 
-numpy.linalg.eigvalsh appears here only as an independent oracle; library
-code never calls it.
+numpy.linalg.eigvalsh serves here as the oracle for the power iteration;
+the library reaches LAPACK only through its eigh fallback.
 """
 
 import random
@@ -101,8 +101,22 @@ class TestSpectralRadius:
 
     def test_estimate_reports_method(self):
         est = spectral_radius(signless_laplacian(complete_bipartite(2, 3)))
-        assert est.method in ("power", "jacobi")
+        assert est.method in ("power", "eigh")
         assert est.iterations >= 1
+
+    def test_stalled_iteration_falls_back_to_eigh(self):
+        # no residual reaches 1e-300, so every power step is spent first
+        mtx = signless_laplacian(from_edge_list(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)]))
+        est = spectral_radius(mtx, tol=1e-300)
+        assert est.method == "eigh"
+        assert est.iterations == 100 * mtx.order
+        assert est.value == pytest.approx(oracle_radius(mtx), abs=1e-12)
+        assert est.residual <= 1e-12
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(InputError):
+            spectral_radius(signless_laplacian(complete_bipartite(2, 3)), tol=tol)
 
     @given(st.integers(1, 5), st.integers(1, 5), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)

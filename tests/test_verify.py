@@ -19,13 +19,17 @@ from qspan import (
     spectral_radius,
     subgraph_monotonicity_fuzz,
 )
-from qspan.extremal import ExtremalParams
+from qspan import verify
+from qspan.extremal import ExtremalParams, spectral_threshold
 from qspan.verify import (
+    _anderson_morley_bound,
     _batched_radius,
     _connected_filter,
     _graph_from_mask,
     _integer_q_rows,
+    _near_band,
     random_demand_instances,
+    scan_stats,
     strictly_larger_root,
 )
 
@@ -44,6 +48,11 @@ class TestEnumeration:
         want = [g for g in enumerate_bipartite(2, 3) if is_connected(g)]
         got = list(enumerate_bipartite(2, 3, connected_only=True))
         assert got == want
+
+    def test_connected_order_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(verify, "ENGINE_CHUNK", 7)
+        want = [g for g in enumerate_bipartite(2, 3) if is_connected(g)]
+        assert list(enumerate_bipartite(2, 3, connected_only=True)) == want
 
     def test_rejects_oversize(self):
         with pytest.raises(CapacityError):
@@ -88,6 +97,56 @@ class TestVectorisedKernels:
             [_batched_radius(masks[:40], m, n), _batched_radius(masks[40:], m, n)]
         )
         assert np.array_equal(whole, split)
+
+
+@pytest.fixture(scope="module")
+def sample_337():
+    """A seeded sample of 50,000 connected masks at (m, n) = (3, 7)."""
+    masks = np.arange(1 << 21, dtype=np.int64)
+    connected = masks[_connected_filter(masks, 3, 7)]
+    rng = np.random.default_rng(20241201)
+    return np.sort(rng.choice(connected, 50_000, replace=False))
+
+
+class TestCensusEngine:
+    def test_bound_dominates_radius_2x4(self):
+        masks = np.arange(1 << 8, dtype=np.int64)
+        masks = masks[_connected_filter(masks, 2, 4)]
+        bound = _anderson_morley_bound(masks, 2, 4)
+        assert np.all(bound >= _batched_radius(masks, 2, 4) - 1e-9)
+
+    def test_bound_matches_edge_definition(self):
+        m, n = 2, 4
+        for mask in range(1 << (m * n)):
+            g = _graph_from_mask(mask, m, n)
+            want = max((g.degree_a(a) + g.degree_b(b) for a in range(m) for b in range(n)
+                        if g.has_edge(a, b)), default=0)
+            got = _anderson_morley_bound(np.array([mask], dtype=np.int64), m, n)[0]
+            assert got == want
+
+    def test_bound_dominates_radius_337_sample(self, sample_337):
+        bound = _anderson_morley_bound(sample_337, 3, 7)
+        assert np.all(bound >= _batched_radius(sample_337, 3, 7) - 1e-9)
+
+    @pytest.mark.parametrize("tol", [1e-7, 0.5])
+    def test_pruned_near_band_matches_unpruned(self, sample_337, tol):
+        qstar = spectral_threshold(3, 3, 7)
+        lam = _batched_radius(sample_337, 3, 7)
+        want = sample_337[lam >= qstar - tol]
+        near, near_lam = _near_band(sample_337, 3, 7, qstar, tol)
+        assert want.size > 0
+        assert np.array_equal(near, want)
+        assert np.array_equal(near_lam, lam[lam >= qstar - tol])
+
+    def test_scan_stats_job_count_invariant(self):
+        serial = scan_stats(3, 3, 7, jobs=1)
+        assert serial.extremal_copies
+        assert scan_stats(3, 3, 7, jobs=2) == serial
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_scan_stats_rejects_bad_tol(self, tol):
+        with pytest.raises(InputError):
+            scan_stats(3, 3, 7, tol=tol)
 
 
 class TestPointChecks:
