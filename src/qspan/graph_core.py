@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 from .errors import InputError
 
+PART_SIZE_CAP = 1 << 14   # per part in graph files; bitmask rows then fit in 32 MiB
+
 
 def iter_bits(mask: int):
     """Yield the set bit positions of a nonnegative int, ascending."""
@@ -238,6 +240,8 @@ def parse_graph(text: str, source: str = "<string>") -> BipartiteGraph:
                 raise InputError(f"{source}:{lineno}: part sizes must be integers") from None
             if m < 1 or n < 1:
                 raise InputError(f"{source}:{lineno}: part sizes must be >= 1")
+            if max(m, n) > PART_SIZE_CAP:
+                raise InputError(f"{source}:{lineno}: part sizes must be <= {PART_SIZE_CAP}")
             adj = [0] * m
         elif fields[0] == "e":
             if adj is None:

@@ -2,9 +2,13 @@
 
 The question answered here: does a connected bipartite graph contain a
 spanning tree whose A-side degrees meet per-vertex lower bounds f(v) >= 2?
-The answer is always accompanied by a checkable witness, either a spanning
-tree meeting the demands or a subset S of A with |N(S)| <= sum f(v) - |S|,
-and both witness kinds are re-verified before being returned.
+By the Frank-Gyarfas / Kaneko-Yoshimoto condition it does iff
+|N(S)| >= sum_{v in S} (f(v) - 1) + 1 for every nonempty S inside A. One
+flow network decides that condition, extracts a violating subset when it
+fails, and supplies the matching the tree is grown from when it holds. The
+answer is always accompanied by a checkable witness, either a spanning tree
+meeting the demands or a subset S of A with |N(S)| <= sum f(v) - |S|, and
+both witness kinds are re-verified before being returned.
 """
 
 from __future__ import annotations
@@ -14,11 +18,9 @@ from dataclasses import dataclass
 import itertools
 
 from .errors import CapacityError, InputError, InternalError
-from .graph_core import BipartiteGraph, DegreeDemand, is_connected, iter_bits, to_edge_list
+from .graph_core import BipartiteGraph, DegreeDemand, from_edge_list, is_connected, iter_bits
 
 BRUTE_FORCE_CAP = 25       # 2**m subset enumeration cap
-EXHAUSTIVE_EDGE_CAP = 24   # spanning tree enumeration fallback cap
-PLATEAU_STATE_CAP = 100000
 
 
 @dataclass(frozen=True)
@@ -154,40 +156,67 @@ class _FlowNet:
         return seen
 
 
-def find_violation_flow(g: BipartiteGraph, f: DegreeDemand) -> HallViolation | None:
-    """Polynomial-time violation search via one max-flow per anchor vertex.
+def _hall_network(g: BipartiteGraph, f: DegreeDemand) -> tuple[_FlowNet, int]:
+    """Build the Hall network and run one max flow on it.
 
-    For anchor a the network forces a into the cut's source side (its source
-    arc is too wide to cut), every other A-vertex v offers f(v)-1 units, and
-    each B-vertex forwards at most one unit to the sink. Subsets containing
-    a all satisfy the condition iff the max flow reaches
-    sum_v (f(v)-1) + 1; otherwise the source side of a minimum cut meets A
-    in a violating subset containing a.
+    Nodes: source 0, A-vertex a at 1+a, B-vertex b at 1+m+b, sink m+n+1.
+    The source arc of a (arc index 2a) has capacity f(a)-1, every edge ab
+    is an arc a->b too wide to cut, and each B-vertex forwards at most one
+    unit to the sink. A saturated arc a->b assigns b to a: that matching
+    gives each A-vertex up to f(a)-1 private B-vertices.
     """
-    _check_demand_length(g, f)
     m, n = g.m, g.n
-    slack_total = sum(f[a] - 1 for a in range(m))
-    target = slack_total + 1
-    wide = slack_total + n + 1
-    src = 0
-    snk = m + n + 1
+    wide = sum(f[a] - 1 for a in range(m)) + n + 1
+    net = _FlowNet(m + n + 2)
+    for a in range(m):
+        net.add(0, 1 + a, f[a] - 1)
+    for a in range(m):
+        for b in iter_bits(g.adj[a]):
+            net.add(1 + a, 1 + m + b, wide)
+    for b in range(n):
+        net.add(1 + m + b, m + n + 1, 1)
+    return net, net.max_flow(0, m + n + 1)
+
+
+def _first_violation(g: BipartiteGraph, f: DegreeDemand, net: _FlowNet,
+                     base: int) -> HallViolation | None:
+    """Violating set of the first anchor, in index order, that lies in one.
+
+    Subsets S containing the anchor all satisfy the condition iff the flow
+    can reach target = sum_v (f(v)-1) + 1 once the anchor's source arc may
+    not be cut. Widening that arc by target - base is enough: a cut through
+    it then costs at least target, and every other cut keeps its value. So
+    each anchor re-solves a copy of the base residual network, and when it
+    falls short the residual source side, the unique minimal minimum cut,
+    meets A in a violating subset containing the anchor.
+    """
+    m, n = g.m, g.n
+    target = sum(f[a] - 1 for a in range(m)) + 1
+    base_cap = net.cap
     for anchor in range(m):
-        net = _FlowNet(m + n + 2)
-        for a in range(m):
-            net.add(src, 1 + a, wide if a == anchor else f[a] - 1)
-        for a in range(m):
-            for b in iter_bits(g.adj[a]):
-                net.add(1 + a, 1 + m + b, wide)
-        for b in range(n):
-            net.add(1 + m + b, snk, 1)
-        if net.max_flow(src, snk) >= target:
+        net.cap = list(base_cap)
+        net.cap[2 * anchor] += target - base
+        if base + net.max_flow(0, m + n + 1) >= target:
             continue
-        side = net.source_side(src)
-        subset = tuple(sorted(a for a in range(m) if 1 + a in side))
-        if anchor not in set(subset) or not is_violation(g, f, subset):
+        side = net.source_side(0)
+        subset = tuple(a for a in range(m) if 1 + a in side)
+        if anchor not in subset or not is_violation(g, f, subset):
             raise InternalError("flow cut did not yield a genuine violating subset")
         return HallViolation(subset)
+    net.cap = base_cap
     return None
+
+
+def find_violation_flow(g: BipartiteGraph, f: DegreeDemand) -> HallViolation | None:
+    """Polynomial-time violation search on one Hall network.
+
+    One max flow, then for each anchor vertex a few augmenting paths on a
+    copy of its residual network (see _first_violation). The returned set
+    is the A-part of the minimal minimum cut for the first anchor that lies
+    in a violating subset; None when the condition holds everywhere.
+    """
+    _check_demand_length(g, f)
+    return _first_violation(g, f, *_hall_network(g, f))
 
 
 def verify_certificate(g: BipartiteGraph, f: DegreeDemand, cert: TreeCertificate) -> bool:
@@ -203,272 +232,127 @@ def verify_certificate(g: BipartiteGraph, f: DegreeDemand, cert: TreeCertificate
         deg_a[a] += 1
     if any(deg_a[a] < f[a] for a in range(g.m)):
         return False
-    # connected + exactly m+n-1 edges == tree; check connectivity over cert edges
-    adj_a = [0] * g.m
-    adj_b = [0] * g.n
-    for a, b in edges:
-        adj_a[a] |= 1 << b
-        adj_b[b] |= 1 << a
-    seen_a, seen_b = 1, 0
-    frontier = 1
-    while frontier:
-        reach_b = 0
-        for a in iter_bits(frontier):
-            reach_b |= adj_a[a]
-        new_b = reach_b & ~seen_b
-        seen_b |= new_b
-        reach_a = 0
-        for b in iter_bits(new_b):
-            reach_a |= adj_b[b]
-        frontier = reach_a & ~seen_a
-        seen_a |= frontier
-    return seen_a == (1 << g.m) - 1 and seen_b == (1 << g.n) - 1
+    # connected + exactly m+n-1 edges == tree
+    return is_connected(from_edge_list(g.m, g.n, edges))
 
 
 # --- constructor internals ---------------------------------------------------
 
 
-def _bfs_tree(g: BipartiteGraph):
-    """Breadth-first spanning tree from A-vertex 0, as (degA, adj_a, adj_b)."""
+def _reroute(g: BipartiteGraph, start: int, held: list[int], owner: list[int],
+             reached_b: int) -> int:
+    """Give A-vertex start one more private B-vertex outside the tree.
+
+    Breadth-first search over alternating paths among unreached vertices:
+    start takes an unreached neighbour, whose holder takes another, until a
+    free B-vertex ends the path; the matching is then shifted along it.
+    Returns that free B-vertex. Raises InternalError when no path exists,
+    which the Hall condition rules out (see construct_tree).
+    """
+    came = {start: None}
+    queue = deque([start])
+    while queue:
+        a = queue.popleft()
+        for b in iter_bits(g.adj[a] & ~held[a] & ~reached_b):
+            holder = owner[b]
+            if holder < 0:
+                end = b
+                while True:
+                    held[a] |= 1 << b
+                    owner[b] = a
+                    if came[a] is None:
+                        return end
+                    prev, b_prev = came[a]
+                    held[a] &= ~(1 << b_prev)
+                    a, b = prev, b_prev
+            if holder not in came:
+                came[holder] = (a, b)
+                queue.append(holder)
+    raise InternalError("no alternating path although the Hall condition holds")
+
+
+def _grow_tree(g: BipartiteGraph, owner: list[int]) -> list[tuple[int, int]]:
+    """Spanning tree in which every A-vertex parents its matched B-vertices.
+
+    owner[b] is the A-vertex b is matched to, or -1 when b is free.
+    """
+    m = g.m
     b_rows = g.b_adj()
-    deg_a = [0] * g.m
-    adj_a = [0] * g.m
-    adj_b = [0] * g.n
-    seen_a, seen_b = 1, 0
-    frontier_a = [0]
-    while frontier_a:
-        new_b = []
-        for a in frontier_a:
-            for b in iter_bits(g.adj[a] & ~seen_b):
-                seen_b |= 1 << b
-                deg_a[a] += 1
-                adj_a[a] |= 1 << b
-                adj_b[b] |= 1 << a
-                new_b.append(b)
-        frontier_a = []
-        for b in new_b:
-            for a in iter_bits(b_rows[b] & ~seen_a):
-                seen_a |= 1 << a
-                deg_a[a] += 1
-                adj_a[a] |= 1 << b
-                adj_b[b] |= 1 << a
-                frontier_a.append(a)
-    return deg_a, adj_a, adj_b
-
-
-def _tree_path(adj_a, adj_b, a_start: int, b_target: int):
-    """Edges of the unique tree path from A-vertex a_start to B-vertex b_target."""
-    parent = {(0, a_start): None}
-    queue = deque([(0, a_start)])
-    while queue:
-        node = queue.popleft()
-        side, v = node
-        if side == 1 and v == b_target:
-            path = []
-            cur = node
-            while parent[cur] is not None:
-                prev = parent[cur]
-                path.append((prev[1], cur[1]) if cur[0] == 1 else (cur[1], prev[1]))
-                cur = prev
-            return path
-        row = adj_a[v] if side == 0 else adj_b[v]
-        for w in iter_bits(row):
-            nxt = (1 - side, w)
-            if nxt not in parent:
-                parent[nxt] = node
-                queue.append(nxt)
-    raise InternalError("tree path lookup fell off the tree")
-
-
-def _deficiency(deg_a, f) -> int:
-    return sum(max(0, f[a] - deg_a[a]) for a in range(len(deg_a)))
-
-
-def _greedy_descent(g: BipartiteGraph, f, deg_a, adj_a, adj_b) -> int:
-    """Apply single swaps while each strictly lowers total deficiency.
-
-    A swap adds a non-tree edge at a deficient A-vertex and removes, from
-    the induced cycle, a tree edge at an A-vertex sitting above its demand.
-    Mutates the tree arrays in place; returns the final deficiency.
-    """
+    held = [0] * m
+    free = 0
+    for b, a in enumerate(owner):
+        if a < 0:
+            free |= 1 << b
+        else:
+            held[a] |= 1 << b
+    root = (free & -free).bit_length() - 1
+    edges = []
+    reached_a, reached_b = 0, 1 << root
+    grow_a, grow_b = [], [root]
     while True:
-        deficiency = _deficiency(deg_a, f)
-        if deficiency == 0:
-            return 0
-        improved = False
-        for a in range(g.m):
-            if deg_a[a] >= f[a]:
-                continue
-            for b in iter_bits(g.adj[a] & ~adj_a[a]):
-                for x, y in _tree_path(adj_a, adj_b, a, b):
-                    if x != a and deg_a[x] >= f[x] + 1:
-                        adj_a[a] |= 1 << b
-                        adj_b[b] |= 1 << a
-                        adj_a[x] &= ~(1 << y)
-                        adj_b[y] &= ~(1 << x)
-                        deg_a[a] += 1
-                        deg_a[x] -= 1
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-        if not improved:
-            return _deficiency(deg_a, f)
-
-
-def _edges_key(adj_a) -> tuple[int, ...]:
-    return tuple(adj_a)
-
-
-def _plateau_search(g: BipartiteGraph, f, deg_a, adj_a, adj_b, depth_cap: int):
-    """Breadth-first search over deficiency-preserving swap sequences.
-
-    Plateau moves shift one unit of deficiency between A-vertices (add at a
-    deficient vertex, remove at one sitting exactly at its demand); the
-    search stops at the first state offering a strictly improving swap and
-    returns the improved tree arrays, or None if the state or depth caps run
-    out.
-    """
-    start = (tuple(deg_a), tuple(adj_a), tuple(adj_b))
-    seen = {_edges_key(adj_a)}
-    queue = deque([(start, 0)])
-    while queue:
-        (cur_deg, cur_a, cur_b), depth = queue.popleft()
-        deg_l = list(cur_deg)
-        adja_l = list(cur_a)
-        adjb_l = list(cur_b)
-        for a in range(g.m):
-            gain = deg_l[a] < f[a]
-            for b in iter_bits(g.adj[a] & ~adja_l[a]):
-                for x, y in _tree_path(adja_l, adjb_l, a, b):
-                    if x == a:
-                        continue
-                    if gain and deg_l[x] >= f[x] + 1:
-                        # improving swap: apply and hand the tree back
-                        adja_l[a] |= 1 << b
-                        adjb_l[b] |= 1 << a
-                        adja_l[x] &= ~(1 << y)
-                        adjb_l[y] &= ~(1 << x)
-                        deg_l[a] += 1
-                        deg_l[x] -= 1
-                        return deg_l, adja_l, adjb_l
-                    if gain and deg_l[x] == f[x] and depth < depth_cap:
-                        next_a = list(adja_l)
-                        next_b = list(adjb_l)
-                        next_d = list(deg_l)
-                        next_a[a] |= 1 << b
-                        next_b[b] |= 1 << a
-                        next_a[x] &= ~(1 << y)
-                        next_b[y] &= ~(1 << x)
-                        next_d[a] += 1
-                        next_d[x] -= 1
-                        key = _edges_key(next_a)
-                        if key not in seen:
-                            if len(seen) >= PLATEAU_STATE_CAP:
-                                return None
-                            seen.add(key)
-                            queue.append(((tuple(next_d), tuple(next_a), tuple(next_b)), depth + 1))
-    return None
-
-
-def _exhaustive_tree(g: BipartiteGraph, f):
-    """Enumerate spanning trees (with demand pruning) until one qualifies.
-
-    Only used as a last resort on graphs with at most EXHAUSTIVE_EDGE_CAP
-    edges; returns the edge list or None when no spanning tree meets the
-    demands.
-    """
-    edges = to_edge_list(g)
-    total = g.m + g.n
-    target = total - 1
-    # suffix_at[a][i] = number of edges with A-endpoint a among edges[i:]
-    suffix_at = [[0] * (len(edges) + 1) for _ in range(g.m)]
-    for i in range(len(edges) - 1, -1, -1):
-        a_i = edges[i][0]
-        for a in range(g.m):
-            suffix_at[a][i] = suffix_at[a][i + 1] + (1 if a == a_i else 0)
-
-    parent = list(range(total))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    deg_a = [0] * g.m
-    chosen = []
-
-    def rec(i, picked):
-        if picked == target:
-            return all(deg_a[a] >= f[a] for a in range(g.m))
-        if len(edges) - i < target - picked:
-            return False
-        for a in range(g.m):
-            if deg_a[a] + suffix_at[a][i] < f[a]:
-                return False
-        a, b = edges[i]
-        ra, rb = find(a), find(g.m + b)
-        if ra != rb:
-            parent[ra] = rb
-            deg_a[a] += 1
-            chosen.append((a, b))
-            if rec(i + 1, picked + 1):
-                return True
-            chosen.pop()
-            deg_a[a] -= 1
-            parent[ra] = ra
-        return rec(i + 1, picked)
-
-    if rec(0, 0):
-        return list(chosen)
-    return None
+        while grow_a or grow_b:
+            if grow_a:
+                a = grow_a.pop()
+                kids = (held[a] | g.adj[a] & free) & ~reached_b
+                reached_b |= kids
+                for b in iter_bits(kids):
+                    edges.append((a, b))
+                    grow_b.append(b)
+            else:
+                b = grow_b.pop()
+                kids = b_rows[b] & ~reached_a
+                reached_a |= kids
+                for a in iter_bits(kids):
+                    edges.append((a, b))
+                    grow_a.append(a)
+        if reached_a == (1 << m) - 1:
+            return edges
+        # stalled: a reached x sees an unreached u, which is held by an
+        # unreached A-vertex; hang u under x and pay its holder back
+        x = next(a for a in iter_bits(reached_a) if g.adj[a] & ~reached_b)
+        u = next(iter_bits(g.adj[x] & ~reached_b))
+        a1 = owner[u]
+        held[a1] &= ~(1 << u)
+        reached_b |= 1 << u
+        edges.append((x, u))
+        grow_b.append(u)
+        free &= ~(1 << _reroute(g, a1, held, owner, reached_b))
 
 
 def construct_tree(g: BipartiteGraph, f: DegreeDemand) -> FeasibilityResult:
     """Decide feasibility and produce a verified witness either way.
 
-    Pipeline: the flow checker settles the verdict first. When feasible, a
-    breadth-first spanning tree is improved by single-swap descent on total
-    deficiency, then by breadth-first plateau search over swap sequences
-    (depth capped at m+n), and, should that ever run dry, by exhaustive
-    spanning tree enumeration on graphs with at most EXHAUSTIVE_EDGE_CAP
-    edges. The checker's verdict is trusted: failing to realize a tree the
-    checker promised is reported as an InternalError, never as infeasibility.
+    One Hall network settles the verdict (see find_violation_flow). When
+    no set violates the condition, the network's max flow is sum (f(a)-1)
+    and assigns each A-vertex f(a)-1 private B-vertices; the condition at
+    S = A leaves at least one B-vertex free. The tree is rooted at a free
+    B-vertex and grown outward: a reached A-vertex takes its matched and
+    its free unreached neighbours as children, a reached B-vertex takes its
+    unreached A-neighbours. Every A-vertex then has its parent plus f(a)-1
+    children. When growth stalls with A-vertices left, some reached x sees
+    an unreached u held by an unreached a1; u moves under x and a1 takes a
+    replacement along an alternating path inside the unreached part. Such
+    a path exists: otherwise the A-vertices X the search explores would see
+    only u and the sum_X (f-1) - 1 B-vertices they still hold (a stall
+    leaves no reached B-vertex next to an unreached A-vertex), so
+    |N(X)| <= sum_X (f-1), a violation. Each stall reaches at least one
+    more A-vertex, so there are at most m of them, each one O(|E|) search;
+    no caps and no fallbacks.
     """
     _check_demand_length(g, f)
     if not is_connected(g):
         raise InputError("construct_tree requires a connected graph")
-    violation = find_violation_flow(g, f)
+    net, base = _hall_network(g, f)
+    violation = _first_violation(g, f, net, base)
     if violation is not None:
         return FeasibilityResult(False, violation=violation)
-    if f.total > g.m + g.n - 1:
-        # any spanning tree has A-degree sum m+n-1, so the checker must
-        # have rejected such demands via S = A
-        raise InternalError("checker accepted demands exceeding the tree degree budget")
-
-    deg_a, adj_a, adj_b = _bfs_tree(g)
-    deficiency = _greedy_descent(g, f, deg_a, adj_a, adj_b)
-    while deficiency > 0:
-        improved = _plateau_search(g, f, deg_a, adj_a, adj_b, depth_cap=g.m + g.n)
-        if improved is None:
-            break
-        deg_a, adj_a, adj_b = improved
-        deficiency = _greedy_descent(g, f, deg_a, adj_a, adj_b)
-
-    if deficiency > 0:
-        if g.edge_count <= EXHAUSTIVE_EDGE_CAP:
-            found = _exhaustive_tree(g, f)
-            if found is None:
-                raise InternalError("checker said feasible but no spanning tree qualifies")
-            edges = sorted(found)
-        else:
-            raise InternalError("constructor stalled past all fallbacks on a feasible instance")
-    else:
-        edges = sorted((a, b) for a in range(g.m) for b in iter_bits(adj_a[a]))
-
-    cert = TreeCertificate(tuple(edges))
+    m, n = g.m, g.n
+    owner = [-1] * n
+    for b in range(n):
+        for e in net.out[1 + m + b]:
+            if e & 1 and net.cap[e] > 0:  # residual of a reverse arc = flow on a->b
+                owner[b] = net.to[e] - 1
+    cert = TreeCertificate(tuple(sorted(_grow_tree(g, owner))))
     if not verify_certificate(g, f, cert):
         raise InternalError("constructed tree failed certificate verification")
     return FeasibilityResult(True, tree=cert)

@@ -223,6 +223,8 @@ def scan_stats(k: int, m: int, n: int, tol: float = 1e-7, jobs: int | None = Non
     in mask order (identical output for any job count). jobs defaults to the
     number of CPUs this process may run on."""
     check_tol(tol)
+    if jobs is not None and jobs < 1:
+        raise InputError(f"jobs must be >= 1, got {jobs}")
     total = 1 << (m * n)
     qstar = spectral_threshold(k, m, n)
     ranges = [(k, m, n, qstar, tol, lo, min(lo + ENGINE_CHUNK, total))

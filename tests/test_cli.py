@@ -210,6 +210,13 @@ class TestVerifyTheorem:
         assert "tolerance" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_nonpositive_jobs_is_input_error(self, jobs, capsys):
+        assert main(["verify-theorem", "--k", "3", "--m", "3", "--n", "7", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert "jobs" in captured.err
+        assert captured.out == ""
+
 
 class TestArgparseBehaviour:
     def test_help_exits_zero(self, capsys):

@@ -19,6 +19,7 @@ from qspan import (
     part_preserving_isomorphic,
     to_edge_list,
 )
+from qspan.graph_core import PART_SIZE_CAP
 
 
 def small_graphs(max_m=4, max_n=5):
@@ -223,6 +224,16 @@ class TestFileFormat:
     def test_duplicate_header(self):
         with pytest.raises(InputError, match=r"f:2: "):
             parse_graph("p bip 2 2\np bip 2 2\n", "f")
+
+    @pytest.mark.parametrize("m, n", [(10**12, 3), (3, 10**12), (PART_SIZE_CAP + 1, 1)])
+    def test_oversize_header_rejected_before_allocation(self, m, n):
+        # a 10**12 row list or bitmask would exhaust memory if allocated
+        with pytest.raises(InputError, match=rf"f:2: part sizes must be <= {PART_SIZE_CAP}"):
+            parse_graph(f"# huge\np bip {m} {n}\ne 0 0\n", "f")
+
+    def test_header_at_cap_accepted(self):
+        g = parse_graph(f"p bip {PART_SIZE_CAP} 1\ne 0 0\n", "f")
+        assert (g.m, g.n) == (PART_SIZE_CAP, 1)
 
 
 class TestDegreeDemand:

@@ -1,8 +1,11 @@
 """Feasibility checkers, tree construction, and certificate validation."""
 
+import random
+
 import pytest
 
 from qspan import (
+    BipartiteGraph,
     CapacityError,
     DegreeDemand,
     InputError,
@@ -13,10 +16,11 @@ from qspan import (
     find_violation_bruteforce,
     find_violation_flow,
     from_edge_list,
+    is_connected,
     is_violation,
     verify_certificate,
 )
-from qspan.trees import _exhaustive_tree
+from qspan import trees
 from qspan.verify import random_demand_instances
 
 
@@ -212,6 +216,52 @@ class TestConstructTree:
         with pytest.raises(InputError):
             construct_tree(g, demand(2, 2))
 
+    def test_stall_pays_holder_back_along_alternating_path(self, monkeypatch):
+        # the flow gives A0 {B0}, A1 {B2}, A2 {B3, B4} and leaves B1, B5 free;
+        # growth from B1 reaches A0, B0 and stalls, B2 moves under A0, and A1
+        # takes B4 from A2, which takes the free B5
+        g = BipartiteGraph(3, 6, (0b001111, 0b010100, 0b111000))
+        f = demand(2, 2, 3)
+        ends = []
+        real = trees._reroute
+
+        def spy(*args):
+            ends.append(real(*args))
+            return ends[-1]
+
+        monkeypatch.setattr(trees, "_reroute", spy)
+        res = construct_tree(g, f)
+        assert ends == [5]
+        assert res.feasible and verify_certificate(g, f, res.tree)
+        assert (0, 2) in res.tree.edges and (1, 4) in res.tree.edges
+
+    def test_many_stalls_on_small_tight_instances(self, monkeypatch):
+        # stalls are rare on loose budgets; these draw dozens of them, some
+        # with alternating paths of several steps
+        ends = []
+        real = trees._reroute
+
+        def spy(*args):
+            ends.append(real(*args))
+            return ends[-1]
+
+        monkeypatch.setattr(trees, "_reroute", spy)
+        rng = random.Random(1)
+        for _ in range(5000):
+            m = rng.randint(2, 12)
+            f = DegreeDemand(tuple(rng.choice((2, 2, 3, 4)) for _ in range(m)))
+            n = f.total - m + 1 + rng.choice((0, 1, 2))
+            g = BipartiteGraph(m, n, tuple(
+                sum(1 << b for b in range(n) if rng.random() < 0.3) for _ in range(m)))
+            if not is_connected(g):
+                continue
+            res = construct_tree(g, f)
+            if res.feasible:
+                assert verify_certificate(g, f, res.tree)
+            else:
+                assert is_violation(g, f, res.violation.vertices)
+        assert len(ends) >= 20
+
     def test_agreement_with_checker_on_corpus(self):
         feasible = infeasible = 0
         for g, f in random_demand_instances(400, seed=23):
@@ -227,14 +277,100 @@ class TestConstructTree:
         assert feasible > 50 and infeasible > 50
 
 
-class TestExhaustiveFallback:
-    def test_matches_main_path(self):
-        # drive the enumerator directly on instances small enough to brute force
-        for g, f in random_demand_instances(60, seed=31):
-            if g.edge_count > 18:
-                continue
-            got = _exhaustive_tree(g, f)
-            want = find_violation_bruteforce(g, f) is None
-            assert (got is not None) == want
-            if got is not None:
-                assert verify_certificate(g, f, TreeCertificate(tuple(sorted(got))))
+def _max_flow_min_cut(cap, src, snk):
+    """Edmonds-Karp on a dense capacity matrix: (flow value, residual source side)."""
+    size = len(cap)
+    cap = [row[:] for row in cap]
+    flow = 0
+    while True:
+        prev = [None] * size
+        prev[src] = src
+        queue = [src]
+        for u in queue:
+            for v in range(size):
+                if cap[u][v] > 0 and prev[v] is None:
+                    prev[v] = u
+                    queue.append(v)
+        if prev[snk] is None:
+            return flow, {v for v in range(size) if prev[v] is not None}
+        path = [snk]
+        while path[-1] != src:
+            path.append(prev[path[-1]])
+        push = min(cap[u][v] for v, u in zip(path, path[1:]))
+        for v, u in zip(path, path[1:]):
+            cap[u][v] -= push
+            cap[v][u] += push
+        flow += push
+
+
+def _reference_violation(g, f):
+    """The first anchor's minimum-cut source side, from a fresh network per anchor."""
+    m, n = g.m, g.n
+    target = sum(f[a] - 1 for a in range(m)) + 1
+    snk = m + n + 1
+    for anchor in range(m):
+        cap = [[0] * (m + n + 2) for _ in range(m + n + 2)]
+        for a in range(m):
+            cap[0][1 + a] = target + n if a == anchor else f[a] - 1
+            for b in range(n):
+                if g.has_edge(a, b):
+                    cap[1 + a][1 + m + b] = target + n
+        for b in range(n):
+            cap[1 + m + b][snk] = 1
+        flow, side = _max_flow_min_cut(cap, 0, snk)
+        if flow < target:
+            return tuple(a for a in range(m) if 1 + a in side)
+    return None
+
+
+class TestFlowCutSets:
+    def test_sets_match_from_scratch_cuts(self):
+        # one network re-solved per anchor yields the very sets that one
+        # from-scratch max flow per anchor does
+        infeasible = 0
+        for g, f in random_demand_instances(400, seed=31):
+            got = find_violation_flow(g, f)
+            want = _reference_violation(g, f)
+            assert (None if got is None else got.vertices) == want
+            infeasible += want is not None
+        assert infeasible > 50
+
+
+def _random_connected(rng, m, n, p):
+    """Random spanning tree on parts (m, n) plus each other edge with probability p."""
+    adj = [0] * m
+    adj[0] = 1
+    placed_a, placed_b = [0], [0]
+    rest = [(0, a) for a in range(1, m)] + [(1, b) for b in range(1, n)]
+    rng.shuffle(rest)
+    for side, v in rest:
+        if side == 0:
+            adj[v] |= 1 << rng.choice(placed_b)
+            placed_a.append(v)
+        else:
+            adj[rng.choice(placed_a)] |= 1 << v
+            placed_b.append(v)
+    for a in range(m):
+        for b in range(n):
+            if rng.random() < p:
+                adj[a] |= 1 << b
+    return BipartiteGraph(m, n, tuple(adj))
+
+
+class TestTightInstances:
+    def test_tight_budgets_decide_with_witness(self):
+        # sum f = m + n - 1 - slack leaves the tree almost no spare A-degree
+        rng = random.Random(2)
+        verdicts = []
+        for slack in (0, 1, 2):
+            for m in range(30, 41):
+                f = DegreeDemand(tuple(rng.choice((2, 3, 4)) for _ in range(m)))
+                n = f.total - m + 1 + slack
+                g = _random_connected(rng, m, n, rng.choice((0.03, 0.06, 0.12)))
+                res = construct_tree(g, f)
+                if res.feasible:
+                    assert verify_certificate(g, f, res.tree)
+                else:
+                    assert is_violation(g, f, res.violation.vertices)
+                verdicts.append(res.feasible)
+        assert 5 <= sum(verdicts) <= len(verdicts) - 5

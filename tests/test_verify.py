@@ -148,6 +148,11 @@ class TestCensusEngine:
         with pytest.raises(InputError):
             scan_stats(3, 3, 7, tol=tol)
 
+    @pytest.mark.parametrize("jobs", [0, -1, -8])
+    def test_scan_stats_rejects_bad_jobs(self, jobs):
+        with pytest.raises(InputError, match="jobs"):
+            scan_stats(3, 3, 7, jobs=jobs)
+
 
 class TestPointChecks:
     def test_all_pass_on_grid_sample(self):
