@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from .errors import InputError
 from .graph_core import BipartiteGraph, complete_bipartite, join
-from .spectral import PolyCoeffs, QuotientMatrix, largest_real_root
+from .poly import PolyCoeffs, largest_real_root
+from .spectral import QuotientMatrix
 
 
 @dataclass(frozen=True)

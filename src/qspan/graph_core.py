@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 
-PART_SIZE_CAP = 1 << 14   # per part in graph files; bitmask rows then fit in 32 MiB
+PART_SIZE_CAP = 1 << 14   # per part in graph files and complete_bipartite; rows fit in 32 MiB
 
 
 def iter_bits(mask: int):
@@ -91,6 +91,8 @@ def to_edge_list(g: BipartiteGraph) -> list[tuple[int, int]]:
 def complete_bipartite(m: int, n: int) -> BipartiteGraph:
     if m < 1 or n < 1:
         raise InputError(f"both parts must be nonempty, got m={m}, n={n}")
+    if max(m, n) > PART_SIZE_CAP:
+        raise InputError(f"part sizes must be <= {PART_SIZE_CAP}, got m={m}, n={n}")
     full = (1 << n) - 1
     return BipartiteGraph(m, n, (full,) * m)
 

@@ -1,9 +1,9 @@
 """Signless Laplacian assembly and spectral computations.
 
 Provides the dense signless Laplacian Q = D + A of a bipartite graph, its
-spectral radius via power iteration (LAPACK eigh fallback), quotient
-matrices of vertex partitions, exact characteristic polynomials of small
-integer matrices, and bracketed root finding for those polynomials.
+spectral radius via power iteration (LAPACK eigh fallback), and quotient
+matrices of vertex partitions with their exact characteristic polynomials
+(computed by qspan.poly).
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, InputError, InternalError, NumericalError
+from .errors import CapacityError, InputError
 from .graph_core import BipartiteGraph, iter_bits
+from .poly import PolyCoeffs, exact_char_poly
 
 DENSE_CAP = 4096        # largest order accepted for dense spectral work
-CHAR_POLY_CAP = 8       # exact characteristic polynomial cap
 
 
 @dataclass(frozen=True)
@@ -82,33 +82,11 @@ class QuotientMatrix:
         return all(x.denominator == 1 for row in self.entries for x in row)
 
 
-@dataclass(frozen=True)
-class PolyCoeffs:
-    """Monic polynomial with exact coefficients, ascending (c0 first)."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise InputError("empty coefficient vector")
-        if self.coeffs[-1] != 1:
-            raise InputError("polynomial must be monic")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, x):
-        """Horner evaluation; exact when x and the coefficients are exact."""
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-
 def signless_laplacian(g: BipartiteGraph) -> SymMatrix:
     """Q(G) = degree diagonal + adjacency, A-vertices indexed first."""
     t = g.m + g.n
+    if t > DENSE_CAP:
+        raise CapacityError(f"order {t} exceeds dense cap {DENSE_CAP}")
     q = np.zeros((t, t), dtype=np.float64)
     for a in range(g.m):
         for b in iter_bits(g.adj[a]):
@@ -232,85 +210,8 @@ def quotient_matrix(g: BipartiteGraph, partition) -> QuotientMatrix:
     return QuotientMatrix(tuple(entries), tuple(m[0].bit_count() + m[1].bit_count() for m in masks), equitable)
 
 
-def exact_char_poly(rows) -> PolyCoeffs:
-    """Exact monic characteristic polynomial of a small integer matrix.
-
-    Uses the trace recursion (Faddeev-LeVerrier) in rational arithmetic and
-    checks the Cayley-Hamilton identity on the final auxiliary matrix, so a
-    wrong result cannot escape silently.
-    """
-    t = len(rows)
-    if t > CHAR_POLY_CAP:
-        raise CapacityError(f"order {t} exceeds exact char poly cap {CHAR_POLY_CAP}")
-    mat = []
-    for row in rows:
-        if len(row) != t:
-            raise InputError("matrix is not square")
-        conv = []
-        for x in row:
-            fx = Fraction(x)
-            if fx.denominator != 1:
-                raise InputError(f"entries must be integers, got {x!r}")
-            conv.append(fx)
-        mat.append(conv)
-
-    aux = [[Fraction(int(i == j)) for j in range(t)] for i in range(t)]
-    descending = [Fraction(1)]
-    for k in range(1, t + 1):
-        prod = [[sum(mat[i][x] * aux[x][j] for x in range(t)) for j in range(t)] for i in range(t)]
-        ck = -sum(prod[i][i] for i in range(t)) / k
-        descending.append(ck)
-        aux = [[prod[i][j] + (ck if i == j else 0) for j in range(t)] for i in range(t)]
-    if any(aux[i][j] != 0 for i in range(t) for j in range(t)):
-        raise InternalError("Cayley-Hamilton check failed in exact_char_poly")
-    coeffs = []
-    for c in reversed(descending):
-        if c.denominator != 1:
-            raise InternalError("characteristic polynomial of an integer matrix must be integral")
-        coeffs.append(int(c))
-    return PolyCoeffs(tuple(coeffs))
-
-
 def char_poly(qm: QuotientMatrix) -> PolyCoeffs:
     """Exact characteristic polynomial of an integer quotient matrix."""
     if not qm.is_integral():
         raise InputError("quotient matrix has non-integer entries")
-    return exact_char_poly([[int(x) for x in row] for row in qm.entries])
-
-
-def largest_real_root(p: PolyCoeffs, bracket: tuple[float, float]) -> float:
-    """Root of p inside the bracket, via bisection plus a secant polish.
-
-    The caller must supply a bracket with a sign change that isolates the
-    largest real root; for the quotient quartics used here that bracket is
-    available in closed form.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise InputError(f"invalid bracket ({lo}, {hi})")
-    flo = float(p.evaluate(lo))
-    fhi = float(p.evaluate(hi))
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise NumericalError(f"no sign change on bracket ({lo}, {hi})")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fmid = float(p.evaluate(mid))
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (fhi > 0):
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    # one secant step inside the final interval, kept only if it stays put
-    denom = fhi - flo
-    if denom != 0.0:
-        sec = lo - flo * (hi - lo) / denom
-        if lo < sec < hi:
-            return sec
-    return 0.5 * (lo + hi)
+    return exact_char_poly(qm.entries)

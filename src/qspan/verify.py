@@ -9,7 +9,9 @@ Three entry points:
 * separation_sweep: re-derive, per parameter point, every exact identity and
   strict inequality that places the family members below the threshold.
 * subgraph_monotonicity_fuzz: randomized check that the spectral radius
-  never grows when edges are deleted, with exact strictness spot checks.
+  never grows when edges are deleted, with exact strictness spot checks
+  (integer characteristic polynomials compared by Sturm chains, both from
+  qspan.poly).
 
 The enumeration engine works on numpy chunks of edge bitmasks: a vectorized
 connectivity filter, then the Anderson-Morley degree bound, which prunes every
@@ -24,7 +26,6 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from multiprocessing import Pool
 
 import numpy as np
@@ -51,13 +52,8 @@ from .graph_core import (
     part_preserving_isomorphic,
     to_edge_list,
 )
-from .spectral import (
-    char_poly,
-    check_tol,
-    exact_char_poly,
-    signless_laplacian,
-    spectral_radius,
-)
+from .poly import exact_char_poly, strictly_larger_root
+from .spectral import char_poly, check_tol, signless_laplacian, spectral_radius
 from .trees import construct_tree, find_violation_flow, verify_certificate
 
 ENUMERATION_CAP = 24      # at most 2**24 labeled graphs per census
@@ -410,126 +406,6 @@ def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0)
     return SweepReport(grid=grid, points=points, failures=failures)
 
 
-# --- exact strictness machinery (Sturm sequences over Fractions) --------------
-
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _poly_rem(a, b):
-    """Remainder of a modulo b over the rationals (coefficients ascending)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _poly_trim(a):
-        da, la = len(a) - 1, a[-1]
-        factor = la / lb
-        shift = da - db
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        a = _poly_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _poly_gcd(a, b):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_rem(a, b)
-    return a
-
-
-def _poly_deriv(p):
-    return [i * c for i, c in enumerate(p)][1:]
-
-
-def _poly_div_exact(a, b):
-    """Quotient of a by b when the division is exact."""
-    a = list(a)
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    db, lb = len(b) - 1, b[-1]
-    while _poly_trim(a) and len(a) - 1 >= db:
-        da, la = len(a) - 1, a[-1]
-        factor = la / lb
-        q[da - db] = factor
-        for i, c in enumerate(b):
-            a[da - db + i] -= factor * c
-        a = _poly_trim(a)
-    return q
-
-
-def _sturm_chain(p):
-    chain = [_poly_trim(list(p)), _poly_trim(_poly_deriv(p))]
-    while chain[-1] and len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1])
-        rem = [-c for c in rem]
-        if not _poly_trim(rem):
-            break
-        chain.append(_poly_trim(rem))
-    return [c for c in chain if c]
-
-
-def _poly_eval(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _variations(chain, x):
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
-
-
-def _roots_above(chain, x, upper_variations):
-    return _variations(chain, x) - upper_variations
-
-
-def strictly_larger_root(p_big, p_small) -> bool:
-    """Exact check that the largest real root of p_big exceeds that of
-    p_small. Coefficients ascending, integers or Fractions; both polynomials
-    must have at least one real root (true for characteristic polynomials of
-    symmetric matrices)."""
-    big = [Fraction(c) for c in p_big]
-    small = [Fraction(c) for c in p_small]
-    # reduce to squarefree parts so Sturm counts distinct roots
-    gcd_b = _poly_gcd(big, _poly_deriv(big))
-    if len(gcd_b) > 1:
-        big = _poly_div_exact(big, gcd_b)
-    gcd_s = _poly_gcd(small, _poly_deriv(small))
-    if len(gcd_s) > 1:
-        small = _poly_div_exact(small, gcd_s)
-    chain_b = _sturm_chain(big)
-    chain_s = _sturm_chain(small)
-
-    def cauchy_bound(p):
-        if len(p) < 2:
-            return Fraction(1)
-        return Fraction(1) + max(abs(c) for c in p[:-1]) / abs(p[-1])
-
-    upper = max(cauchy_bound(big), cauchy_bound(small))
-    var_b_top = _variations(chain_b, upper)
-    var_s_top = _variations(chain_s, upper)
-    # shrink an interval (lo, hi] around the largest root of p_small
-    lo, hi = Fraction(-1) * upper, upper
-    for _ in range(200):
-        if _roots_above(chain_b, hi, var_b_top) >= 1:
-            return True
-        mid = (lo + hi) / 2
-        if _roots_above(chain_s, mid, var_s_top) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return False
-
-
 # --- monotonicity fuzz ---------------------------------------------------------
 
 FUZZ_MAX_M = 6
@@ -573,20 +449,6 @@ def _random_spanning_subgraph(rng: random.Random, g: BipartiteGraph) -> Bipartit
     return BipartiteGraph(g.m, g.n, tuple(adj))
 
 
-def _integer_q_rows(g: BipartiteGraph) -> list[list[int]]:
-    t = g.m + g.n
-    rows = [[0] * t for _ in range(t)]
-    for a in range(g.m):
-        rows[a][a] = g.degree_a(a)
-        for b in range(g.n):
-            if g.has_edge(a, b):
-                rows[a][g.m + b] = 1
-                rows[g.m + b][a] = 1
-    for b in range(g.n):
-        rows[g.m + b][g.m + b] = g.degree_b(b)
-    return rows
-
-
 def subgraph_monotonicity_fuzz(trials: int = 10000, seed: int = 0) -> MonotonicityReport:
     """Random connected graph G, random connected spanning subgraph H:
     q(H) must never exceed q(G) + 1e-9. On small pairs (at most 8 vertices)
@@ -602,16 +464,19 @@ def subgraph_monotonicity_fuzz(trials: int = 10000, seed: int = 0) -> Monotonici
         n = rng.randint(1, FUZZ_MAX_N)
         g = _random_connected(rng, m, n)
         h = _random_spanning_subgraph(rng, g)
-        qg = spectral_radius(signless_laplacian(g)).value
-        qh = spectral_radius(signless_laplacian(h)).value
+        mat_g = signless_laplacian(g)
+        mat_h = signless_laplacian(h)
+        qg = spectral_radius(mat_g).value
+        qh = spectral_radius(mat_h).value
         if qh > qg + 1e-9:
             violations.append({"trial": trial, "m": m, "n": n, "qg": qg, "qh": qh})
         if h.adj == g.adj:
             equal_pairs += 1
         elif m + n <= 8 and strict_checks < STRICT_CHECK_BUDGET:
             strict_checks += 1
-            pg = exact_char_poly(_integer_q_rows(g)).coeffs
-            ph = exact_char_poly(_integer_q_rows(h)).coeffs
+            # small integer entries, so the float64 rows are exact
+            pg = exact_char_poly(mat_g.entries.tolist()).coeffs
+            ph = exact_char_poly(mat_h.entries.tolist()).coeffs
             if not strictly_larger_root(pg, ph):
                 strict_failures.append({"trial": trial, "m": m, "n": n})
     return MonotonicityReport(

@@ -148,6 +148,16 @@ class TestExtremal:
         assert main(["extremal", "--k", "3", "--m", "3", "--n", "6", "--s", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, message", [
+        ("10000", "exceeds dense cap"),              # Q of order 10,003: 800 MB
+        ("100000", "part sizes must be <="),         # would ask for 74.5 GiB
+        ("100000000000", "part sizes must be <="),   # 1 << n exhausts memory
+    ])
+    def test_oversize_is_input_error(self, n, message, capsys):
+        assert main(["extremal", "--k", "3", "--m", "3", "--n", n, "--s", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
 
 class TestProofSweep:
     def test_small_sweep(self, capsys):

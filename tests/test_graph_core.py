@@ -67,6 +67,16 @@ class TestConstruction:
         assert all(g.degree_b(b) == 3 for b in range(4))
         assert g.edge_count == 12
 
+    @pytest.mark.parametrize("m, n", [(10**11, 2), (2, 10**11), (1, PART_SIZE_CAP + 1)])
+    def test_complete_bipartite_part_cap(self, m, n):
+        # (1 << 10**11) would exhaust memory before any check ran
+        with pytest.raises(InputError, match=rf"part sizes must be <= {PART_SIZE_CAP}"):
+            complete_bipartite(m, n)
+
+    def test_complete_bipartite_at_cap(self):
+        g = complete_bipartite(1, PART_SIZE_CAP)
+        assert g.degree_a(0) == PART_SIZE_CAP
+
     def test_edge_list_sorted(self):
         g = from_edge_list(2, 2, [(1, 1), (0, 1), (1, 0)])
         assert to_edge_list(g) == [(0, 1), (1, 0), (1, 1)]

@@ -12,21 +12,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qspan
 from qspan import (
     BipartiteGraph,
+    CapacityError,
     InputError,
-    PolyCoeffs,
     SymMatrix,
     char_poly,
     complete_bipartite,
+    extremal_graph,
+    family_char_coeffs,
     from_edge_list,
-    largest_real_root,
     quotient_matrix,
     signless_laplacian,
     spectral_radius,
 )
 from qspan.extremal import ExtremalParams, build_family, family_partition
-from qspan.spectral import exact_char_poly
+from qspan.poly import CHAR_POLY_CAP, PolyCoeffs, exact_char_poly, largest_real_root
+from qspan.spectral import DENSE_CAP
 
 
 def oracle_radius(mtx: SymMatrix) -> float:
@@ -38,6 +41,33 @@ def random_graph(rng, m, n, p=0.5):
         sum(1 << b for b in range(n) if rng.random() < p) for _ in range(m)
     )
     return BipartiteGraph(m, n, adj)
+
+
+def fraction_char_poly(rows):
+    """Faddeev-LeVerrier over Fractions, ascending coefficients."""
+    t = len(rows)
+    mat = [[Fraction(x) for x in row] for row in rows]
+    aux = [[Fraction(int(i == j)) for j in range(t)] for i in range(t)]
+    descending = [Fraction(1)]
+    for k in range(1, t + 1):
+        prod = [[sum(mat[i][x] * aux[x][j] for x in range(t)) for j in range(t)]
+                for i in range(t)]
+        ck = -sum(prod[i][i] for i in range(t)) / k
+        descending.append(ck)
+        aux = [[prod[i][j] + (ck if i == j else 0) for j in range(t)] for i in range(t)]
+    return tuple(reversed(descending))
+
+
+def monic_divmod(a, b):
+    """Integer long division of ascending a by monic ascending b."""
+    rem = list(a)
+    quotient = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(quotient) - 1, -1, -1):
+        factor = rem[shift + len(b) - 1]
+        quotient[shift] = factor
+        for i, c in enumerate(b):
+            rem[shift + i] -= factor * c
+    return quotient, rem[:len(b) - 1]
 
 
 class TestSignlessLaplacian:
@@ -60,6 +90,10 @@ class TestSignlessLaplacian:
         g = complete_bipartite(3, 4)
         q = signless_laplacian(g).entries
         assert np.array_equal(q.sum(axis=1), 2 * q.diagonal())
+
+    def test_order_over_dense_cap_rejected(self):
+        with pytest.raises(CapacityError, match="dense cap"):
+            signless_laplacian(BipartiteGraph(1, DENSE_CAP, (0,)))
 
     def test_symmetry_enforced(self):
         with pytest.raises(InputError):
@@ -250,6 +284,42 @@ class TestExactCharPoly:
                 want *= x - d
             assert p.evaluate(Fraction(x)) == want
 
+    def test_entries_that_fraction_maps_to_integers(self):
+        rows = [[np.int64(2), 1.0], [Fraction(2), "3"]]
+        assert exact_char_poly(rows).coeffs == (4, -5, 1)
+
+    def test_non_integer_entry_rejected(self):
+        with pytest.raises(InputError, match="integers"):
+            exact_char_poly([[Fraction(1, 2)]])
+        with pytest.raises(InputError, match="integers"):
+            exact_char_poly([[0.5]])
+
+    def test_coefficients_are_ints(self):
+        rows = [[2, 1, 0], [1, 3, 1], [0, 1, 1]]
+        assert all(type(c) is int for c in exact_char_poly(rows).coeffs)
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(11)
+        for t in range(1, CHAR_POLY_CAP + 1):
+            for _ in range(3):
+                rows = [[rng.randint(-4, 4) for _ in range(t)] for _ in range(t)]
+                assert exact_char_poly(rows).coeffs == fraction_char_poly(rows)
+
+    def test_order_cap(self):
+        assert CHAR_POLY_CAP == 11
+        with pytest.raises(CapacityError):
+            exact_char_poly([[0] * 12 for _ in range(12)])
+
+    def test_family_quartic_divides_extremal_char_poly(self):
+        # q* is an exact eigenvalue of Q(G*): the s=1 quotient quartic
+        # divides the order-10 characteristic polynomial with no remainder
+        rows = signless_laplacian(extremal_graph(3, 3, 7)).entries.tolist()
+        full = exact_char_poly(rows).coeffs
+        quartic = family_char_coeffs(ExtremalParams(3, 3, 7, 1)).coeffs
+        quotient, remainder = monic_divmod(full, quartic)
+        assert len(quotient) == 7
+        assert not any(remainder)
+
     def test_char_poly_requires_integral(self):
         g = from_edge_list(2, 2, [(0, 0), (0, 1), (1, 1)])
         qm = quotient_matrix(g, [[0, 1], [2, 3]])
@@ -303,3 +373,15 @@ class TestLargestRealRoot:
         root = largest_real_root(p, (1.0, 5.0))
         # equals q(K_{1,2}) = m + n
         assert root == pytest.approx(3.0, abs=1e-10)
+
+
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        for name in qspan.__all__:
+            assert getattr(qspan, name) is not None, name
+
+    def test_polynomial_names_come_from_poly(self):
+        assert qspan.PolyCoeffs is qspan.poly.PolyCoeffs
+        assert qspan.largest_real_root is qspan.poly.largest_real_root
+        assert qspan.spectral.exact_char_poly is qspan.poly.exact_char_poly
+        assert qspan.verify.strictly_larger_root is qspan.poly.strictly_larger_root

@@ -152,12 +152,12 @@ class TestVerifyCertificate:
 
     def test_non_edge_rejected(self):
         g2 = extremal_graph(3, 3, 7)  # vertex 0 misses B-vertices 2..6
-        edges = list(self.tree.edges)
-        assert (0, 6) in edges or (0, 5) in edges or True
-        # build a tree using an edge absent from g2
-        tree = TreeCertificate(tuple(edges))
-        if any(not g2.has_edge(a, b) for a, b in edges):
-            assert not verify_certificate(g2, self.f, tree)
+        # a spanning tree of K(3,7) with every A-degree 3 that uses edge (0, 6)
+        edges = ((0, 0), (0, 1), (0, 6), (1, 1), (1, 2), (1, 3), (2, 3), (2, 4), (2, 5))
+        tree = TreeCertificate(edges)
+        assert verify_certificate(self.g, self.f, tree)
+        assert not g2.has_edge(0, 6)
+        assert not verify_certificate(g2, self.f, tree)
 
     def test_low_degree_rejected(self):
         # a star from one A-vertex spans but starves the others

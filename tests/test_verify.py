@@ -21,16 +21,15 @@ from qspan import (
 )
 from qspan import verify
 from qspan.extremal import ExtremalParams, spectral_threshold
+from qspan.poly import exact_char_poly, strictly_larger_root
 from qspan.verify import (
     _anderson_morley_bound,
     _batched_radius,
     _connected_filter,
     _graph_from_mask,
-    _integer_q_rows,
     _near_band,
     random_demand_instances,
     scan_stats,
-    strictly_larger_root,
 )
 
 
@@ -238,12 +237,12 @@ class TestStrictRootComparison:
                     break
                 sub_mask &= ~(1 << rng.choice(edges))
             h = _graph_from_mask(sub_mask, m, n)
-            from qspan.spectral import exact_char_poly
-
-            pg = exact_char_poly(_integer_q_rows(g)).coeffs
-            ph = exact_char_poly(_integer_q_rows(h)).coeffs
-            qg = spectral_radius(signless_laplacian(g)).value
-            qh = spectral_radius(signless_laplacian(h)).value
+            mat_g = signless_laplacian(g)
+            mat_h = signless_laplacian(h)
+            pg = exact_char_poly(mat_g.entries.tolist()).coeffs
+            ph = exact_char_poly(mat_h.entries.tolist()).coeffs
+            qg = spectral_radius(mat_g).value
+            qh = spectral_radius(mat_h).value
             want = qg > qh + 1e-7
             dont_know = abs(qg - qh) <= 1e-7
             got = strictly_larger_root(pg, ph)
@@ -290,11 +289,3 @@ class TestDemandCorpus:
             assert is_connected(g)
             assert len(f) == g.m
             assert all(2 <= f[a] <= 4 for a in range(g.m))
-
-
-class TestIntegerRows:
-    def test_matches_float_matrix(self):
-        g = complete_bipartite(2, 3)
-        rows = _integer_q_rows(g)
-        arr = signless_laplacian(g).entries
-        assert [[float(x) for x in row] for row in rows] == arr.tolist()
