@@ -13,7 +13,7 @@ import json
 import math
 import random
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 
 from . import verify
 from .errors import CapacityError, InputError, InternalError, NumericalError
@@ -42,9 +42,9 @@ def format_float(x: float) -> str:
         raise InternalError(f"cannot format non-finite value {x!r}")
     if x == 0.0:
         return "0.000000000000"
-    d = Decimal(x)
-    quantum = Decimal(1).scaleb(d.adjusted() - 11)
-    return format(d.quantize(quantum, rounding=ROUND_HALF_EVEN), "f")
+    # round first, so a carry (9.99...9 -> 10.0...0) still leaves 12 digits
+    d = Context(prec=12, rounding=ROUND_HALF_EVEN).plus(Decimal(x))
+    return format(d.quantize(Decimal(1).scaleb(d.adjusted() - 11)), "f")
 
 
 def _emit(value, indent: int) -> str:

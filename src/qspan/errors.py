@@ -14,7 +14,7 @@ class CapacityError(QspanError):
 
 
 class NumericalError(QspanError):
-    """Iterative numerics failed to converge. Carries the best estimate so far."""
+    """A float result failed its check (residual over bound, bracket without a sign change)."""
 
     def __init__(self, message, best=None):
         super().__init__(message)

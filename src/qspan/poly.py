@@ -1,13 +1,13 @@
 """Exact polynomials: characteristic polynomials, roots and Sturm chains.
 
 Coefficient vectors are ascending (c0 first). Characteristic polynomials of
-integer matrices are computed in plain integers; the Sturm comparison of
-largest real roots works over Fractions, so every strictness claim it makes
-is exact.
+integer matrices are computed in plain integers, and so is the Sturm
+comparison of largest real roots, so every strictness claim it makes is exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,11 +16,13 @@ from .errors import CapacityError, InputError, InternalError, NumericalError
 CHAR_POLY_CAP = 11      # exact characteristic polynomial cap (largest census Q)
 
 
-def _horner(coeffs, x):
-    """Evaluate ascending coefficients at x; exact when both are exact."""
-    acc = coeffs[-1]
+def _horner(coeffs, x, den=1):
+    """den**d * p(x / den) for ascending coefficients of degree d, by
+    homogeneous Horner; p(x) when den is 1. Exact when the inputs are."""
+    acc, scale = coeffs[-1], 1
     for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
+        scale *= den
+        acc = acc * x + c * scale
     return acc
 
 
@@ -124,7 +126,7 @@ def largest_real_root(p: PolyCoeffs, bracket: tuple[float, float]) -> float:
     return 0.5 * (lo + hi)
 
 
-# --- Sturm chains over Fractions ----------------------------------------------
+# --- Sturm chains over the integers -------------------------------------------
 
 
 def _trim(p):
@@ -133,14 +135,23 @@ def _trim(p):
     return p
 
 
+def _primitive(p):
+    """Trimmed p divided by the positive gcd of its coefficients."""
+    p = _trim(p)
+    content = math.gcd(*p)
+    return [c // content for c in p] if content > 1 else p
+
+
 def _divmod(a, b):
-    """Quotient and remainder of a by a nonzero trimmed b over the rationals."""
+    """Quotient and remainder of integer a by a nonzero trimmed b; the quotient must be integral."""
     rem = _trim(list(a))
     db, lb = len(b) - 1, b[-1]
-    quot = [Fraction(0)] * max(len(rem) - db, 0)
+    quot = [0] * max(len(rem) - db, 0)
     while rem and len(rem) - 1 >= db:
         shift = len(rem) - 1 - db
-        factor = rem[-1] / lb
+        factor, inexact = divmod(rem[-1], lb)
+        if inexact:
+            raise InternalError("inexact integer polynomial division")
         quot[shift] = factor
         for i, c in enumerate(b):
             rem[shift + i] -= factor * c
@@ -148,68 +159,66 @@ def _divmod(a, b):
     return quot, rem
 
 
-def _gcd(a, b):
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, _divmod(a, b)[1]
-    return a
-
-
-def _deriv(p):
-    return [i * c for i, c in enumerate(p)][1:]
-
-
-def _squarefree(p):
-    """p divided by gcd(p, p'), so Sturm counts distinct roots."""
-    g = _gcd(p, _deriv(p))
-    return _divmod(p, g)[0] if len(g) > 1 else p
-
-
 def _sturm_chain(p):
-    chain = [p, _trim(_deriv(p))]
+    """p, p' and the negated primitive pseudo-remainders. The multiplier
+    |lc|**(deg a - deg b + 1) makes each division integral and is positive,
+    so each member is a positive multiple of the rational chain's."""
+    chain = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
     while len(chain[-1]) > 1:
-        rem = _divmod(chain[-2], chain[-1])[1]
+        a, b = chain[-2], chain[-1]
+        scale = abs(b[-1]) ** (len(a) - len(b) + 1)
+        rem = _primitive(_divmod([c * scale for c in a], b)[1])
         if not rem:
             break
         chain.append([-c for c in rem])
     return [c for c in chain if c]
 
 
-def _variations(chain, x):
-    signs = []
-    for p in chain:
-        v = _horner(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+def _squarefree(coeffs):
+    """p = coeffs as primitive integers (Fractions scaled by the positive lcm
+    of their denominators) divided by gcd(p, p'), the last member of its Sturm
+    chain; that gcd is primitive, so by Gauss's lemma the division is exact."""
+    fracs = [Fraction(c) for c in coeffs]
+    scale = math.lcm(*(c.denominator for c in fracs))
+    p = _primitive([int(c * scale) for c in fracs])
+    g = _sturm_chain(p)[-1] if p else p
+    return _divmod(p, g)[0] if len(g) > 1 else p
+
+
+def _variations(chain, num, den):
+    """Sign changes along the chain at x = num / den (den > 0), from den**d * p(x)."""
+    signs = [v > 0 for v in (_horner(p, num, den) for p in chain) if v != 0]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 def strictly_larger_root(p_big, p_small) -> bool:
     """Exact check that the largest real root of p_big exceeds that of
     p_small. Coefficients ascending, integers or Fractions; both polynomials
     must have at least one real root (true for characteristic polynomials of
-    symmetric matrices)."""
-    big = _squarefree(_trim([Fraction(c) for c in p_big]))
-    small = _squarefree(_trim([Fraction(c) for c in p_small]))
+    symmetric matrices). All arithmetic is in integers."""
+    big = _squarefree(p_big)
+    small = _squarefree(p_small)
     chain_b = _sturm_chain(big)
     chain_s = _sturm_chain(small)
 
     def cauchy_bound(p):
         if len(p) < 2:
             return Fraction(1)
-        return Fraction(1) + max(abs(c) for c in p[:-1]) / abs(p[-1])
+        return 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
 
     upper = max(cauchy_bound(big), cauchy_bound(small))
-    var_b_top = _variations(chain_b, upper)
-    var_s_top = _variations(chain_s, upper)
-    # shrink an interval (lo, hi] around the largest root of p_small; the
+    # bisect (lo / den, hi / den] around the largest root of p_small; the
     # roots of a chain above x number V(x) - V(upper)
-    lo, hi = -upper, upper
+    den = upper.denominator
+    lo, hi = -upper.numerator, upper.numerator
+    var_b_top = _variations(chain_b, hi, den)
+    var_s_top = _variations(chain_s, hi, den)
     for _ in range(200):
-        if _variations(chain_b, hi) - var_b_top >= 1:
+        if _variations(chain_b, hi, den) - var_b_top >= 1:
             return True
-        mid = (lo + hi) / 2
-        if _variations(chain_s, mid) - var_s_top >= 1:
+        mid = lo + hi
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        if _variations(chain_s, mid, den) - var_s_top >= 1:
             lo = mid
         else:
             hi = mid

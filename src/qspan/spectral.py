@@ -1,7 +1,7 @@
 """Signless Laplacian assembly and spectral computations.
 
 Provides the dense signless Laplacian Q = D + A of a bipartite graph, its
-spectral radius via power iteration (LAPACK eigh fallback), and quotient
+spectral radius from one LAPACK eigh call with a residual check, and quotient
 matrices of vertex partitions with their exact characteristic polynomials
 (computed by qspan.poly).
 """
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, NumericalError
 from .graph_core import BipartiteGraph, iter_bits
 from .poly import PolyCoeffs, exact_char_poly
 
@@ -44,7 +44,7 @@ class SymMatrix:
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Largest-eigenvalue estimate with its convergence evidence."""
+    """Largest eigenvalue and its residual; iterations is 0 and method "eigh"."""
 
     value: float
     residual: float
@@ -82,39 +82,26 @@ class QuotientMatrix:
         return all(x.denominator == 1 for row in self.entries for x in row)
 
 
+def q_matrices(bits: np.ndarray) -> np.ndarray:
+    """Q for each m x n 0/1 biadjacency block of a (..., m, n) stack, A-vertices first."""
+    m, n = bits.shape[-2:]
+    q = np.zeros(bits.shape[:-2] + (m + n, m + n))
+    q[..., :m, m:] = bits
+    q[..., m:, :m] = np.swapaxes(bits, -1, -2)
+    diag = np.arange(m + n)
+    q[..., diag, diag] = q.sum(axis=-1)
+    return q
+
+
 def signless_laplacian(g: BipartiteGraph) -> SymMatrix:
     """Q(G) = degree diagonal + adjacency, A-vertices indexed first."""
-    t = g.m + g.n
-    if t > DENSE_CAP:
-        raise CapacityError(f"order {t} exceeds dense cap {DENSE_CAP}")
-    q = np.zeros((t, t), dtype=np.float64)
-    for a in range(g.m):
-        for b in iter_bits(g.adj[a]):
-            q[a, g.m + b] = 1.0
-            q[g.m + b, a] = 1.0
-        q[a, a] = g.degree_a(a)
-    for b in range(g.n):
-        q[g.m + b, g.m + b] = g.degree_b(b)
-    return SymMatrix(q)
-
-
-def _power_iteration(arr: np.ndarray, tol: float, cap: int):
-    t = arr.shape[0]
-    x = np.full(t, 1.0 / np.sqrt(t))
-    value = 0.0
-    residual = np.inf
-    for it in range(1, cap + 1):
-        y = arr @ x
-        value = float(x @ y)
-        residual = float(np.linalg.norm(y - value * x))
-        if residual <= tol:
-            return value, residual, it, True
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            # zero matrix: the all-ones vector is already an eigenvector
-            return 0.0, 0.0, it, True
-        x = y / norm
-    return value, residual, cap, False
+    if g.m + g.n > DENSE_CAP:
+        raise CapacityError(f"order {g.m + g.n} exceeds dense cap {DENSE_CAP}")
+    # unpack the bitmask rows into the m x n 0/1 biadjacency block
+    width = (g.n + 7) // 8
+    packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in g.adj), dtype=np.uint8)
+    block = np.unpackbits(packed.reshape(g.m, width), axis=1, count=g.n, bitorder="little")
+    return SymMatrix(q_matrices(block))
 
 
 def check_tol(tol: float) -> None:
@@ -124,26 +111,21 @@ def check_tol(tol: float) -> None:
 
 
 def spectral_radius(mtx: SymMatrix, tol: float = 1e-10) -> SpectralEstimate:
-    """Largest eigenvalue of a symmetric nonnegative matrix.
-
-    Power iteration with the all-ones start vector and Rayleigh readout;
-    for the signless Laplacian of a connected graph the target is a simple
-    Perron root, so the start vector is never orthogonal to it. If the
-    iteration stalls (tiny spectral gap), falls back to LAPACK eigh; the
-    estimate then reports the power steps spent before the fallback.
-    """
+    """Largest eigenvalue of a symmetric nonnegative matrix, from one LAPACK
+    eigh call. If the residual ||Q v - value v|| of its eigenvector v exceeds
+    tol * max(1, value), NumericalError is raised with the estimate as best."""
     check_tol(tol)
     if mtx.order > DENSE_CAP:
         raise CapacityError(f"order {mtx.order} exceeds dense cap {DENSE_CAP}")
     arr = mtx.entries
     if float(arr.min()) < 0.0:
         raise InputError("matrix has negative entries")
-    value, residual, iters, ok = _power_iteration(arr, tol, cap=100 * mtx.order)
-    if ok:
-        return SpectralEstimate(value, residual, iters, "power")
     vals, vecs = np.linalg.eigh(arr)
     value, vec = float(vals[-1]), vecs[:, -1]
-    return SpectralEstimate(value, float(np.linalg.norm(arr @ vec - value * vec)), iters, "eigh")
+    est = SpectralEstimate(value, float(np.linalg.norm(arr @ vec - value * vec)), 0, "eigh")
+    if est.residual > tol * max(1.0, value):
+        raise NumericalError(f"eigh residual {est.residual:.3e} exceeds tol {tol:.3e}", best=est)
+    return est
 
 
 def _partition_masks(g: BipartiteGraph, partition):

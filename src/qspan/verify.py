@@ -53,7 +53,7 @@ from .graph_core import (
     to_edge_list,
 )
 from .poly import exact_char_poly, strictly_larger_root
-from .spectral import char_poly, check_tol, signless_laplacian, spectral_radius
+from .spectral import char_poly, check_tol, q_matrices, signless_laplacian, spectral_radius
 from .trees import construct_tree, find_violation_flow, verify_certificate
 
 ENUMERATION_CAP = 24      # at most 2**24 labeled graphs per census
@@ -155,18 +155,9 @@ def _batched_radius(masks: np.ndarray, m: int, n: int) -> np.ndarray:
     Each matrix of the stack is solved on its own, so a graph's value does
     not depend on which chunk it was batched with.
     """
-    t = m + n
-    count = masks.size
     shifts = np.arange(m * n, dtype=np.int64)
-    bits = ((masks[:, None] >> shifts) & 1).astype(np.float64).reshape(count, m, n)
-    q = np.zeros((count, t, t), dtype=np.float64)
-    q[:, :m, m:] = bits
-    q[:, m:, :m] = bits.transpose(0, 2, 1)
-    idx_a = np.arange(m)
-    idx_b = np.arange(m, t)
-    q[:, idx_a, idx_a] = bits.sum(axis=2)
-    q[:, idx_b, idx_b] = bits.sum(axis=1)
-    return np.linalg.eigvalsh(q)[:, -1]
+    bits = ((masks[:, None] >> shifts) & 1).reshape(masks.size, m, n)
+    return np.linalg.eigvalsh(q_matrices(bits))[:, -1]
 
 
 def _graph_from_mask(mask: int, m: int, n: int) -> BipartiteGraph:
@@ -427,26 +418,43 @@ def _random_connected(rng: random.Random, m: int, n: int) -> BipartiteGraph:
     return complete_bipartite(m, n)
 
 
+def _removable_edges(g: BipartiteGraph) -> list[tuple[int, int]]:
+    """Edges of g, in to_edge_list order, whose removal leaves g connected: the
+    non-bridges, from one low-link pass (Tarjan); none if g is disconnected."""
+    edges = to_edge_list(g)
+    nbrs = [[] for _ in range(g.m + g.n)]
+    for a, b in edges:
+        nbrs[a].append(g.m + b)
+        nbrs[g.m + b].append(a)
+    order, low, bridges = {}, {}, set()
+
+    def visit(v, parent):
+        order[v] = low[v] = len(order)
+        for w in nbrs[v]:
+            if w not in order:
+                visit(w, v)
+                low[v] = min(low[v], low[w])
+                if low[w] > order[v]:
+                    bridges.add((min(v, w), max(v, w)))
+            elif w != parent:
+                low[v] = min(low[v], order[w])
+
+    visit(0, -1)
+    if len(order) < g.m + g.n:
+        return []
+    return [(a, b) for a, b in edges if (a, g.m + b) not in bridges]
+
+
 def _random_spanning_subgraph(rng: random.Random, g: BipartiteGraph) -> BipartiteGraph:
-    edges = set(to_edge_list(g))
-    slack = len(edges) - (g.m + g.n - 1)
+    slack = g.edge_count - (g.m + g.n - 1)
     removals = rng.randint(0, slack) if slack > 0 else 0
     for _ in range(removals):
-        candidates = []
-        for a, b in sorted(edges):
-            trial = edges - {(a, b)}
-            adj = [0] * g.m
-            for x, y in trial:
-                adj[x] |= 1 << y
-            if is_connected(BipartiteGraph(g.m, g.n, tuple(adj))):
-                candidates.append((a, b))
+        candidates = _removable_edges(g)
         if not candidates:
             break
-        edges.discard(candidates[rng.randrange(len(candidates))])
-    adj = [0] * g.m
-    for a, b in edges:
-        adj[a] |= 1 << b
-    return BipartiteGraph(g.m, g.n, tuple(adj))
+        a, b = candidates[rng.randrange(len(candidates))]
+        g = BipartiteGraph(g.m, g.n, g.adj[:a] + (g.adj[a] & ~(1 << b),) + g.adj[a + 1:])
+    return g
 
 
 def subgraph_monotonicity_fuzz(trials: int = 10000, seed: int = 0) -> MonotonicityReport:

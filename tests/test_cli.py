@@ -1,6 +1,7 @@
 """Command line interface: JSON shape, exit codes, error mapping."""
 
 import json
+import math
 
 import pytest
 
@@ -28,6 +29,12 @@ class TestFormatFloat:
         assert format_float(10.0) == "10.0000000000"
         assert format_float(0.0) == "0.000000000000"
         assert format_float(-2.5) == "-2.50000000000"
+
+    def test_carry_into_new_digit_keeps_twelve(self):
+        # 9.999999999999998 rounds up to 10; it must print like 10.0
+        assert format_float(9.999999999999998) == "10.0000000000"
+        assert format_float(-0.09999999999999999) == "-0.100000000000"
+        assert format_float(99.99999999999999) == "100.000000000"
 
     def test_small_values_stay_fixed(self):
         s = format_float(5.11909391513e-11)
@@ -78,6 +85,24 @@ class TestSpectral:
         captured = capsys.readouterr()
         assert "tolerance" in captured.err
         assert captured.out == ""
+
+    def test_tol_miss_exits_one(self, k37, capsys):
+        assert main(["spectral", k37, "--tol", "1e-300"]) == 1
+        captured = capsys.readouterr()
+        assert "residual" in captured.err
+        assert captured.out == ""
+
+    def test_long_path_is_fast_and_exact(self, tmp_path, capsys):
+        # P_1001: A-vertex a is adjacent to B-vertices a and a+1. Q of a
+        # bipartite graph is similar to its Laplacian, whose largest
+        # eigenvalue on the path P_t is 2 + 2cos(pi/t); the spectral gap is
+        # tiny, so a power iteration would need about 10**5 steps
+        path = tmp_path / "p1001.graph"
+        path.write_text("p bip 500 501\n" + "".join(f"e {a} {a}\ne {a} {a + 1}\n" for a in range(500)))
+        assert main(["spectral", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["m"], report["n"]) == (500, 501)
+        assert report["q"] == pytest.approx(2 + 2 * math.cos(math.pi / 1001), abs=1e-9)
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["spectral", str(tmp_path / "nope.graph")]) == 2

@@ -1,7 +1,7 @@
 """Spectral radius, quotient matrices, and exact characteristic polynomials.
 
-numpy.linalg.eigvalsh serves here as the oracle for the power iteration;
-the library reaches LAPACK only through its eigh fallback.
+numpy.linalg.eigvalsh serves here as the oracle for spectral_radius, which
+makes one LAPACK eigh call per matrix.
 """
 
 import random
@@ -17,6 +17,7 @@ from qspan import (
     BipartiteGraph,
     CapacityError,
     InputError,
+    NumericalError,
     SymMatrix,
     char_poly,
     complete_bipartite,
@@ -91,6 +92,21 @@ class TestSignlessLaplacian:
         q = signless_laplacian(g).entries
         assert np.array_equal(q.sum(axis=1), 2 * q.diagonal())
 
+    def test_matches_loop_reference(self):
+        # p = 0 and p = 0.1 leave isolated vertices on both sides
+        rng = random.Random(17)
+        for _ in range(200):
+            m, n = rng.randint(1, 9), rng.randint(1, 19)
+            g = random_graph(rng, m, n, rng.choice((0.0, 0.1, 0.5, 0.9)))
+            ref = np.zeros((m + n, m + n))
+            for a in range(m):
+                for b in range(n):
+                    if g.has_edge(a, b):
+                        ref[a, m + b] = ref[m + b, a] = 1.0
+                        ref[a, a] += 1.0
+                        ref[m + b, m + b] += 1.0
+            assert np.array_equal(signless_laplacian(g).entries, ref)
+
     def test_order_over_dense_cap_rejected(self):
         with pytest.raises(CapacityError, match="dense cap"):
             signless_laplacian(BipartiteGraph(1, DENSE_CAP, (0,)))
@@ -123,7 +139,7 @@ class TestSpectralRadius:
         assert est.value == 0.0
 
     def test_disconnected_still_correct(self):
-        # power iteration handles reducible matrices; compare with oracle
+        # a reducible Q has a repeated top eigenvalue; compare with oracle
         g = from_edge_list(2, 2, [(0, 0), (1, 1)])
         mtx = signless_laplacian(g)
         est = spectral_radius(mtx)
@@ -135,17 +151,18 @@ class TestSpectralRadius:
 
     def test_estimate_reports_method(self):
         est = spectral_radius(signless_laplacian(complete_bipartite(2, 3)))
-        assert est.method in ("power", "eigh")
-        assert est.iterations >= 1
-
-    def test_stalled_iteration_falls_back_to_eigh(self):
-        # no residual reaches 1e-300, so every power step is spent first
-        mtx = signless_laplacian(from_edge_list(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)]))
-        est = spectral_radius(mtx, tol=1e-300)
         assert est.method == "eigh"
-        assert est.iterations == 100 * mtx.order
-        assert est.value == pytest.approx(oracle_radius(mtx), abs=1e-12)
-        assert est.residual <= 1e-12
+        assert est.iterations == 0
+
+    def test_residual_over_tol_raises_with_best(self):
+        # no eigenvector residual reaches 1e-300 * q in floating point
+        mtx = signless_laplacian(from_edge_list(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)]))
+        with pytest.raises(NumericalError) as info:
+            spectral_radius(mtx, tol=1e-300)
+        best = info.value.best
+        assert best.method == "eigh"
+        assert best.value == pytest.approx(oracle_radius(mtx), abs=1e-12)
+        assert 0 < best.residual <= 1e-12
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_tol(self, tol):

@@ -18,6 +18,7 @@ from qspan import (
     signless_laplacian,
     spectral_radius,
     subgraph_monotonicity_fuzz,
+    to_edge_list,
 )
 from qspan import verify
 from qspan.extremal import ExtremalParams, spectral_threshold
@@ -248,6 +249,107 @@ class TestStrictRootComparison:
             got = strictly_larger_root(pg, ph)
             if not dont_know:
                 assert got == want
+
+    def test_matches_float_on_random_symmetric_pairs(self):
+        rng = random.Random(23)
+        checked = 0
+        while checked < 200:
+            t1, t2 = rng.randint(1, 7), rng.randint(1, 7)
+            mats = []
+            for t in (t1, t2):
+                rows = [[0] * t for _ in range(t)]
+                for i in range(t):
+                    for j in range(i, t):
+                        rows[i][j] = rows[j][i] = rng.randint(-5, 5)
+                mats.append(rows)
+            top = [float(np.linalg.eigvalsh(np.array(r, dtype=float))[-1]) for r in mats]
+            if abs(top[0] - top[1]) <= 1e-6:
+                continue
+            checked += 1
+            p1, p2 = (exact_char_poly(r).coeffs for r in mats)
+            assert strictly_larger_root(p1, p2) == (top[0] > top[1])
+            assert strictly_larger_root(p2, p1) == (top[1] > top[0])
+
+    def test_matches_float_on_polys_with_complex_roots(self):
+        # odd degree, so a real root exists. Chains of such polynomials have
+        # negative leading coefficients, and sparse ones skip degrees, so a
+        # pseudo-remainder multiplier lc**3 that is not made positive flips
+        # a sign
+        rng = random.Random(29)
+        checked = 0
+        while checked < 200:
+            polys = []
+            for _ in range(2):
+                deg = rng.choice((1, 3, 5, 7))
+                coeffs = [rng.choice((0, rng.randint(-9, 9))) for _ in range(deg)]
+                polys.append(coeffs + [rng.choice((-3, -2, -1, 1, 2, 3))])
+            top = [max(r.real for r in np.roots(c[::-1]) if abs(r.imag) < 1e-9) for c in polys]
+            if abs(top[0] - top[1]) <= 1e-6:
+                continue
+            checked += 1
+            big = [Fraction(c, 6) for c in polys[0]]
+            assert strictly_larger_root(big, polys[1]) == (top[0] > top[1])
+            assert strictly_larger_root(polys[1], big) == (top[1] > top[0])
+
+
+class TestRemovableEdges:
+    @staticmethod
+    def brute_force(g):
+        edges = set(to_edge_list(g))
+        keep = []
+        for a, b in sorted(edges):
+            adj = [0] * g.m
+            for x, y in edges - {(a, b)}:
+                adj[x] |= 1 << y
+            if is_connected(BipartiteGraph(g.m, g.n, tuple(adj))):
+                keep.append((a, b))
+        return keep
+
+    @staticmethod
+    def random_tree(rng, m, n):
+        # Kruskal over the edges of K(m, n) in random order
+        root = list(range(m + n))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        edges = [(a, b) for a in range(m) for b in range(n)]
+        rng.shuffle(edges)
+        adj = [0] * m
+        for a, b in edges:
+            ra, rb = find(a), find(m + b)
+            if ra != rb:
+                root[ra] = rb
+                adj[a] |= 1 << b
+        return BipartiteGraph(m, n, tuple(adj))
+
+    def test_matches_connectivity_brute_force(self):
+        rng = random.Random(41)
+        kinds = set()
+        for i in range(500):
+            m, n = rng.randint(1, 6), rng.randint(1, 8)
+            if i % 4 == 0:
+                g = self.random_tree(rng, m, n)
+            elif i % 4 == 1:
+                # random graph, often disconnected
+                g = BipartiteGraph(m, n, tuple(rng.randrange(1 << n) for _ in range(m)))
+            else:
+                g = verify._random_connected(rng, m, n)
+            want = self.brute_force(g)
+            assert verify._removable_edges(g) == want
+            if is_connected(g):
+                cycles = g.edge_count - (m + n - 1)
+                kinds.add("tree" if cycles == 0 else "one cycle" if cycles == 1 else "cycles")
+        assert kinds == {"tree", "one cycle", "cycles"}
+
+    def test_path_and_cycle(self):
+        # path a0-b0-a1-b1: every edge is a bridge; closing it to a 4-cycle
+        # makes every edge removable
+        assert verify._removable_edges(BipartiteGraph(2, 2, (0b01, 0b11))) == []
+        cycle = BipartiteGraph(2, 2, (0b11, 0b11))
+        assert verify._removable_edges(cycle) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 class TestMonotonicityFuzz:
