@@ -266,9 +266,19 @@ def parse_graph(text: str, source: str = "<string>") -> BipartiteGraph:
     return BipartiteGraph(m, n, tuple(adj))
 
 
+def _read_text(path) -> str:
+    """File contents as text; a byte that is not UTF-8 is an InputError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}:{line}: not UTF-8 text") from None
+
+
 def read_graph(path) -> BipartiteGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read(), source=str(path))
+    return parse_graph(_read_text(path), source=str(path))
 
 
 def write_graph(g: BipartiteGraph, path) -> None:
@@ -296,5 +306,4 @@ def parse_demands(text: str, source: str = "<string>") -> DegreeDemand:
 
 
 def read_demands(path) -> DegreeDemand:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_demands(fh.read(), source=str(path))
+    return parse_demands(_read_text(path), source=str(path))

@@ -237,6 +237,7 @@ def test_criterion_8_constructor_correctness():
         and corpus_mismatch == 0
         and bad_cert == 0
         and internal_errors == 0
+        and elapsed < 200
     )
     report(
         8,

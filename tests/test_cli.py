@@ -145,6 +145,32 @@ class TestCheckTree:
         assert main(["check-tree", k37, "--k", "1"]) == 2
         capsys.readouterr()
 
+    def test_oversized_demands(self, k37, tmp_path, capsys):
+        demands = tmp_path / "f.txt"
+        demands.write_text(f"3\n3\n{10**30}\n")
+        for demand in (["--k", str(10**30)], ["--f", str(demands)]):
+            assert main(["check-tree", k37, *demand]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["feasible"] is False
+            assert report["violating_set"] == [0, 1, 2]
+
+    def test_non_utf8_graph_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.graph"
+        path.write_bytes(b"p bip 2 2\ne 0 \xff\n")
+        for argv in (["check-tree", str(path), "--k", "2"], ["spectral", str(path)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "bad.graph:2: not UTF-8 text" in captured.err
+            assert captured.out == ""
+
+    def test_non_utf8_demand_file_is_input_error(self, k37, tmp_path, capsys):
+        demands = tmp_path / "badf.txt"
+        demands.write_bytes(b"3\r\n3\r\n\xff3\r\n")
+        assert main(["check-tree", k37, "--f", str(demands)]) == 2
+        captured = capsys.readouterr()
+        assert "badf.txt:3: not UTF-8 text" in captured.err
+        assert captured.out == ""
+
     def test_requires_exactly_one_demand_source(self, k37, capsys):
         assert main(["check-tree", k37]) == 2
         capsys.readouterr()

@@ -174,6 +174,22 @@ class TestVerifyCertificate:
         assert not verify_certificate(self.g, self.f, TreeCertificate(tuple(edges)))
 
 
+def _spy_stall_repairs(monkeypatch):
+    """Record the free B-vertex ending each stall repair, i.e. each
+    alternating-path search that avoids the reached B-vertices."""
+    ends = []
+    real = trees._augment
+
+    def spy(g, cap, held, owner, blocked=0):
+        result = real(g, cap, held, owner, blocked)
+        if blocked:
+            ends.append(result[0])
+        return result
+
+    monkeypatch.setattr(trees, "_augment", spy)
+    return ends
+
+
 class TestConstructTree:
     def test_complete_graph(self):
         g = complete_bipartite(3, 7)
@@ -217,19 +233,12 @@ class TestConstructTree:
             construct_tree(g, demand(2, 2))
 
     def test_stall_pays_holder_back_along_alternating_path(self, monkeypatch):
-        # the flow gives A0 {B0}, A1 {B2}, A2 {B3, B4} and leaves B1, B5 free;
+        # the matching gives A0 {B0}, A1 {B2}, A2 {B3, B4} and leaves B1, B5 free;
         # growth from B1 reaches A0, B0 and stalls, B2 moves under A0, and A1
         # takes B4 from A2, which takes the free B5
         g = BipartiteGraph(3, 6, (0b001111, 0b010100, 0b111000))
         f = demand(2, 2, 3)
-        ends = []
-        real = trees._reroute
-
-        def spy(*args):
-            ends.append(real(*args))
-            return ends[-1]
-
-        monkeypatch.setattr(trees, "_reroute", spy)
+        ends = _spy_stall_repairs(monkeypatch)
         res = construct_tree(g, f)
         assert ends == [5]
         assert res.feasible and verify_certificate(g, f, res.tree)
@@ -238,14 +247,7 @@ class TestConstructTree:
     def test_many_stalls_on_small_tight_instances(self, monkeypatch):
         # stalls are rare on loose budgets; these draw dozens of them, some
         # with alternating paths of several steps
-        ends = []
-        real = trees._reroute
-
-        def spy(*args):
-            ends.append(real(*args))
-            return ends[-1]
-
-        monkeypatch.setattr(trees, "_reroute", spy)
+        ends = _spy_stall_repairs(monkeypatch)
         rng = random.Random(1)
         for _ in range(5000):
             m = rng.randint(2, 12)
@@ -261,6 +263,23 @@ class TestConstructTree:
             else:
                 assert is_violation(g, f, res.violation.vertices)
         assert len(ends) >= 20
+
+    @pytest.mark.parametrize("n, edges, values, want", [
+        # every demand 10**30: the whole of A is the minimal minimum cut
+        (3, [(0, 0), (0, 1), (1, 1), (1, 2)], (10**30, 10**30), (0, 1)),
+        # one huge demand at the end of a chain: the cut is {anchor 0, 2}
+        (5, [(0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (2, 4)], (2, 2, 10**30), (0, 2)),
+    ])
+    def test_oversized_demand(self, n, edges, values, want):
+        # the per-anchor shortfall is about 10**30; each anchor must stop
+        # after the at most n augmenting paths that can exist
+        g = from_edge_list(len(values), n, edges)
+        f = DegreeDemand(values)
+        res = construct_tree(g, f)
+        assert not res.feasible
+        assert res.violation.vertices == want
+        assert find_violation_flow(g, f).vertices == want
+        assert is_violation(g, f, want)
 
     def test_agreement_with_checker_on_corpus(self):
         feasible = infeasible = 0
@@ -323,17 +342,31 @@ def _reference_violation(g, f):
     return None
 
 
+def _tight_instances(count, seed):
+    """Tight budgets on larger graphs: m 12-24, n = sum f - m + 1 + slack."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(12, 24)
+        f = DegreeDemand(tuple(rng.choice((2, 3, 4)) for _ in range(m)))
+        n = f.total - m + 1 + rng.choice((0, 1, 2))
+        yield _random_connected(rng, m, n, rng.choice((0.06, 0.12, 0.25))), f
+
+
 class TestFlowCutSets:
     def test_sets_match_from_scratch_cuts(self):
-        # one network re-solved per anchor yields the very sets that one
-        # from-scratch max flow per anchor does
-        infeasible = 0
-        for g, f in random_demand_instances(400, seed=31):
+        # one matching re-augmented per anchor yields the very sets that one
+        # from-scratch max flow per anchor does, on small random instances
+        # and on tight budgets with m up to 24
+        def feasible(g, f):
             got = find_violation_flow(g, f)
             want = _reference_violation(g, f)
             assert (None if got is None else got.vertices) == want
-            infeasible += want is not None
-        assert infeasible > 50
+            return want is None
+
+        small = [feasible(g, f) for g, f in random_demand_instances(400, seed=31)]
+        assert len(small) - sum(small) > 50
+        tight = [feasible(g, f) for g, f in _tight_instances(30, seed=4)]
+        assert 5 <= sum(tight) <= len(tight) - 5
 
 
 def _random_connected(rng, m, n, p):
