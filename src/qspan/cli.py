@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: the CPUs this process may run on)")
+                   help="accepted for compatibility and ignored; must be >= 1")
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("proof-sweep", help="verify identities and inequalities over a grid")

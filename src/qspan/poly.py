@@ -8,6 +8,7 @@ comparison of largest real roots, so every strictness claim it makes is exact.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,7 +76,7 @@ def exact_char_poly(rows) -> PolyCoeffs:
     descending = [1]
     for k in range(1, t + 1):
         cols = list(zip(*aux))
-        prod = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in mat]
+        prod = [[sum(map(operator.mul, row, col)) for col in cols] for row in mat]
         ck, rem = divmod(-sum(prod[i][i] for i in range(t)), k)
         if rem:
             raise InternalError("characteristic polynomial of an integer matrix must be integral")

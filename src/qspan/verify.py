@@ -2,10 +2,9 @@
 
 Three entry points:
 
-* certify_threshold: exhaustively enumerate every labeled bipartite graph on
-  (m, n), filter to connected, compute each signless Laplacian spectral
-  radius, and check that every graph at or above the threshold either admits
-  a qualifying spanning tree or is the extremal graph itself.
+* certify_threshold: exhaustively census every labeled bipartite graph on
+  (m, n): each connected graph at or above the threshold must admit a
+  qualifying spanning tree or be the extremal graph itself.
 * separation_sweep: re-derive, per parameter point, every exact identity and
   strict inequality that places the family members below the threshold.
 * subgraph_monotonicity_fuzz: randomized check that the spectral radius
@@ -13,20 +12,21 @@ Three entry points:
   (integer characteristic polynomials compared by Sturm chains, both from
   qspan.poly).
 
-The enumeration engine works on numpy chunks of edge bitmasks: a vectorized
-connectivity filter, then the Anderson-Morley degree bound, which prunes every
-graph that cannot reach the threshold, then one batched LAPACK eigvalsh over
-the survivors. Everything it certifies is re-checked through the ordinary
-object-level code paths (construct_tree, part_preserving_isomorphic) on the
-handful of graphs near the bound.
+The census solves one graph per B-relabelling class: q(G) and feasibility
+under a uniform demand do not change when B is relabelled, so each multiset
+of n nonempty columns (subsets of A) is one numpy row, run through a
+vectorized connectivity filter and one batched LAPACK eigvalsh, and weighted
+by its class size n!/prod(multiplicity!). The few classes near the bound are
+re-checked through construct_tree and part_preserving_isomorphic. There is
+no worker pool; jobs arguments are validated and otherwise ignored.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
+import math
 import random
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -56,8 +56,9 @@ from .poly import exact_char_poly, strictly_larger_root
 from .spectral import char_poly, check_tol, q_matrices, signless_laplacian, spectral_radius
 from .trees import construct_tree, find_violation_flow, verify_certificate
 
-ENUMERATION_CAP = 24      # at most 2**24 labeled graphs per census
-ENGINE_CHUNK = 1 << 16    # masks per worker task
+ENUMERATION_CAP = 24      # enumerate_bipartite: at most 2**24 labeled graphs
+ENGINE_CHUNK = 1 << 16    # masks per connectivity-filter chunk
+ORBIT_CAP = 1 << 15       # census: at most 2**15 column multisets
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def enumerate_bipartite(m: int, n: int, connected_only: bool = False):
     return gen()
 
 
-# --- batched enumeration engine ----------------------------------------------
+# --- orbit census engine --------------------------------------------------------
 
 
 def _connected_filter(masks: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -133,36 +134,48 @@ def _connected_filter(masks: np.ndarray, m: int, n: int) -> np.ndarray:
     return member.all(axis=0) & (reach == full_b)
 
 
-def _anderson_morley_bound(masks: np.ndarray, m: int, n: int) -> np.ndarray:
-    """max over edges ab of d(a) + d(b) for each mask.
-
-    For bipartite G the signless Laplacian Q is similar to the Laplacian L,
-    so this bound on the largest Laplacian eigenvalue (Anderson & Morley,
-    Lin. Multilin. Alg. 1985) is also an upper bound on q(G). It is computed
-    as the max over a of d(a) + (largest degree among the neighbours of a).
-    Degrees are at most ENUMERATION_CAP, so int8 holds every sum.
-    """
-    bit = [[((masks >> (a * n + b)) & 1).astype(np.int8) for b in range(n)] for a in range(m)]
-    deg_b = [sum(bit[a][b] for a in range(m)) for b in range(n)]
-    return np.maximum.reduce([
-        sum(row) + np.maximum.reduce([x * d for x, d in zip(row, deg_b)]) for row in bit
-    ])
-
-
-def _batched_radius(masks: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Spectral radius of Q for each mask, from one batched LAPACK eigvalsh.
-
-    Each matrix of the stack is solved on its own, so a graph's value does
-    not depend on which chunk it was batched with.
-    """
-    shifts = np.arange(m * n, dtype=np.int64)
-    bits = ((masks[:, None] >> shifts) & 1).reshape(masks.size, m, n)
-    return np.linalg.eigvalsh(q_matrices(bits))[:, -1]
-
-
 def _graph_from_mask(mask: int, m: int, n: int) -> BipartiteGraph:
     full = (1 << n) - 1
     return BipartiteGraph(m, n, tuple((mask >> (a * n)) & full for a in range(m)))
+
+
+def orbit_count(m: int, n: int) -> int:
+    """Multisets of n nonempty columns (subsets of A) on (m, n): C(2^m - 2 + n, n)."""
+    return math.comb((1 << m) - 2 + n, n)
+
+
+def _connected_orbits(m: int, n: int):
+    """(biadjacency blocks, masks, weights) of the connected B-relabelling classes.
+
+    A class is n nonempty columns in ascending order; its mask labels B in
+    that order and its weight n!/prod(multiplicity!) is its size. Both are
+    int64, which the census cap leaves room for.
+    """
+    count = orbit_count(m, n)
+    cols = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(1, 1 << m), n)),
+        dtype=np.int64, count=count * n,
+    ).reshape(count, n)
+    bits = (cols[:, None, :] >> np.arange(m)[:, None]) & 1
+    masks = (bits << (np.arange(m)[:, None] * n + np.arange(n))).sum(axis=(1, 2))
+    keep = _connected_filter(masks, m, n)
+    cols = cols[keep]
+    run = np.ones_like(cols)   # run[:, b]: copies of column b among columns 0..b
+    for b in range(1, n):
+        run[:, b] = np.where(cols[:, b] == cols[:, b - 1], run[:, b - 1] + 1, 1)
+    return bits[keep], masks[keep], math.factorial(n) // run.prod(axis=1)
+
+
+def _labellings(cols: list[int], m: int, n: int) -> list[int]:
+    """Masks of the distinct B-labellings of an ascending column list."""
+    if not cols:
+        return [0]
+    out = []
+    for i, c in enumerate(cols):
+        if i == 0 or c != cols[i - 1]:   # column c goes to B-vertex 0
+            head = sum(1 << (a * n) for a in range(m) if c >> a & 1)
+            out += [head | rest << 1 for rest in _labellings(cols[:i] + cols[i + 1:], m, n)]
+    return out
 
 
 @dataclass
@@ -171,86 +184,66 @@ class ScanStats:
     graphs_above_bound: int
     feasible_above: int
     counterexample_masks: list
-    extremal_copies: list    # (mask, attains_within_tol) pairs
+    extremal_copies: list    # (mask, attains_within_tol) per extremal class
 
 
-def _near_band(masks: np.ndarray, m: int, n: int, qstar: float, tol: float):
-    """(masks, radii) of the graphs with q >= qstar - tol. The Anderson-Morley
-    bound drops only graphs it proves to lie below; eigvalsh solves the rest."""
-    candidates = masks[_anderson_morley_bound(masks, m, n) >= qstar - tol]
-    lam = _batched_radius(candidates, m, n)
-    keep = lam >= qstar - tol
-    return candidates[keep], lam[keep]
+def _check_point(k: int, m: int, n: int, tol: float) -> None:
+    check_tol(tol)
+    if k < 3 or m < 3:
+        raise InputError(f"need k >= 3 and m >= 3, got k={k}, m={m}")
+    if n < (k - 1) * m + 1:
+        raise InputError(f"need n >= (k-1)*m + 1 = {(k - 1) * m + 1}, got n={n}")
+    # the count is at least 2^m - 1 and n + 1, so huge m or n skip the binomial
+    if m >= ORBIT_CAP.bit_length() or n >= ORBIT_CAP or orbit_count(m, n) > ORBIT_CAP:
+        raise CapacityError(f"(m, n) = ({m}, {n}) has more than {ORBIT_CAP} column multisets")
 
 
-def _scan_chunk(args) -> ScanStats:
-    k, m, n, qstar, tol, lo, hi = args
-    masks = np.arange(lo, hi, dtype=np.int64)
-    connected = masks[_connected_filter(masks, m, n)]
-    near, near_lam = _near_band(connected, m, n, qstar, tol)
-    stats = ScanStats(int(connected.size), int(near.size), 0, [], [])
+def scan_stats(k: int, m: int, n: int, tol: float = 1e-7, jobs: int | None = None) -> ScanStats:
+    """Census over the connected B-relabelling classes, in labelled counts.
+
+    One batched eigvalsh gives each class's q. Each class with
+    q >= qstar - tol gets one construct_tree (certificate re-verified) or one
+    isomorphism check against the extremal graph; a counterexample class
+    adds its labelled masks, kept in ascending order. jobs is validated and
+    otherwise ignored.
+    """
+    _check_point(k, m, n, tol)
+    if jobs is not None and jobs < 1:
+        raise InputError(f"jobs must be >= 1, got {jobs}")
+    qstar = spectral_threshold(k, m, n)
+    bits, masks, weights = _connected_orbits(m, n)
+    lam = np.linalg.eigvalsh(q_matrices(bits))[:, -1]
+    near = np.flatnonzero(lam >= qstar - tol)
+    stats = ScanStats(int(weights.sum()), int(weights[near].sum()), 0, [], [])
     gstar = extremal_graph(k, m, n)
     demand = DegreeDemand.uniform(m, k)
-    for mask, value in zip(near.tolist(), near_lam.tolist()):
+    for i in near.tolist():
+        mask = int(masks[i])
         g = _graph_from_mask(mask, m, n)
         result = construct_tree(g, demand)
         if result.feasible:
             if not verify_certificate(g, demand, result.tree):
                 raise InternalError(f"certificate failed re-verification on mask {mask}")
-            stats.feasible_above += 1
+            stats.feasible_above += int(weights[i])
         elif part_preserving_isomorphic(g, gstar):
-            stats.extremal_copies.append((mask, abs(value - qstar) <= tol))
+            stats.extremal_copies.append((mask, abs(float(lam[i]) - qstar) <= tol))
         else:
-            stats.counterexample_masks.append(mask)
+            stats.counterexample_masks.extend(_labellings(list(g.b_adj()), m, n))
+    stats.counterexample_masks.sort()
     return stats
-
-
-def scan_stats(k: int, m: int, n: int, tol: float = 1e-7, jobs: int | None = None) -> ScanStats:
-    """Run the census engine over all 2**(m*n) masks and merge chunk stats
-    in mask order (identical output for any job count). jobs defaults to the
-    number of CPUs this process may run on."""
-    check_tol(tol)
-    if jobs is not None and jobs < 1:
-        raise InputError(f"jobs must be >= 1, got {jobs}")
-    total = 1 << (m * n)
-    qstar = spectral_threshold(k, m, n)
-    ranges = [(k, m, n, qstar, tol, lo, min(lo + ENGINE_CHUNK, total))
-              for lo in range(0, total, ENGINE_CHUNK)]
-    if jobs is None:
-        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-    if jobs > 1 and len(ranges) > 1:
-        with Pool(processes=jobs) as pool:
-            parts = pool.map(_scan_chunk, ranges)
-    else:
-        parts = [_scan_chunk(r) for r in ranges]
-    merged = ScanStats(0, 0, 0, [], [])
-    for part in parts:
-        merged.graphs_connected += part.graphs_connected
-        merged.graphs_above_bound += part.graphs_above_bound
-        merged.feasible_above += part.feasible_above
-        merged.counterexample_masks.extend(part.counterexample_masks)
-        merged.extremal_copies.extend(part.extremal_copies)
-    return merged
 
 
 def certify_threshold(k: int, m: int, n: int, tol: float = 1e-7,
                       jobs: int | None = None) -> TheoremReport:
     """Exhaustive census of the threshold claim at one parameter point.
 
-    Every connected enumerated graph with spectral radius >= qstar - tol
+    Every connected labelled graph with spectral radius >= qstar - tol
     must admit a qualifying spanning tree or be a relabeling of the extremal
     graph; the extremal graph itself must show up, attain the threshold, and
-    be infeasible.
+    be infeasible. Points with more than ORBIT_CAP column multisets raise
+    CapacityError; jobs is validated and otherwise ignored.
     """
-    check_tol(tol)
-    if k < 3 or m < 3:
-        raise InputError(f"need k >= 3 and m >= 3, got k={k}, m={m}")
-    if n < (k - 1) * m + 1:
-        raise InputError(f"need n >= (k-1)*m + 1 = {(k - 1) * m + 1}, got n={n}")
-    if m * n > ENUMERATION_CAP:
-        raise CapacityError(f"m*n={m * n} exceeds enumeration cap {ENUMERATION_CAP}")
-
+    _check_point(k, m, n, tol)
     qstar = spectral_threshold(k, m, n)
     gstar = extremal_graph(k, m, n)
     demand = DegreeDemand.uniform(m, k)

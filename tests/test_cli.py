@@ -261,6 +261,31 @@ class TestVerifyTheorem:
         assert report["extremal_found"] is True
         assert "OK" in captured.err
 
+    @pytest.mark.parametrize("k, m, n, connected, above", [
+        (3, 3, 8, 5581315, 931),
+        (3, 3, 9, 39606541, 2179),
+        (4, 3, 10, 279447619, 3742),
+    ])
+    def test_grid_points_past_mask_cap(self, k, m, n, connected, above, capsys):
+        argv = ["verify-theorem", "--k", str(k), "--m", str(m), "--n", str(n)]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["graphs_total"] == 2 ** (m * n)
+        assert report["graphs_connected"] == connected
+        assert report["graphs_above_bound"] == above
+        assert report["counterexamples"] == []
+        assert report["extremal_found"] is True
+
+    def test_largest_point_under_orbit_cap(self, capsys):
+        assert main(["verify-theorem", "--k", "5", "--m", "3", "--n", "13"]) == 0
+        assert json.loads(capsys.readouterr().out)["extremal_found"] is True
+
+    def test_over_orbit_cap_is_input_error(self, capsys):
+        assert main(["verify-theorem", "--k", "3", "--m", "4", "--n", "9"]) == 2
+        captured = capsys.readouterr()
+        assert "32768 column multisets" in captured.err
+        assert captured.out == ""
+
     def test_bad_params(self, capsys):
         assert main(["verify-theorem", "--k", "2", "--m", "3", "--n", "7"]) == 2
         capsys.readouterr()

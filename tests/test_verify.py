@@ -1,6 +1,7 @@
 """Census engine, sweep checks, and the exact root-comparison machinery."""
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +10,15 @@ import pytest
 from qspan import (
     BipartiteGraph,
     CapacityError,
+    DegreeDemand,
     InputError,
+    certify_threshold,
     complete_bipartite,
     enumerate_bipartite,
+    extremal_graph,
+    find_violation_bruteforce,
     is_connected,
+    part_preserving_isomorphic,
     point_checks,
     separation_sweep,
     signless_laplacian,
@@ -23,12 +29,13 @@ from qspan import (
 from qspan import verify
 from qspan.extremal import ExtremalParams, spectral_threshold
 from qspan.poly import exact_char_poly, strictly_larger_root
+from qspan.spectral import q_matrices
 from qspan.verify import (
-    _anderson_morley_bound,
-    _batched_radius,
     _connected_filter,
+    _connected_orbits,
     _graph_from_mask,
-    _near_band,
+    _labellings,
+    orbit_count,
     random_demand_instances,
     scan_stats,
 )
@@ -73,70 +80,66 @@ class TestVectorisedKernels:
         for mask, flag in zip(masks, flags):
             assert bool(flag) == is_connected(_graph_from_mask(int(mask), m, n))
 
-    def test_batched_radius_matches_scalar(self):
-        m, n = 3, 4
-        rng = random.Random(2)
-        masks = np.array(
-            sorted(rng.sample(range(1 << (m * n)), 200)), dtype=np.int64
-        )
-        keep = _connected_filter(masks, m, n)
-        masks = masks[keep]
-        values = _batched_radius(masks, m, n)
-        for mask, value in zip(masks, values):
-            g = _graph_from_mask(int(mask), m, n)
-            scalar = spectral_radius(signless_laplacian(g)).value
-            assert value == pytest.approx(scalar, abs=1e-8)
 
-    def test_batched_radius_chunk_invariance(self):
-        m, n = 2, 4
-        masks = np.arange(1, 1 << (m * n), dtype=np.int64)
-        keep = _connected_filter(masks, m, n)
-        masks = masks[keep]
-        whole = _batched_radius(masks, m, n)
-        split = np.concatenate(
-            [_batched_radius(masks[:40], m, n), _batched_radius(masks[40:], m, n)]
-        )
-        assert np.array_equal(whole, split)
+def _labelled_census(m, n, chunk=1 << 15):
+    """(connected masks, their q) over every labelled graph on (m, n):
+    the connectivity filter, then a chunked q_matrices + eigvalsh."""
+    masks = np.arange(1 << (m * n), dtype=np.int64)
+    connected = masks[_connected_filter(masks, m, n)]
+    shifts = np.arange(m * n, dtype=np.int64)
+    lam = np.concatenate([
+        np.linalg.eigvalsh(q_matrices(
+            ((part[:, None] >> shifts) & 1).reshape(part.size, m, n)))[:, -1]
+        for part in np.split(connected, range(chunk, connected.size, chunk))
+    ])
+    return connected, lam
 
 
 @pytest.fixture(scope="module")
-def sample_337():
-    """A seeded sample of 50,000 connected masks at (m, n) = (3, 7)."""
-    masks = np.arange(1 << 21, dtype=np.int64)
-    connected = masks[_connected_filter(masks, 3, 7)]
-    rng = np.random.default_rng(20241201)
-    return np.sort(rng.choice(connected, 50_000, replace=False))
+def labelled_337():
+    return _labelled_census(3, 7)
 
 
 class TestCensusEngine:
-    def test_bound_dominates_radius_2x4(self):
-        masks = np.arange(1 << 8, dtype=np.int64)
-        masks = masks[_connected_filter(masks, 2, 4)]
-        bound = _anderson_morley_bound(masks, 2, 4)
-        assert np.all(bound >= _batched_radius(masks, 2, 4) - 1e-9)
+    @pytest.mark.parametrize("tol", [1e-7, 0.1, 0.5])
+    def test_orbit_census_matches_labelled_oracle(self, labelled_337, tol):
+        connected, lam = labelled_337
+        near = connected[lam >= spectral_threshold(3, 3, 7) - tol].tolist()
+        gstar = extremal_graph(3, 3, 7)
+        demand = DegreeDemand.uniform(3, 3)
+        feasible, counterexamples = 0, []
+        for mask in near:
+            g = _graph_from_mask(mask, 3, 7)
+            if find_violation_bruteforce(g, demand) is None:
+                feasible += 1
+            elif not part_preserving_isomorphic(g, gstar):
+                counterexamples.append(mask)
+        stats = scan_stats(3, 3, 7, tol=tol)
+        assert stats.graphs_connected == connected.size == 778765
+        assert stats.graphs_above_bound == len(near)
+        assert stats.feasible_above == feasible
+        assert stats.counterexample_masks == counterexamples
+        assert (len(near), len(counterexamples)) == {
+            1e-7: (505, 0), 0.1: (778, 21), 0.5: (7771, 1155)}[tol]
 
-    def test_bound_matches_edge_definition(self):
-        m, n = 2, 4
-        for mask in range(1 << (m * n)):
-            g = _graph_from_mask(mask, m, n)
-            want = max((g.degree_a(a) + g.degree_b(b) for a in range(m) for b in range(n)
-                        if g.has_edge(a, b)), default=0)
-            got = _anderson_morley_bound(np.array([mask], dtype=np.int64), m, n)[0]
-            assert got == want
+    def test_orbit_weights_sum_to_graphs_connected(self):
+        _, _, weights = _connected_orbits(3, 7)
+        assert (orbit_count(3, 7), weights.size) == (1716, 1428)
+        assert int(weights.sum()) == scan_stats(3, 3, 7).graphs_connected == 778765
 
-    def test_bound_dominates_radius_337_sample(self, sample_337):
-        bound = _anderson_morley_bound(sample_337, 3, 7)
-        assert np.all(bound >= _batched_radius(sample_337, 3, 7) - 1e-9)
-
-    @pytest.mark.parametrize("tol", [1e-7, 0.5])
-    def test_pruned_near_band_matches_unpruned(self, sample_337, tol):
-        qstar = spectral_threshold(3, 3, 7)
-        lam = _batched_radius(sample_337, 3, 7)
-        want = sample_337[lam >= qstar - tol]
-        near, near_lam = _near_band(sample_337, 3, 7, qstar, tol)
-        assert want.size > 0
-        assert np.array_equal(near, want)
-        assert np.array_equal(near_lam, lam[lam >= qstar - tol])
+    @pytest.mark.parametrize("m, n", [(1, 4), (2, 5), (3, 4), (4, 3)])
+    def test_orbits_partition_labelled_graphs(self, m, n):
+        masks = np.arange(1 << (m * n), dtype=np.int64)
+        classes = defaultdict(list)
+        for mask in masks[_connected_filter(masks, m, n)].tolist():
+            classes[tuple(sorted(_graph_from_mask(mask, m, n).b_adj()))].append(mask)
+        bits, reps, weights = _connected_orbits(m, n)
+        assert np.array_equal(bits, ((reps[:, None] >> np.arange(m * n)) & 1).reshape(-1, m, n))
+        rows = [_graph_from_mask(rep, m, n).b_adj() for rep in reps.tolist()]
+        assert sorted(rows) == sorted(classes)   # one ascending row per class
+        for row, weight in zip(rows, weights.tolist()):
+            assert sorted(_labellings(list(row), m, n)) == classes[row]
+            assert weight == len(classes[row])
 
     def test_scan_stats_job_count_invariant(self):
         serial = scan_stats(3, 3, 7, jobs=1)
@@ -152,6 +155,29 @@ class TestCensusEngine:
     def test_scan_stats_rejects_bad_jobs(self, jobs):
         with pytest.raises(InputError, match="jobs"):
             scan_stats(3, 3, 7, jobs=jobs)
+
+    def test_orbit_cap_boundary(self, monkeypatch):
+        # (3,3,7) has exactly 1716 column multisets
+        monkeypatch.setattr(verify, "ORBIT_CAP", 1716)
+        assert scan_stats(3, 3, 7).graphs_connected == 778765
+        monkeypatch.setattr(verify, "ORBIT_CAP", 1715)
+        with pytest.raises(CapacityError, match="column multisets"):
+            scan_stats(3, 3, 7)
+        with pytest.raises(CapacityError, match="column multisets"):
+            certify_threshold(3, 3, 7)
+
+    def test_largest_point_under_cap(self):
+        assert orbit_count(3, 13) == 27132 <= verify.ORBIT_CAP < orbit_count(3, 14)
+        rep = certify_threshold(5, 3, 13)
+        assert rep.graphs_total == 2**39
+        assert rep.counterexamples == [] and rep.extremal_found
+
+    @pytest.mark.parametrize("k, m, n", [(3, 4, 9), (5, 3, 14), (3, 3, 10**9), (3, 10**6, 2 * 10**6 + 1)])
+    def test_over_cap_refused_before_allocating(self, k, m, n):
+        with pytest.raises(CapacityError, match="column multisets"):
+            certify_threshold(k, m, n)
+        with pytest.raises(CapacityError, match="column multisets"):
+            scan_stats(k, m, n)
 
 
 class TestPointChecks:
