@@ -159,7 +159,9 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
-    report = verify.certify_threshold(args.k, args.m, args.n, tol=args.tol, jobs=args.jobs)
+    if args.jobs is not None and args.jobs < 1:
+        raise InputError(f"jobs must be >= 1, got {args.jobs}")
+    report = verify.certify_threshold(args.k, args.m, args.n, tol=args.tol)
     payload = {
         "schema": "1",
         "params": report.params,

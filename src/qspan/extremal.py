@@ -10,7 +10,7 @@ A-vertex has only k-1 neighbors.
 All polynomial data (quotient matrix, characteristic coefficients, the
 difference factor and its endpoint quadratics) is produced in exact integer
 arithmetic so the verification module can assert identities with zero
-tolerance.
+tolerance; the threshold is the correctly rounded root of the s=1 quartic.
 """
 
 from __future__ import annotations
@@ -160,22 +160,19 @@ def upper_endpoint_quadratic(n: int, k: int, m: int) -> int:
     return -n * n + (k * m - 2 * m) * n + k * m * m - m * m
 
 
-def family_bracket(p: ExtremalParams) -> tuple[float, float]:
-    """Interval (m + (k-1)s, m + n) isolating the largest quotient root.
+def family_bracket(p: ExtremalParams) -> tuple[int, int]:
+    """Integer interval (m + (k-1)s, m + n) isolating the largest quotient root.
 
     The lower endpoint is the spectral radius of the sparse factor's
     complete graph, the upper the spectral radius of K_{m,n}; both bound the
-    family member strictly. Endpoints are nudged outward a hair so the sign
-    change survives float evaluation.
+    family member strictly.
     """
-    lo = p.m + p.r
-    hi = p.m + p.n
-    return (lo - 1e-9, hi + 1e-9)
+    return (p.m + p.r, p.m + p.n)
 
 
 def family_root(p: ExtremalParams) -> float:
-    """Largest root of the family's quotient polynomial: the member's
-    signless Laplacian spectral radius."""
+    """Largest root of the family's quotient polynomial, correctly rounded:
+    the member's signless Laplacian spectral radius."""
     return largest_real_root(family_char_coeffs(p), family_bracket(p))
 
 

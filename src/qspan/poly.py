@@ -1,8 +1,8 @@
 """Exact polynomials: characteristic polynomials, roots and Sturm chains.
 
-Coefficient vectors are ascending (c0 first). Characteristic polynomials of
-integer matrices are computed in plain integers, and so is the Sturm
-comparison of largest real roots, so every strictness claim it makes is exact.
+Coefficient vectors are ascending (c0 first). Characteristic polynomials,
+root bisection and the Sturm comparison run in plain integers, so roots are
+correctly rounded floats and every strictness claim is exact.
 """
 
 from __future__ import annotations
@@ -14,7 +14,15 @@ from fractions import Fraction
 
 from .errors import CapacityError, InputError, InternalError, NumericalError
 
-CHAR_POLY_CAP = 11      # exact characteristic polynomial cap (largest census Q)
+CHAR_POLY_CAP = 11      # exact characteristic polynomial cap (the fuzz needs order 8)
+BISECTION_CAP = 4096    # root halvings; a float bracket shrinks below a subnormal in ~2,100
+
+
+def _integral(coeffs):
+    """Coefficients as integers: Fractions scaled by the positive lcm of their denominators."""
+    fracs = [Fraction(c) for c in coeffs]
+    scale = math.lcm(*(c.denominator for c in fracs))
+    return [int(c * scale) for c in fracs]
 
 
 def _horner(coeffs, x, den=1):
@@ -89,42 +97,35 @@ def exact_char_poly(rows) -> PolyCoeffs:
     return PolyCoeffs(tuple(reversed(descending)))
 
 
-def largest_real_root(p: PolyCoeffs, bracket: tuple[float, float]) -> float:
-    """Root of p inside the bracket, via bisection plus a secant polish.
-
-    The caller must supply a bracket with a sign change that isolates the
-    largest real root; for the quotient quartics used here that bracket is
-    available in closed form.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
+def largest_real_root(p: PolyCoeffs, bracket) -> float:
+    """Correctly rounded root of p in a bracket (int, Fraction or float ends)
+    that changes sign and isolates the largest real root, in closed form for
+    the quotient quartics used here. Bisection on integer numerators over a
+    doubling denominator stops once both ends round to one float; int true
+    division rounds correctly, so that float is the rounded root."""
+    lo, hi = Fraction(bracket[0]), Fraction(bracket[1])
     if not lo < hi:
-        raise InputError(f"invalid bracket ({lo}, {hi})")
-    flo = float(p.evaluate(lo))
-    fhi = float(p.evaluate(hi))
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise NumericalError(f"no sign change on bracket ({lo}, {hi})")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fmid = float(p.evaluate(mid))
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (fhi > 0):
-            hi, fhi = mid, fmid
+        raise InputError(f"invalid bracket ({bracket[0]}, {bracket[1]})")
+    coeffs = _integral(p.coeffs)
+    den = math.lcm(lo.denominator, hi.denominator)
+    lo_num, hi_num = int(lo * den), int(hi * den)
+    f_lo, f_hi = _horner(coeffs, lo_num, den), _horner(coeffs, hi_num, den)
+    if f_lo * f_hi > 0:
+        raise NumericalError(f"no sign change on bracket ({bracket[0]}, {bracket[1]})")
+    if f_lo * f_hi == 0:   # a root at an end
+        lo_num = hi_num = lo_num if f_lo == 0 else hi_num
+    for _ in range(BISECTION_CAP):
+        if lo_num / den == hi_num / den:
+            return lo_num / den
+        mid, den = lo_num + hi_num, 2 * den
+        value = _horner(coeffs, mid, den)
+        if value == 0:
+            lo_num = hi_num = mid
+        elif (value > 0) == (f_lo > 0):
+            lo_num, hi_num = mid, 2 * hi_num
         else:
-            lo, flo = mid, fmid
-    # one secant step inside the final interval, kept only if it stays put
-    denom = fhi - flo
-    if denom != 0.0:
-        sec = lo - flo * (hi - lo) / denom
-        if lo < sec < hi:
-            return sec
-    return 0.5 * (lo + hi)
+            lo_num, hi_num = 2 * lo_num, mid
+    raise InternalError(f"bisection on ({bracket[0]}, {bracket[1]}) did not settle on one float")
 
 
 # --- Sturm chains over the integers -------------------------------------------
@@ -176,12 +177,10 @@ def _sturm_chain(p):
 
 
 def _squarefree(coeffs):
-    """p = coeffs as primitive integers (Fractions scaled by the positive lcm
-    of their denominators) divided by gcd(p, p'), the last member of its Sturm
-    chain; that gcd is primitive, so by Gauss's lemma the division is exact."""
-    fracs = [Fraction(c) for c in coeffs]
-    scale = math.lcm(*(c.denominator for c in fracs))
-    p = _primitive([int(c * scale) for c in fracs])
+    """p = coeffs as primitive integers divided by gcd(p, p'), the last member
+    of its Sturm chain; that gcd is primitive, so by Gauss's lemma the
+    division is exact."""
+    p = _primitive(_integral(coeffs))
     g = _sturm_chain(p)[-1] if p else p
     return _divmod(p, g)[0] if len(g) > 1 else p
 

@@ -17,8 +17,8 @@ under a uniform demand do not change when B is relabelled, so each multiset
 of n nonempty columns (subsets of A) is one numpy row, run through a
 vectorized connectivity filter and one batched LAPACK eigvalsh, and weighted
 by its class size n!/prod(multiplicity!). The few classes near the bound are
-re-checked through construct_tree and part_preserving_isomorphic. There is
-no worker pool; jobs arguments are validated and otherwise ignored.
+re-checked through construct_tree and part_preserving_isomorphic. The
+near band is float, so tol must be at least MIN_CENSUS_TOL.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from .extremal import (
     difference_factor_coeffs,
     extremal_graph,
     family_char_coeffs,
+    family_partition,
     family_quotient,
     family_root,
     lower_endpoint_quadratic,
@@ -53,12 +55,13 @@ from .graph_core import (
     to_edge_list,
 )
 from .poly import exact_char_poly, strictly_larger_root
-from .spectral import char_poly, check_tol, q_matrices, signless_laplacian, spectral_radius
+from .spectral import char_poly, q_matrices, quotient_matrix, signless_laplacian, spectral_radius
 from .trees import construct_tree, find_violation_flow, verify_certificate
 
 ENUMERATION_CAP = 24      # enumerate_bipartite: at most 2**24 labeled graphs
 ENGINE_CHUNK = 1 << 16    # masks per connectivity-filter chunk
 ORBIT_CAP = 1 << 15       # census: at most 2**15 column multisets
+MIN_CENSUS_TOL = 1e-9     # census band floor: G*'s copies' eigvalsh q sits ulps below q*
 
 
 @dataclass(frozen=True)
@@ -184,11 +187,12 @@ class ScanStats:
     graphs_above_bound: int
     feasible_above: int
     counterexample_masks: list
-    extremal_copies: list    # (mask, attains_within_tol) per extremal class
+    extremal_copies: list    # one mask per extremal class
 
 
 def _check_point(k: int, m: int, n: int, tol: float) -> None:
-    check_tol(tol)
+    if not MIN_CENSUS_TOL <= tol < math.inf:
+        raise InputError(f"census tolerance must be finite and >= {MIN_CENSUS_TOL}, got {tol!r}")
     if k < 3 or m < 3:
         raise InputError(f"need k >= 3 and m >= 3, got k={k}, m={m}")
     if n < (k - 1) * m + 1:
@@ -198,18 +202,16 @@ def _check_point(k: int, m: int, n: int, tol: float) -> None:
         raise CapacityError(f"(m, n) = ({m}, {n}) has more than {ORBIT_CAP} column multisets")
 
 
-def scan_stats(k: int, m: int, n: int, tol: float = 1e-7, jobs: int | None = None) -> ScanStats:
+def scan_stats(k: int, m: int, n: int, tol: float = 1e-7) -> ScanStats:
     """Census over the connected B-relabelling classes, in labelled counts.
 
     One batched eigvalsh gives each class's q. Each class with
     q >= qstar - tol gets one construct_tree (certificate re-verified) or one
     isomorphism check against the extremal graph; a counterexample class
-    adds its labelled masks, kept in ascending order. jobs is validated and
-    otherwise ignored.
+    adds its labelled masks, kept in ascending order. An extremal copy is
+    cospectral with the extremal graph, so it needs no spectral check here.
     """
     _check_point(k, m, n, tol)
-    if jobs is not None and jobs < 1:
-        raise InputError(f"jobs must be >= 1, got {jobs}")
     qstar = spectral_threshold(k, m, n)
     bits, masks, weights = _connected_orbits(m, n)
     lam = np.linalg.eigvalsh(q_matrices(bits))[:, -1]
@@ -226,41 +228,38 @@ def scan_stats(k: int, m: int, n: int, tol: float = 1e-7, jobs: int | None = Non
                 raise InternalError(f"certificate failed re-verification on mask {mask}")
             stats.feasible_above += int(weights[i])
         elif part_preserving_isomorphic(g, gstar):
-            stats.extremal_copies.append((mask, abs(float(lam[i]) - qstar) <= tol))
+            stats.extremal_copies.append(mask)
         else:
             stats.counterexample_masks.extend(_labellings(list(g.b_adj()), m, n))
     stats.counterexample_masks.sort()
     return stats
 
 
-def certify_threshold(k: int, m: int, n: int, tol: float = 1e-7,
-                      jobs: int | None = None) -> TheoremReport:
+def certify_threshold(k: int, m: int, n: int, tol: float = 1e-7) -> TheoremReport:
     """Exhaustive census of the threshold claim at one parameter point.
 
     Every connected labelled graph with spectral radius >= qstar - tol
     must admit a qualifying spanning tree or be a relabeling of the extremal
     graph; the extremal graph itself must show up, attain the threshold, and
-    be infeasible. Points with more than ORBIT_CAP column multisets raise
-    CapacityError; jobs is validated and otherwise ignored.
+    be infeasible. It attains q* exactly if its family quotient is equitable
+    with the s=1 quartic as characteristic polynomial. Points with more than
+    ORBIT_CAP column multisets raise CapacityError.
     """
     _check_point(k, m, n, tol)
+    p1 = ExtremalParams(k, m, n, 1)
     qstar = spectral_threshold(k, m, n)
     gstar = extremal_graph(k, m, n)
     demand = DegreeDemand.uniform(m, k)
     gstar_infeasible = find_violation_flow(gstar, demand) is not None
-    gstar_attains = abs(spectral_radius(signless_laplacian(gstar)).value - qstar) <= tol
+    quotient = quotient_matrix(gstar, family_partition(p1))
+    gstar_attains = quotient.equitable and char_poly(quotient) == family_char_coeffs(p1)
 
-    stats = scan_stats(k, m, n, tol=tol, jobs=jobs)
+    stats = scan_stats(k, m, n, tol=tol)
     counterexamples = []
     for mask in stats.counterexample_masks:
         g = _graph_from_mask(mask, m, n)
         counterexamples.append({"mask": mask, "edges": [[a, b] for a, b in to_edge_list(g)]})
-    extremal_found = (
-        bool(stats.extremal_copies)
-        and all(attains for _, attains in stats.extremal_copies)
-        and gstar_infeasible
-        and gstar_attains
-    )
+    extremal_found = bool(stats.extremal_copies) and gstar_infeasible and gstar_attains
     return TheoremReport(
         params={"k": k, "m": m, "n": n},
         qstar=qstar,
@@ -283,9 +282,11 @@ JOIN_CHAIN_SAMPLES = 3
 def point_checks(p: ExtremalParams, rng: random.Random) -> dict:
     """All identity and inequality checks for one parameter point.
 
-    Exact integer arithmetic wherever the claim is exact; the two float
-    checks (root ordering interval, threshold separation) lean on exact sign
-    evaluations at the bracket endpoints.
+    Every check but join_chain (float eigh radii) is exact. At s = 1
+    separation asks that the two quartics coincide. For s >= 2, q1 is
+    correctly rounded, so the float above it exceeds the s root; separation
+    asks that it still lie below q*, where the s=1 quartic is negative in its
+    bracket.
     """
     k, m, n, s = p.k, p.m, p.n, p.s
     fam = family_char_coeffs(p)
@@ -317,11 +318,10 @@ def point_checks(p: ExtremalParams, rng: random.Random) -> dict:
     q1 = family_root(p)
     checks["ordering"] = fam.evaluate(lo) < 0 and fam.evaluate(hi) > 0 and lo < q1 < hi
 
-    qstar = spectral_threshold(k, m, n)
     if s == 1:
-        checks["separation"] = abs(q1 - qstar) <= 1e-8
+        checks["separation"] = fam == base
     else:
-        checks["separation"] = qstar - q1 > 1e-8
+        checks["separation"] = base.evaluate(Fraction(math.nextafter(q1, math.inf))) < 0
 
     r_max = p.r
     sample = sorted(rng.sample(range(1, r_max + 1), min(JOIN_CHAIN_SAMPLES, r_max)))

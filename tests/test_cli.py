@@ -296,6 +296,19 @@ class TestVerifyTheorem:
         assert "tolerance" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("tol", ["1e-15", "1e-300"])
+    def test_tol_below_census_floor_is_input_error(self, tol, capsys):
+        assert main(["verify-theorem", "--k", "3", "--m", "3", "--n", "7", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "tolerance" in captured.err
+        assert captured.out == ""
+
+    def test_tol_at_census_floor(self, capsys):
+        assert main(["verify-theorem", "--k", "3", "--m", "3", "--n", "7", "--tol", "1e-9"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["graphs_above_bound"] == 505
+        assert report["extremal_found"] is True
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_nonpositive_jobs_is_input_error(self, jobs, capsys):
         assert main(["verify-theorem", "--k", "3", "--m", "3", "--n", "7", "--jobs", jobs]) == 2

@@ -4,6 +4,7 @@ numpy.linalg.eigvalsh serves here as the oracle for spectral_radius, which
 makes one LAPACK eigh call per matrix.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,12 +18,14 @@ from qspan import (
     BipartiteGraph,
     CapacityError,
     InputError,
+    InternalError,
     NumericalError,
     SymMatrix,
     char_poly,
     complete_bipartite,
     extremal_graph,
     family_char_coeffs,
+    family_root,
     from_edge_list,
     quotient_matrix,
     signless_laplacian,
@@ -390,6 +393,100 @@ class TestLargestRealRoot:
         root = largest_real_root(p, (1.0, 5.0))
         # equals q(K_{1,2}) = m + n
         assert root == pytest.approx(3.0, abs=1e-10)
+
+
+def correctly_rounded(p, root):
+    """The definition of correct rounding: p changes sign or vanishes between
+    the two half-ulp midpoints next to root, so a root of p rounds to it."""
+    x = Fraction(root)
+    below = (x + Fraction(math.nextafter(root, -math.inf))) / 2
+    above = (x + Fraction(math.nextafter(root, math.inf))) / 2
+    return p.evaluate(below) * p.evaluate(above) <= 0
+
+
+def isolated_largest_roots(count, seed):
+    """(polynomial, bracket, kind) with brackets isolating the largest real
+    root; integer coefficients, a quarter of them Fractions instead, and
+    float, Fraction or int bracket ends in turn."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        degree = rng.randint(2, 6)
+        if rng.random() < 0.25:
+            coeffs = [Fraction(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(degree)]
+        else:
+            coeffs = [rng.randint(-60, 60) for _ in range(degree)]
+        p = PolyCoeffs(tuple(coeffs) + (1,))
+        found = np.roots([float(c) for c in reversed(p.coeffs)])
+        real = sorted(r.real for r in found if abs(r.imag) < 1e-9)
+        if not real or (len(real) > 1 and real[-1] - real[-2] < 0.1):
+            continue
+        top, gap = real[-1], min(1.0, real[-1] - real[-2]) / 2 if len(real) > 1 else 0.5
+        lo, hi = top - gap * rng.uniform(0.2, 0.9), top + gap * rng.uniform(0.2, 0.9)
+        kind = ("float", "fraction", "int")[len(out) % 3]
+        if kind == "int" and len(real) > 1 and math.floor(top) <= real[-2] + 0.01:
+            kind = "fraction"
+        if kind == "fraction":
+            lo, hi = Fraction(math.floor(lo * 997), 997), Fraction(math.ceil(hi * 997), 997)
+        elif kind == "int":
+            lo, hi = math.floor(top), math.floor(top) + 1
+        f_lo, f_hi = p.evaluate(Fraction(lo)), p.evaluate(Fraction(hi))
+        if f_lo * f_hi <= 0 and f_hi != 0:
+            out.append((p, (lo, hi), kind))
+    return out
+
+
+class TestExactRoot:
+    def test_benchmark_grid_roots_correctly_rounded(self):
+        grid = [ExtremalParams(k, m, (k - 1) * m + extra, s)
+                for k in range(3, 8) for m in range(3, 9)
+                for extra in range(1, 9) for s in range(1, m)]
+        assert len(grid) == 1080
+        for p in grid:
+            assert correctly_rounded(family_char_coeffs(p), family_root(p)), p
+
+    def test_random_polynomials_correctly_rounded(self):
+        cases = isolated_largest_roots(200, seed=3)
+        kinds = [kind for _, _, kind in cases]
+        assert min(kinds.count(kind) for kind in ("float", "fraction", "int")) >= 30
+        assert sum(any(isinstance(c, Fraction) for c in p.coeffs) for p, _, _ in cases) >= 30
+        for p, (lo, hi), _ in cases:
+            root = largest_real_root(p, (lo, hi))
+            assert lo <= root <= hi
+            assert correctly_rounded(p, root), (p, lo, hi, root)
+
+    def test_root_at_an_end_or_midpoint_is_exact(self):
+        p = PolyCoeffs((10, -7, 1))  # (x - 2)(x - 5)
+        assert largest_real_root(p, (5, 8)) == 5.0          # at lo
+        assert largest_real_root(p, (3, 5)) == 5.0          # at hi
+        assert largest_real_root(p, (4, 6)) == 5.0          # first midpoint
+        assert largest_real_root(p, (3.5, 5.0)) == 5.0
+
+    @pytest.mark.parametrize("bracket", [
+        (1, 2), (Fraction(1), Fraction(3, 2)), (1.0, 1.5), (Fraction(4, 3), 2.0), (1, 1.5),
+    ])
+    def test_bracket_end_types(self, bracket):
+        p = PolyCoeffs((-2, 0, 1))
+        assert largest_real_root(p, bracket) == math.sqrt(2)   # sqrt rounds correctly
+
+    def test_fraction_coefficients(self):
+        p = PolyCoeffs((Fraction(-1, 3), 1))
+        assert largest_real_root(p, (0, 1)) == 1 / 3
+        assert largest_real_root(p, (Fraction(1, 3), 1)) == 1 / 3
+        p = PolyCoeffs((Fraction(-2, 9), 0, 1))       # root sqrt(2) / 3
+        root = largest_real_root(p, (0, 1))
+        assert correctly_rounded(p, root)
+
+    def test_root_on_a_rounding_midpoint(self):
+        # 1 + 2**-53 lies halfway between 1 and the next float up
+        p = PolyCoeffs((-Fraction(2 ** 53 + 1, 2 ** 53), 1))
+        assert largest_real_root(p, (0, 2)) == 1.0     # hit exactly, ties to even
+        with pytest.raises(InternalError):             # 7 * j / 2**t never hits it
+            largest_real_root(p, (0, 7))
+
+    def test_invalid_bracket(self):
+        with pytest.raises(InputError):
+            largest_real_root(PolyCoeffs((-2, 0, 1)), (2, 1))
 
 
 class TestPublicNames:

@@ -141,20 +141,33 @@ class TestCensusEngine:
             assert sorted(_labellings(list(row), m, n)) == classes[row]
             assert weight == len(classes[row])
 
-    def test_scan_stats_job_count_invariant(self):
-        serial = scan_stats(3, 3, 7, jobs=1)
-        assert serial.extremal_copies
-        assert scan_stats(3, 3, 7, jobs=2) == serial
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    # below MIN_CENSUS_TOL the float band can drop G*'s copies, whose
+    # eigvalsh q sits a few ulps below q*
+    @pytest.mark.parametrize(
+        "tol", [0.0, -1.0, float("nan"), float("inf"), 9.99e-10, 1e-15, 1e-300])
     def test_scan_stats_rejects_bad_tol(self, tol):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="tolerance"):
             scan_stats(3, 3, 7, tol=tol)
+        with pytest.raises(InputError, match="tolerance"):
+            certify_threshold(3, 3, 7, tol=tol)
 
-    @pytest.mark.parametrize("jobs", [0, -1, -8])
-    def test_scan_stats_rejects_bad_jobs(self, jobs):
-        with pytest.raises(InputError, match="jobs"):
-            scan_stats(3, 3, 7, jobs=jobs)
+    def test_extremal_copies_are_masks(self):
+        stats = scan_stats(3, 3, 7)
+        gstar = extremal_graph(3, 3, 7)
+        assert stats.extremal_copies
+        for mask in stats.extremal_copies:
+            assert part_preserving_isomorphic(_graph_from_mask(mask, 3, 7), gstar)
+
+    @pytest.mark.parametrize("partition", [
+        lambda p: [[v] for v in range(p.m + p.n)],                      # equitable, order-10 poly
+        lambda p: [list(range(p.m)), list(range(p.m, p.m + p.n))],      # not equitable
+    ], ids=["singletons", "a-b-sides"])
+    def test_attainment_needs_the_family_quotient(self, monkeypatch, partition):
+        assert certify_threshold(3, 3, 7).extremal_found
+        monkeypatch.setattr(verify, "family_partition", partition)
+        rep = certify_threshold(3, 3, 7)
+        assert not rep.extremal_found
+        assert (rep.graphs_above_bound, rep.counterexamples) == (505, [])
 
     def test_orbit_cap_boundary(self, monkeypatch):
         # (3,3,7) has exactly 1716 column multisets
@@ -199,6 +212,14 @@ class TestPointChecks:
             "separation",
             "join_chain",
         ]
+
+    @pytest.mark.parametrize("k, m, n, s", [(3, 3, 7, 2), (4, 5, 17, 4), (7, 8, 50, 7)])
+    def test_separation_fails_when_root_reaches_qstar(self, monkeypatch, k, m, n, s):
+        p = ExtremalParams(k, m, n, s)
+        assert point_checks(p, random.Random(0))["separation"]
+        qstar = spectral_threshold(k, m, n)
+        monkeypatch.setattr(verify, "family_root", lambda _: qstar)
+        assert point_checks(p, random.Random(0))["separation"] is False
 
 
 class TestSweep:
