@@ -161,7 +161,7 @@ def _cmd_extremal(args) -> int:
 def _cmd_verify_theorem(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise InputError(f"jobs must be >= 1, got {args.jobs}")
-    report = verify.certify_threshold(args.k, args.m, args.n, tol=args.tol)
+    report = verify.certify_threshold(args.k, args.m, args.n)
     payload = {
         "schema": "1",
         "params": report.params,
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--jobs", type=int, default=None,
                    help="accepted for compatibility and ignored; must be >= 1")
     p.set_defaults(func=_cmd_verify_theorem)

@@ -16,9 +16,9 @@ The census solves one graph per B-relabelling class: q(G) and feasibility
 under a uniform demand do not change when B is relabelled, so each multiset
 of n nonempty columns (subsets of A) is one numpy row, run through a
 vectorized connectivity filter and one batched LAPACK eigvalsh, and weighted
-by its class size n!/prod(multiplicity!). The few classes near the bound are
-re-checked through construct_tree and part_preserving_isomorphic. The
-near band is float, so tol must be at least MIN_CENSUS_TOL.
+by its class size n!/prod(multiplicity!). Classes above q* + CENSUS_SLACK are
+re-checked through construct_tree; those within CENSUS_SLACK of q* must be
+copies of the extremal graph, which sit at q* exactly, or InternalError.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .trees import construct_tree, find_violation_flow, verify_certificate
 ENUMERATION_CAP = 24      # enumerate_bipartite: at most 2**24 labeled graphs
 ENGINE_CHUNK = 1 << 16    # masks per connectivity-filter chunk
 ORBIT_CAP = 1 << 15       # census: at most 2**15 column multisets
-MIN_CENSUS_TOL = 1e-9     # census band floor: G*'s copies' eigvalsh q sits ulps below q*
+CENSUS_SLACK = 1e-9       # census: eigvalsh q this close to q* must be an extremal copy
 
 
 @dataclass(frozen=True)
@@ -190,9 +190,7 @@ class ScanStats:
     extremal_copies: list    # one mask per extremal class
 
 
-def _check_point(k: int, m: int, n: int, tol: float) -> None:
-    if not MIN_CENSUS_TOL <= tol < math.inf:
-        raise InputError(f"census tolerance must be finite and >= {MIN_CENSUS_TOL}, got {tol!r}")
+def _check_point(k: int, m: int, n: int) -> None:
     if k < 3 or m < 3:
         raise InputError(f"need k >= 3 and m >= 3, got k={k}, m={m}")
     if n < (k - 1) * m + 1:
@@ -202,50 +200,53 @@ def _check_point(k: int, m: int, n: int, tol: float) -> None:
         raise CapacityError(f"(m, n) = ({m}, {n}) has more than {ORBIT_CAP} column multisets")
 
 
-def scan_stats(k: int, m: int, n: int, tol: float = 1e-7) -> ScanStats:
+def scan_stats(k: int, m: int, n: int) -> ScanStats:
     """Census over the connected B-relabelling classes, in labelled counts.
 
-    One batched eigvalsh gives each class's q. Each class with
-    q >= qstar - tol gets one construct_tree (certificate re-verified) or one
-    isomorphism check against the extremal graph; a counterexample class
-    adds its labelled masks, kept in ascending order. An extremal copy is
-    cospectral with the extremal graph, so it needs no spectral check here.
+    One batched eigvalsh gives each class's q. A class above qstar + CENSUS_SLACK
+    gets one construct_tree (certificate re-verified) or one isomorphism check
+    against the extremal graph; a counterexample class adds its labelled masks,
+    kept in ascending order. A class within CENSUS_SLACK of qstar must be an
+    extremal copy (cospectral, so exactly at qstar); any other raises InternalError.
     """
-    _check_point(k, m, n, tol)
+    _check_point(k, m, n)
     qstar = spectral_threshold(k, m, n)
     bits, masks, weights = _connected_orbits(m, n)
     lam = np.linalg.eigvalsh(q_matrices(bits))[:, -1]
-    near = np.flatnonzero(lam >= qstar - tol)
+    near = np.flatnonzero(lam >= qstar - CENSUS_SLACK)
     stats = ScanStats(int(weights.sum()), int(weights[near].sum()), 0, [], [])
     gstar = extremal_graph(k, m, n)
     demand = DegreeDemand.uniform(m, k)
     for i in near.tolist():
         mask = int(masks[i])
         g = _graph_from_mask(mask, m, n)
-        result = construct_tree(g, demand)
-        if result.feasible:
+        above = lam[i] > qstar + CENSUS_SLACK
+        result = construct_tree(g, demand) if above else None
+        if above and result.feasible:
             if not verify_certificate(g, demand, result.tree):
                 raise InternalError(f"certificate failed re-verification on mask {mask}")
             stats.feasible_above += int(weights[i])
         elif part_preserving_isomorphic(g, gstar):
             stats.extremal_copies.append(mask)
-        else:
+        elif above:
             stats.counterexample_masks.extend(_labellings(list(g.b_adj()), m, n))
+        else:
+            raise InternalError(f"mask {mask}: within CENSUS_SLACK of q* but not an extremal copy")
     stats.counterexample_masks.sort()
     return stats
 
 
-def certify_threshold(k: int, m: int, n: int, tol: float = 1e-7) -> TheoremReport:
+def certify_threshold(k: int, m: int, n: int) -> TheoremReport:
     """Exhaustive census of the threshold claim at one parameter point.
 
-    Every connected labelled graph with spectral radius >= qstar - tol
+    Every connected labelled graph at or above qstar (decided as in scan_stats)
     must admit a qualifying spanning tree or be a relabeling of the extremal
     graph; the extremal graph itself must show up, attain the threshold, and
     be infeasible. It attains q* exactly if its family quotient is equitable
     with the s=1 quartic as characteristic polynomial. Points with more than
     ORBIT_CAP column multisets raise CapacityError.
     """
-    _check_point(k, m, n, tol)
+    _check_point(k, m, n)
     p1 = ExtremalParams(k, m, n, 1)
     qstar = spectral_threshold(k, m, n)
     gstar = extremal_graph(k, m, n)
@@ -254,7 +255,7 @@ def certify_threshold(k: int, m: int, n: int, tol: float = 1e-7) -> TheoremRepor
     quotient = quotient_matrix(gstar, family_partition(p1))
     gstar_attains = quotient.equitable and char_poly(quotient) == family_char_coeffs(p1)
 
-    stats = scan_stats(k, m, n, tol=tol)
+    stats = scan_stats(k, m, n)
     counterexamples = []
     for mask in stats.counterexample_masks:
         g = _graph_from_mask(mask, m, n)
@@ -277,6 +278,8 @@ DEFAULT_K_VALUES = (3, 4, 5)
 DEFAULT_M_VALUES = (3, 4, 5)
 DEFAULT_N_EXTRAS = (1, 2, 3, 4, 5)
 JOIN_CHAIN_SAMPLES = 3
+SWEEP_POINT_CAP = 1400    # separation_sweep: at most this many points per grid
+SWEEP_ORDER_CAP = 64      # separation_sweep: family order m + n at most this
 
 
 def point_checks(p: ExtremalParams, rng: random.Random) -> dict:
@@ -334,53 +337,70 @@ def point_checks(p: ExtremalParams, rng: random.Random) -> dict:
     return checks
 
 
+def _grid_axis(values, default) -> tuple:
+    """The axis as a tuple, cut one value past SWEEP_POINT_CAP so that a huge
+    range is refused by the caps instead of being materialised."""
+    return default if values is None else tuple(itertools.islice(values, SWEEP_POINT_CAP + 1))
+
+
 def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0) -> SweepReport:
     """Run point_checks over a parameter grid.
 
     n_extras are offsets added to (k-1)*m; offset 0 is the out-of-hypothesis
     boundary where the upper endpoint quadratic must vanish exactly, recorded
-    as an expected boundary rather than a failure.
+    as an expected boundary rather than a failure. A grid of more than
+    SWEEP_POINT_CAP points, or with a family order m + n above SWEEP_ORDER_CAP,
+    raises CapacityError before any point runs.
     """
-    k_values = tuple(k_values) if k_values is not None else DEFAULT_K_VALUES
-    m_values = tuple(m_values) if m_values is not None else DEFAULT_M_VALUES
-    n_extras = tuple(n_extras) if n_extras is not None else DEFAULT_N_EXTRAS
+    k_values = _grid_axis(k_values, DEFAULT_K_VALUES)
+    m_values = _grid_axis(m_values, DEFAULT_M_VALUES)
+    n_extras = _grid_axis(n_extras, DEFAULT_N_EXTRAS)
     if any(k < 3 for k in k_values):
         raise InputError("grid k values must be >= 3")
     if any(m < 3 for m in m_values):
         raise InputError("grid m values must be >= 3")
     if any(e < 0 for e in n_extras):
         raise InputError("grid n offsets must be >= 0")
+    # each (k, m, offset) gives at least one point, so the axes' product is a lower bound
+    axes = (k_values, m_values, n_extras)
+    if max(map(len, axes)) > SWEEP_POINT_CAP or math.prod(map(len, axes)) > SWEEP_POINT_CAP:
+        raise CapacityError(f"grid has more than {SWEEP_POINT_CAP} points or axis values")
+    grid_points = list(itertools.product(*axes))
+    size = sum(1 if extra == 0 else m - 1 for _, m, extra in grid_points)
+    if size > SWEEP_POINT_CAP:
+        raise CapacityError(f"grid has {size} points, more than {SWEEP_POINT_CAP}")
+    order = max((k * m + extra for k, m, extra in grid_points), default=0)
+    if order > SWEEP_ORDER_CAP:
+        raise CapacityError(f"grid reaches family order m + n = {order}, above {SWEEP_ORDER_CAP}")
 
     rng = random.Random(seed)
     points = []
     failures = []
-    for k in k_values:
-        for m in m_values:
-            for extra in n_extras:
-                n = (k - 1) * m + extra
-                if extra == 0:
-                    ok = upper_endpoint_quadratic(n, k, m) == 0
-                    point = {
-                        "k": k, "m": m, "n": n,
-                        "expected_boundary": True,
-                        "checks": {"upper_endpoint_zero": ok},
-                    }
-                    points.append(point)
-                    if not ok:
-                        failures.append({"k": k, "m": m, "n": n, "check": "upper_endpoint_zero"})
-                    continue
-                for s in range(1, m):
-                    p = ExtremalParams(k, m, n, s)
-                    checks = point_checks(p, rng)
-                    point = {
-                        "k": k, "m": m, "n": n, "s": s,
-                        "expected_boundary": False,
-                        "checks": checks,
-                    }
-                    points.append(point)
-                    for name, ok in checks.items():
-                        if not ok:
-                            failures.append({"k": k, "m": m, "n": n, "s": s, "check": name})
+    for k, m, extra in grid_points:
+        n = (k - 1) * m + extra
+        if extra == 0:
+            ok = upper_endpoint_quadratic(n, k, m) == 0
+            point = {
+                "k": k, "m": m, "n": n,
+                "expected_boundary": True,
+                "checks": {"upper_endpoint_zero": ok},
+            }
+            points.append(point)
+            if not ok:
+                failures.append({"k": k, "m": m, "n": n, "check": "upper_endpoint_zero"})
+            continue
+        for s in range(1, m):
+            p = ExtremalParams(k, m, n, s)
+            checks = point_checks(p, rng)
+            point = {
+                "k": k, "m": m, "n": n, "s": s,
+                "expected_boundary": False,
+                "checks": checks,
+            }
+            points.append(point)
+            for name, ok in checks.items():
+                if not ok:
+                    failures.append({"k": k, "m": m, "n": n, "s": s, "check": name})
     grid = {
         "k_values": list(k_values),
         "m_values": list(m_values),

@@ -146,7 +146,7 @@ def test_criterion_5_ordering_and_separation():
 
 def test_criterion_6_flagship_census():
     t0 = time.time()
-    rep = certify_threshold(3, 3, 7, tol=1e-7)
+    rep = certify_threshold(3, 3, 7)
     elapsed = time.time() - t0
     ok = (
         rep.graphs_total == 2 ** 21

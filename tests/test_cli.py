@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from qspan import complete_bipartite, extremal_graph, write_graph
+from qspan import complete_bipartite, extremal_graph, verify, write_graph
 from qspan.cli import emit_json, format_float, main
 
 
@@ -238,6 +238,29 @@ class TestProofSweep:
         assert main(["proof-sweep", "--k-range", "3..x"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["--k-range", "3..4", "--m-range", "3..9", "--n-extra", "1..20"],   # 1,400 points
+        ["--k-range", "3", "--m-range", "21", "--n-extra", "1"],           # m + n = 64
+    ], ids=["point-cap", "order-cap"])
+    def test_grid_at_cap_runs(self, argv, capsys):
+        assert main(["proof-sweep"] + argv) == 0
+        assert capsys.readouterr().err.endswith("0 failures: OK\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--k-range", "3", "--m-range", "6..11", "--n-extra", "0..31"],
+         "grid has 1401 points, more than 1400"),
+        (["--k-range", "3", "--m-range", "21", "--n-extra", "2"],
+         "grid reaches family order m + n = 65, above 64"),
+        (["--k-range", "3", "--m-range", "400", "--n-extra", "1"],
+         "grid reaches family order m + n = 1201, above 64"),
+        (["--k-range", "3..1000000000000"], "grid has more than 1400 points"),
+    ], ids=["points-1401", "order-65", "order-1201", "huge-range"])
+    def test_grid_over_cap_is_input_error(self, argv, message, capsys):
+        assert main(["proof-sweep"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
     def test_reports_byte_identical(self, capsys):
         argv = ["proof-sweep", "--k-range", "3..3", "--m-range", "3..4",
                 "--n-extra", "0..2", "--seed", "5"]
@@ -290,24 +313,27 @@ class TestVerifyTheorem:
         assert main(["verify-theorem", "--k", "2", "--m", "3", "--n", "7"]) == 2
         capsys.readouterr()
 
+    # the census takes no tolerance, so --tol is an unknown option
     def test_negative_tol_is_input_error(self, capsys):
         assert main(["verify-theorem", "--k", "3", "--m", "3", "--n", "7", "--tol", "-1"]) == 2
         captured = capsys.readouterr()
-        assert "tolerance" in captured.err
+        assert "--tol" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("tol", ["1e-15", "1e-300"])
-    def test_tol_below_census_floor_is_input_error(self, tol, capsys):
+    @pytest.mark.parametrize("tol", ["1e-15", "1e-300", "1e-9", "1e-7"])
+    def test_tol_is_usage_error(self, tol, capsys):
         assert main(["verify-theorem", "--k", "3", "--m", "3", "--n", "7", "--tol", tol]) == 2
         captured = capsys.readouterr()
-        assert "tolerance" in captured.err
+        assert "unrecognized arguments: --tol" in captured.err
         assert captured.out == ""
 
-    def test_tol_at_census_floor(self, capsys):
-        assert main(["verify-theorem", "--k", "3", "--m", "3", "--n", "7", "--tol", "1e-9"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["graphs_above_bound"] == 505
-        assert report["extremal_found"] is True
+    def test_non_copy_within_slack_exits_one(self, monkeypatch, capsys):
+        # at (3,3,7) a class that is no copy of G* sits 0.047 below q*
+        monkeypatch.setattr(verify, "CENSUS_SLACK", 0.05)
+        assert main(["verify-theorem", "--k", "3", "--m", "3", "--n", "7"]) == 1
+        captured = capsys.readouterr()
+        assert "not an extremal copy" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_nonpositive_jobs_is_input_error(self, jobs, capsys):

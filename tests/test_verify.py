@@ -11,7 +11,7 @@ from qspan import (
     BipartiteGraph,
     CapacityError,
     DegreeDemand,
-    InputError,
+    InternalError,
     certify_threshold,
     complete_bipartite,
     enumerate_bipartite,
@@ -101,10 +101,17 @@ def labelled_337():
 
 
 class TestCensusEngine:
-    @pytest.mark.parametrize("tol", [1e-7, 0.1, 0.5])
-    def test_orbit_census_matches_labelled_oracle(self, labelled_337, tol):
+    # The census decides at q* itself, where a band of 1e-7 holds the same
+    # classes. Wider bands move the threshold down to q* - band instead, so
+    # labellings and counterexample reporting stay covered; no class lies
+    # within CENSUS_SLACK of either moved threshold.
+    @pytest.mark.parametrize("band", [1e-7, 0.1, 0.5])
+    def test_orbit_census_matches_labelled_oracle(self, labelled_337, band, monkeypatch):
         connected, lam = labelled_337
-        near = connected[lam >= spectral_threshold(3, 3, 7) - tol].tolist()
+        qstar = spectral_threshold(3, 3, 7)
+        near = connected[lam >= qstar - band].tolist()
+        if band > 1e-7:
+            monkeypatch.setattr(verify, "spectral_threshold", lambda k, m, n: qstar - band)
         gstar = extremal_graph(3, 3, 7)
         demand = DegreeDemand.uniform(3, 3)
         feasible, counterexamples = 0, []
@@ -114,13 +121,13 @@ class TestCensusEngine:
                 feasible += 1
             elif not part_preserving_isomorphic(g, gstar):
                 counterexamples.append(mask)
-        stats = scan_stats(3, 3, 7, tol=tol)
+        stats = scan_stats(3, 3, 7)
         assert stats.graphs_connected == connected.size == 778765
         assert stats.graphs_above_bound == len(near)
         assert stats.feasible_above == feasible
         assert stats.counterexample_masks == counterexamples
         assert (len(near), len(counterexamples)) == {
-            1e-7: (505, 0), 0.1: (778, 21), 0.5: (7771, 1155)}[tol]
+            1e-7: (505, 0), 0.1: (778, 21), 0.5: (7771, 1155)}[band]
 
     def test_orbit_weights_sum_to_graphs_connected(self):
         _, _, weights = _connected_orbits(3, 7)
@@ -141,15 +148,31 @@ class TestCensusEngine:
             assert sorted(_labellings(list(row), m, n)) == classes[row]
             assert weight == len(classes[row])
 
-    # below MIN_CENSUS_TOL the float band can drop G*'s copies, whose
-    # eigvalsh q sits a few ulps below q*
+    # scan_stats and certify_threshold take no tolerance argument at all
     @pytest.mark.parametrize(
         "tol", [0.0, -1.0, float("nan"), float("inf"), 9.99e-10, 1e-15, 1e-300])
     def test_scan_stats_rejects_bad_tol(self, tol):
-        with pytest.raises(InputError, match="tolerance"):
+        with pytest.raises(TypeError, match="tol"):
             scan_stats(3, 3, 7, tol=tol)
-        with pytest.raises(InputError, match="tolerance"):
+        with pytest.raises(TypeError, match="tol"):
             certify_threshold(3, 3, 7, tol=tol)
+
+    def test_census_clean_at_every_accepted_point(self):
+        # m = 4 starts at 817,190 multisets and the count grows with n, so the
+        # accepted points are m = 3 with n <= 13, hence k <= 5
+        points = [(k, 3, n) for k in range(3, 8) for n in range((k - 1) * 3 + 1, 16)
+                  if orbit_count(3, n) <= verify.ORBIT_CAP]
+        assert orbit_count(4, 9) > verify.ORBIT_CAP and orbit_count(3, 14) > verify.ORBIT_CAP
+        assert len(points) == 12
+        for k, m, n in points:
+            rep = certify_threshold(k, m, n)
+            assert rep.counterexamples == [] and rep.extremal_found, (k, m, n)
+
+    def test_non_copy_within_slack_is_internal_error(self, monkeypatch):
+        # at (3,3,7) a class that is no copy of G* sits 0.047 below q*
+        monkeypatch.setattr(verify, "CENSUS_SLACK", 0.05)
+        with pytest.raises(InternalError, match="not an extremal copy"):
+            certify_threshold(3, 3, 7)
 
     def test_extremal_copies_are_masks(self):
         stats = scan_stats(3, 3, 7)
@@ -244,6 +267,26 @@ class TestSweep:
             "n_extras": [1],
             "seed": 9,
         }
+
+    def test_grids_at_the_caps_run(self):
+        assert (verify.SWEEP_POINT_CAP, verify.SWEEP_ORDER_CAP) == (1400, 64)
+        rep = separation_sweep(range(3, 5), range(3, 10), range(1, 21))   # order <= 56
+        assert len(rep.points) == 1400 and rep.failures == []
+        rep = separation_sweep((3,), (21,), (1,))   # m + n = 21 + 43 = 64
+        assert len(rep.points) == 20 and rep.failures == []
+
+    @pytest.mark.parametrize("grid, message", [
+        (((3,), range(6, 12), range(0, 32)), "1401 points, more than 1400"),   # order <= 64
+        (((3,), (21,), (2,)), "order m \\+ n = 65, above 64"),
+        (((3,), (400,), (1,)), "order m \\+ n = 1201, above 64"),
+        ((range(3, 10**12), None, None), "more than 1400 points"),
+        (((3,), (3,), range(10**12)), "more than 1400 points"),
+        (((3,), (), range(10**12)), "more than 1400 points"),
+    ])
+    def test_grids_over_the_caps_refused_before_any_point(self, grid, message, monkeypatch):
+        monkeypatch.setattr(verify, "point_checks", lambda p, rng: pytest.fail("a point ran"))
+        with pytest.raises(CapacityError, match=message):
+            separation_sweep(*grid)
 
 
 class TestStrictRootComparison:
