@@ -18,7 +18,7 @@ of n nonempty columns (subsets of A) is one numpy row, run through a
 vectorized connectivity filter and one batched LAPACK eigvalsh, and weighted
 by its class size n!/prod(multiplicity!). Classes above q* + CENSUS_SLACK are
 re-checked through construct_tree; those within CENSUS_SLACK of q* must be
-copies of the extremal graph, which sit at q* exactly, or InternalError.
+extremal copies (known by their A-degrees, at q* exactly) or InternalError.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 from .errors import CapacityError, InputError, InternalError
 from .extremal import (
     ExtremalParams,
+    build_family,
     difference_factor,
     difference_factor_coeffs,
     extremal_graph,
@@ -51,11 +52,10 @@ from .graph_core import (
     complete_bipartite,
     is_connected,
     join,
-    part_preserving_isomorphic,
     to_edge_list,
 )
 from .poly import exact_char_poly, strictly_larger_root
-from .spectral import char_poly, q_matrices, quotient_matrix, signless_laplacian, spectral_radius
+from .spectral import DENSE_CAP, char_poly, q_matrices, quotient_matrix, signless_laplacian, spectral_radius
 from .trees import construct_tree, find_violation_flow, verify_certificate
 
 ENUMERATION_CAP = 24      # enumerate_bipartite: at most 2**24 labeled graphs
@@ -204,10 +204,12 @@ def scan_stats(k: int, m: int, n: int) -> ScanStats:
     """Census over the connected B-relabelling classes, in labelled counts.
 
     One batched eigvalsh gives each class's q. A class above qstar + CENSUS_SLACK
-    gets one construct_tree (certificate re-verified) or one isomorphism check
-    against the extremal graph; a counterexample class adds its labelled masks,
-    kept in ascending order. A class within CENSUS_SLACK of qstar must be an
-    extremal copy (cospectral, so exactly at qstar); any other raises InternalError.
+    gets one construct_tree (certificate re-verified) or the extremal-copy test;
+    a counterexample class adds its labelled masks, kept in ascending order. A
+    class within CENSUS_SLACK of qstar must be an extremal copy (cospectral, so
+    exactly at qstar); any other raises InternalError. The copy test is exact:
+    m-1 A-vertices that see all of B and one that sees k-1 of B are the
+    extremal graph up to relabelling A and B.
     """
     _check_point(k, m, n)
     qstar = spectral_threshold(k, m, n)
@@ -215,7 +217,6 @@ def scan_stats(k: int, m: int, n: int) -> ScanStats:
     lam = np.linalg.eigvalsh(q_matrices(bits))[:, -1]
     near = np.flatnonzero(lam >= qstar - CENSUS_SLACK)
     stats = ScanStats(int(weights.sum()), int(weights[near].sum()), 0, [], [])
-    gstar = extremal_graph(k, m, n)
     demand = DegreeDemand.uniform(m, k)
     for i in near.tolist():
         mask = int(masks[i])
@@ -226,7 +227,7 @@ def scan_stats(k: int, m: int, n: int) -> ScanStats:
             if not verify_certificate(g, demand, result.tree):
                 raise InternalError(f"certificate failed re-verification on mask {mask}")
             stats.feasible_above += int(weights[i])
-        elif part_preserving_isomorphic(g, gstar):
+        elif sorted(map(int.bit_count, g.adj)) == [k - 1] + [n] * (m - 1):
             stats.extremal_copies.append(mask)
         elif above:
             stats.counterexample_masks.extend(_labellings(list(g.b_adj()), m, n))
@@ -277,20 +278,22 @@ def certify_threshold(k: int, m: int, n: int) -> TheoremReport:
 DEFAULT_K_VALUES = (3, 4, 5)
 DEFAULT_M_VALUES = (3, 4, 5)
 DEFAULT_N_EXTRAS = (1, 2, 3, 4, 5)
-JOIN_CHAIN_SAMPLES = 3
 SWEEP_POINT_CAP = 1400    # separation_sweep: at most this many points per grid
 SWEEP_ORDER_CAP = 64      # separation_sweep: family order m + n at most this
 
 
-def point_checks(p: ExtremalParams, rng: random.Random) -> dict:
+def point_checks(p: ExtremalParams) -> dict:
     """All identity and inequality checks for one parameter point.
 
-    Every check but join_chain (float eigh radii) is exact. At s = 1
-    separation asks that the two quartics coincide. For s >= 2, q1 is
-    correctly rounded, so the float above it exceeds the s root; separation
-    asks that it still lie below q*, where the s=1 quartic is negative in its
-    bracket.
+    Every check is exact. At s = 1 separation asks that the two quartics
+    coincide. For s >= 2, q1 is correctly rounded, so the float above it
+    exceeds the s root; separation asks that it still lie below q*, where the
+    s=1 quartic is negative in its bracket. join_chain asks that the (m, n)
+    join at each r = 1..(k-1)s lie row by row in the next one, the last being
+    the family member, so q only rises. m + n > DENSE_CAP is a CapacityError.
     """
+    if p.m + p.n > DENSE_CAP:
+        raise CapacityError(f"order {p.m + p.n} exceeds dense cap {DENSE_CAP}")
     k, m, n, s = p.k, p.m, p.n, p.s
     fam = family_char_coeffs(p)
     checks = {}
@@ -326,14 +329,12 @@ def point_checks(p: ExtremalParams, rng: random.Random) -> dict:
     else:
         checks["separation"] = base.evaluate(Fraction(math.nextafter(q1, math.inf))) < 0
 
-    r_max = p.r
-    sample = sorted(rng.sample(range(1, r_max + 1), min(JOIN_CHAIN_SAMPLES, r_max)))
-    chain_ok = True
-    for r in sample:
+    rows, chain_ok = (0,) * m, True
+    for r in range(1, p.r + 1):
         g = join(complete_bipartite(s, r), complete_bipartite(m - s, n - r))
-        qg = spectral_radius(signless_laplacian(g)).value
-        chain_ok = chain_ok and qg <= q1 + 1e-9
-    checks["join_chain"] = chain_ok
+        chain_ok = chain_ok and all(x & ~y == 0 for x, y in zip(rows, g.adj))
+        rows = g.adj
+    checks["join_chain"] = chain_ok and g == build_family(p)
     return checks
 
 
@@ -350,7 +351,7 @@ def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0)
     boundary where the upper endpoint quadratic must vanish exactly, recorded
     as an expected boundary rather than a failure. A grid of more than
     SWEEP_POINT_CAP points, or with a family order m + n above SWEEP_ORDER_CAP,
-    raises CapacityError before any point runs.
+    raises CapacityError before any point runs. seed is only a grid label.
     """
     k_values = _grid_axis(k_values, DEFAULT_K_VALUES)
     m_values = _grid_axis(m_values, DEFAULT_M_VALUES)
@@ -373,7 +374,6 @@ def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0)
     if order > SWEEP_ORDER_CAP:
         raise CapacityError(f"grid reaches family order m + n = {order}, above {SWEEP_ORDER_CAP}")
 
-    rng = random.Random(seed)
     points = []
     failures = []
     for k, m, extra in grid_points:
@@ -391,7 +391,7 @@ def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0)
             continue
         for s in range(1, m):
             p = ExtremalParams(k, m, n, s)
-            checks = point_checks(p, rng)
+            checks = point_checks(p)
             point = {
                 "k": k, "m": m, "n": n, "s": s,
                 "expected_boundary": False,

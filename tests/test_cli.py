@@ -199,6 +199,19 @@ class TestExtremal:
         assert main(["extremal", "--k", "3", "--m", "3", "--n", "6", "--s", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_order_at_dense_cap_runs(self, capsys):
+        # m + n = 4096, the largest order accepted
+        assert main(["extremal", "--k", "3", "--m", "3", "--n", "4093", "--s", "2"]) == 0
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out and "check join_chain: PASS" in captured.out
+        assert captured.err == ""
+
+    def test_order_over_dense_cap_is_input_error(self, capsys):
+        assert main(["extremal", "--k", "3", "--m", "3", "--n", "4094", "--s", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: order 4097 exceeds dense cap 4096\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("n, message", [
         ("10000", "exceeds dense cap"),              # Q of order 10,003: 800 MB
         ("100000", "part sizes must be <="),         # would ask for 74.5 GiB
@@ -260,6 +273,15 @@ class TestProofSweep:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
+
+    def test_seed_is_only_echoed(self, capsys):
+        argv = ["proof-sweep", "--k-range", "3..4", "--m-range", "3..4", "--n-extra", "0..2"]
+        reports = []
+        for seed in ("0", "7"):
+            assert main(argv + ["--seed", seed]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert [r["grid"].pop("seed") for r in reports] == [0, 7]
+        assert reports[0] == reports[1]
 
     def test_reports_byte_identical(self, capsys):
         argv = ["proof-sweep", "--k-range", "3..3", "--m-range", "3..4",

@@ -12,12 +12,14 @@ from qspan import (
     CapacityError,
     DegreeDemand,
     InternalError,
+    build_family,
     certify_threshold,
     complete_bipartite,
     enumerate_bipartite,
     extremal_graph,
     find_violation_bruteforce,
     is_connected,
+    join,
     part_preserving_isomorphic,
     point_checks,
     separation_sweep,
@@ -27,7 +29,7 @@ from qspan import (
     to_edge_list,
 )
 from qspan import verify
-from qspan.extremal import ExtremalParams, spectral_threshold
+from qspan.extremal import ExtremalParams, family_root, spectral_threshold
 from qspan.poly import exact_char_poly, strictly_larger_root
 from qspan.spectral import q_matrices
 from qspan.verify import (
@@ -181,6 +183,27 @@ class TestCensusEngine:
         for mask in stats.extremal_copies:
             assert part_preserving_isomorphic(_graph_from_mask(mask, 3, 7), gstar)
 
+    @pytest.mark.parametrize("k, m, n", [
+        (3, 3, 7), (3, 3, 8), (3, 3, 9), (3, 3, 10), (3, 3, 11), (3, 3, 12), (3, 3, 13),
+        (4, 3, 10), (4, 3, 11), (4, 3, 12), (4, 3, 13), (5, 3, 13)])
+    def test_degree_copy_test_matches_isomorphism(self, k, m, n):
+        # every connected class at k = 3, n <= 9; the band from q* - 1e-9 up elsewhere
+        gstar = extremal_graph(k, m, n)
+        bits, masks, _ = _connected_orbits(m, n)
+        if (k, n) > (3, 9):
+            lam = np.linalg.eigvalsh(q_matrices(bits))[:, -1]
+            masks = masks[lam >= spectral_threshold(k, m, n) - 1e-9]
+        else:
+            assert masks.size == {7: 1428, 8: 2598, 9: 4455}[n]
+        copies = []
+        for mask in masks.tolist():
+            g = _graph_from_mask(mask, m, n)
+            by_degrees = sorted(map(int.bit_count, g.adj)) == [k - 1] + [n] * (m - 1)
+            assert by_degrees == part_preserving_isomorphic(g, gstar), mask
+            copies += [mask] * by_degrees
+        assert len(copies) == 3
+        assert sorted(scan_stats(k, m, n).extremal_copies) == copies
+
     @pytest.mark.parametrize("partition", [
         lambda p: [[v] for v in range(p.m + p.n)],                      # equitable, order-10 poly
         lambda p: [list(range(p.m)), list(range(p.m, p.m + p.n))],      # not equitable
@@ -218,13 +241,12 @@ class TestCensusEngine:
 
 class TestPointChecks:
     def test_all_pass_on_grid_sample(self):
-        rng = random.Random(0)
         for k, m, n, s in [(3, 3, 7, 1), (3, 3, 7, 2), (4, 4, 13, 3), (5, 3, 14, 2)]:
-            checks = point_checks(ExtremalParams(k, m, n, s), rng)
+            checks = point_checks(ExtremalParams(k, m, n, s))
             assert all(checks.values()), checks
 
     def test_check_names_stable(self):
-        checks = point_checks(ExtremalParams(3, 3, 7, 1), random.Random(0))
+        checks = point_checks(ExtremalParams(3, 3, 7, 1))
         assert list(checks) == [
             "coeff_identity",
             "difference_identity",
@@ -239,10 +261,53 @@ class TestPointChecks:
     @pytest.mark.parametrize("k, m, n, s", [(3, 3, 7, 2), (4, 5, 17, 4), (7, 8, 50, 7)])
     def test_separation_fails_when_root_reaches_qstar(self, monkeypatch, k, m, n, s):
         p = ExtremalParams(k, m, n, s)
-        assert point_checks(p, random.Random(0))["separation"]
+        assert point_checks(p)["separation"]
         qstar = spectral_threshold(k, m, n)
         monkeypatch.setattr(verify, "family_root", lambda _: qstar)
-        assert point_checks(p, random.Random(0))["separation"] is False
+        assert point_checks(p)["separation"] is False
+
+    @pytest.mark.parametrize("k, m, n, s", [(3, 3, 7, 1), (3, 3, 7, 2), (5, 4, 20, 3)])
+    def test_join_chain_fails_on_a_wrong_edge(self, monkeypatch, k, m, n, s):
+        p = ExtremalParams(k, m, n, s)
+        assert point_checks(p)["join_chain"]
+        g = build_family(p)
+        dropped = BipartiteGraph(m, n, (g.adj[0] & (g.adj[0] - 1),) + g.adj[1:])
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "build_family", lambda _: dropped)
+            assert point_checks(p)["join_chain"] is False
+
+        def join_plus_edge_at_r1(g1, g2):
+            # at r = 1 only, A-vertex 0 also sees the last B-vertex; the top is untouched
+            h = join(g1, g2)
+            if g1.n > 1:
+                return h
+            return BipartiteGraph(h.m, h.n, (h.adj[0] | 1 << (h.n - 1),) + h.adj[1:])
+
+        monkeypatch.setattr(verify, "join", join_plus_edge_at_r1)
+        assert point_checks(p)["join_chain"] is False
+
+    def test_join_radii_below_family_root_on_default_grid(self):
+        # the float form of join_chain: q of every join in every chain stays
+        # at or below the family member's root
+        solves = 0
+        for k in verify.DEFAULT_K_VALUES:
+            for m in verify.DEFAULT_M_VALUES:
+                for extra in verify.DEFAULT_N_EXTRAS:
+                    n = (k - 1) * m + extra
+                    for s in range(1, m):
+                        p = ExtremalParams(k, m, n, s)
+                        q1 = family_root(p)
+                        for r in range(1, p.r + 1):
+                            g = join(complete_bipartite(s, r), complete_bipartite(m - s, n - r))
+                            assert spectral_radius(signless_laplacian(g)).value <= q1 + 1e-9
+                            solves += 1
+        assert solves == 855
+
+    def test_order_over_dense_cap_refused_before_any_check(self, monkeypatch):
+        assert verify.DENSE_CAP == 4096
+        monkeypatch.setattr(verify, "family_char_coeffs", lambda p: pytest.fail("a check ran"))
+        with pytest.raises(CapacityError, match="order 4097 exceeds dense cap 4096"):
+            point_checks(ExtremalParams(3, 3, 4094, 2))
 
 
 class TestSweep:
@@ -284,7 +349,7 @@ class TestSweep:
         (((3,), (), range(10**12)), "more than 1400 points"),
     ])
     def test_grids_over_the_caps_refused_before_any_point(self, grid, message, monkeypatch):
-        monkeypatch.setattr(verify, "point_checks", lambda p, rng: pytest.fail("a point ran"))
+        monkeypatch.setattr(verify, "point_checks", lambda p: pytest.fail("a point ran"))
         with pytest.raises(CapacityError, match=message):
             separation_sweep(*grid)
 
