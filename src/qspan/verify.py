@@ -12,17 +12,19 @@ Three entry points:
   (integer characteristic polynomials compared by Sturm chains, both from
   qspan.poly).
 
-The census solves one graph per B-relabelling class: q(G) and feasibility
-under a uniform demand do not change when B is relabelled, so each multiset
-of n nonempty columns (subsets of A) is one numpy row, run through a
-vectorized connectivity filter and one batched LAPACK eigvalsh, and weighted
-by its class size n!/prod(multiplicity!). Classes above q* + CENSUS_SLACK are
-re-checked through construct_tree; those within CENSUS_SLACK of q* must be
-extremal copies (known by their A-degrees, at q* exactly) or InternalError.
+The census is a breadth-first search of single-edge deletions down from
+K_{m,n}: adding an edge never lowers q, so the connected graphs with
+q >= q* - CENSUS_SLACK form an up-set that it finds without touching the rest.
+It runs over B-relabelling classes (ascending tuples of n nonempty columns,
+weighted by their size n!/prod(multiplicity!)), one chunked batched eigvalsh
+per level. Classes above q* + CENSUS_SLACK are re-checked through
+construct_tree; those within CENSUS_SLACK of q* must be extremal copies (known
+by their A-degrees, at q* exactly) or InternalError.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -51,6 +53,7 @@ from .graph_core import (
     DegreeDemand,
     complete_bipartite,
     is_connected,
+    iter_bits,
     join,
     to_edge_list,
 )
@@ -60,7 +63,8 @@ from .trees import construct_tree, find_violation_flow, verify_certificate
 
 ENUMERATION_CAP = 24      # enumerate_bipartite: at most 2**24 labeled graphs
 ENGINE_CHUNK = 1 << 16    # masks per connectivity-filter chunk
-ORBIT_CAP = 1 << 15       # census: at most 2**15 column multisets
+CENSUS_CAP = 1 << 20      # census: at most 2**20 column entries (classes x n) in one level
+EIGEN_CHUNK = 1 << 16     # census: Q-matrix entries per batched eigvalsh
 CENSUS_SLACK = 1e-9       # census: eigvalsh q this close to q* must be an extremal copy
 
 
@@ -117,9 +121,6 @@ def enumerate_bipartite(m: int, n: int, connected_only: bool = False):
     return gen()
 
 
-# --- orbit census engine --------------------------------------------------------
-
-
 def _connected_filter(masks: np.ndarray, m: int, n: int) -> np.ndarray:
     """Boolean connectivity per mask, vectorized over the whole chunk."""
     full_b = (1 << n) - 1
@@ -142,31 +143,84 @@ def _graph_from_mask(mask: int, m: int, n: int) -> BipartiteGraph:
     return BipartiteGraph(m, n, tuple((mask >> (a * n)) & full for a in range(m)))
 
 
-def orbit_count(m: int, n: int) -> int:
-    """Multisets of n nonempty columns (subsets of A) on (m, n): C(2^m - 2 + n, n)."""
-    return math.comb((1 << m) - 2 + n, n)
+# --- up-set census engine ------------------------------------------------------
 
 
-def _connected_orbits(m: int, n: int):
-    """(biadjacency blocks, masks, weights) of the connected B-relabelling classes.
+def connected_bipartite_count(m: int, n: int) -> int:
+    """Connected labelled bipartite graphs on parts of sizes m and n, exactly, by
+    inclusion-exclusion over the component of A-vertex 0 (i A- and j B-vertices):
+    2^(mn) = sum over (i, j) of C(m-1, i-1) C(n, j) c(i, j) 2^((m-i)(n-j))."""
+    c = {}
+    for i, j in itertools.product(range(1, m + 1), range(n + 1)):
+        c[i, j] = (1 << i * j) - sum(
+            math.comb(i - 1, s - 1) * math.comb(j, t) * c[s, t] << (i - s) * (j - t)
+            for s, t in itertools.product(range(1, i + 1), range(j + 1)) if (s, t) != (i, j))
+    return c[m, n]
 
-    A class is n nonempty columns in ascending order; its mask labels B in
-    that order and its weight n!/prod(multiplicity!) is its size. Both are
-    int64, which the census cap leaves room for.
-    """
-    count = orbit_count(m, n)
-    cols = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(1, 1 << m), n)),
-        dtype=np.int64, count=count * n,
-    ).reshape(count, n)
-    bits = (cols[:, None, :] >> np.arange(m)[:, None]) & 1
-    masks = (bits << (np.arange(m)[:, None] * n + np.arange(n))).sum(axis=(1, 2))
-    keep = _connected_filter(masks, m, n)
-    cols = cols[keep]
-    run = np.ones_like(cols)   # run[:, b]: copies of column b among columns 0..b
-    for b in range(1, n):
-        run[:, b] = np.where(cols[:, b] == cols[:, b - 1], run[:, b - 1] + 1, 1)
-    return bits[keep], masks[keep], math.factorial(n) // run.prod(axis=1)
+
+def _class_size(cols: tuple) -> int:
+    """Labelled graphs in the class of an ascending column tuple: n!/prod(multiplicity!)."""
+    runs = (len(list(run)) for _, run in itertools.groupby(cols))
+    return math.factorial(len(cols)) // math.prod(map(math.factorial, runs))
+
+
+def _class_mask(cols: tuple, m: int, n: int) -> int:
+    """Mask of the labelling that gives B-vertex b the column cols[b]."""
+    return sum(1 << (a * n + b) for b, c in enumerate(cols) for a in iter_bits(c))
+
+
+def _spans_a(cols: tuple, full: int) -> bool:
+    """Whether columns (subsets of A) make one connected graph that covers A;
+    run on the columns themselves, as no graph is built for a child."""
+    reach, distinct = cols[0], set(cols)
+    for _ in range(full.bit_length() - 1):
+        for c in distinct:
+            if c & reach:
+                reach |= c
+    return reach == full
+
+
+def _radii(level: list, m: int, n: int) -> np.ndarray:
+    """q of each class, by batched eigvalsh over chunks of EIGEN_CHUNK matrix entries."""
+    width, step = (m + 7) // 8, max(1, EIGEN_CHUNK // (m + n) ** 2)
+    out = []
+    for lo in range(0, len(level), step):
+        raw = b"".join(c.to_bytes(width, "little") for cols in level[lo:lo + step] for c in cols)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, n, width),
+                             axis=2, count=m, bitorder="little")
+        out.append(np.linalg.eigvalsh(q_matrices(bits.swapaxes(1, 2)))[:, -1])
+    return np.concatenate(out)
+
+
+def _up_set(m: int, n: int, floor: float):
+    """Breadth-first search down from K_{m,n} over the connected B-relabelling
+    classes (ascending tuples of n nonempty columns) with q >= floor, yielding
+    each level's members and their q. q never falls when an edge is added, so
+    deleting one edge per distinct column of every member reaches them all;
+    disconnected children are dropped, as all their subgraphs are disconnected.
+    A level of more than CENSUS_CAP column entries (classes x n) raises
+    CapacityError before its matrices are built."""
+    full = (1 << m) - 1
+    level = [(full,) * n]
+    while level:
+        q = _radii(level, m, n)
+        members = [cols for cols, x in zip(level, q.tolist()) if x >= floor]
+        yield members, q[q >= floor]
+        children = {}   # column tuple -> whether it is connected
+        for cols in members:
+            for i, c in enumerate(cols):
+                if i and c == cols[i - 1]:
+                    continue
+                for a in iter_bits(c):
+                    d = c & ~(1 << a)
+                    j = bisect.bisect_right(cols, d, 0, i)
+                    child = cols[:j] + (d,) + cols[j:i] + cols[i + 1:]
+                    if child not in children:
+                        children[child] = d != 0 and _spans_a(child, full)
+                        if len(children) * n > CENSUS_CAP:
+                            raise CapacityError(f"(m, n) = ({m}, {n}): a census level holds "
+                                                f"more than {CENSUS_CAP} column entries")
+        level = [cols for cols, connected in children.items() if connected]
 
 
 def _labellings(cols: list[int], m: int, n: int) -> list[int]:
@@ -195,45 +249,48 @@ def _check_point(k: int, m: int, n: int) -> None:
         raise InputError(f"need k >= 3 and m >= 3, got k={k}, m={m}")
     if n < (k - 1) * m + 1:
         raise InputError(f"need n >= (k-1)*m + 1 = {(k - 1) * m + 1}, got n={n}")
-    # the count is at least 2^m - 1 and n + 1, so huge m or n skip the binomial
-    if m >= ORBIT_CAP.bit_length() or n >= ORBIT_CAP or orbit_count(m, n) > ORBIT_CAP:
-        raise CapacityError(f"(m, n) = ({m}, {n}) has more than {ORBIT_CAP} column multisets")
+    if (m + n) ** 2 > EIGEN_CHUNK:
+        raise CapacityError(f"order m + n = {m + n}: one Q matrix exceeds the "
+                            f"{EIGEN_CHUNK}-entry eigen chunk")
 
 
-def scan_stats(k: int, m: int, n: int) -> ScanStats:
+def scan_stats(k: int, m: int, n: int, *, qstar: float | None = None) -> ScanStats:
     """Census over the connected B-relabelling classes, in labelled counts.
 
-    One batched eigvalsh gives each class's q. A class above qstar + CENSUS_SLACK
-    gets one construct_tree (certificate re-verified) or the extremal-copy test;
-    a counterexample class adds its labelled masks, kept in ascending order. A
+    _up_set gives the classes with q >= qstar - CENSUS_SLACK (qstar defaults to
+    spectral_threshold). A class above qstar + CENSUS_SLACK gets one
+    construct_tree (certificate re-verified) or the extremal-copy test; a
+    counterexample class adds its labelled masks, kept in ascending order. A
     class within CENSUS_SLACK of qstar must be an extremal copy (cospectral, so
     exactly at qstar); any other raises InternalError. The copy test is exact:
     m-1 A-vertices that see all of B and one that sees k-1 of B are the
     extremal graph up to relabelling A and B.
     """
     _check_point(k, m, n)
-    qstar = spectral_threshold(k, m, n)
-    bits, masks, weights = _connected_orbits(m, n)
-    lam = np.linalg.eigvalsh(q_matrices(bits))[:, -1]
-    near = np.flatnonzero(lam >= qstar - CENSUS_SLACK)
-    stats = ScanStats(int(weights.sum()), int(weights[near].sum()), 0, [], [])
+    if qstar is None:
+        qstar = spectral_threshold(k, m, n)
+    stats = ScanStats(0, 0, 0, [], [])
     demand = DegreeDemand.uniform(m, k)
-    for i in near.tolist():
-        mask = int(masks[i])
-        g = _graph_from_mask(mask, m, n)
-        above = lam[i] > qstar + CENSUS_SLACK
-        result = construct_tree(g, demand) if above else None
-        if above and result.feasible:
-            if not verify_certificate(g, demand, result.tree):
-                raise InternalError(f"certificate failed re-verification on mask {mask}")
-            stats.feasible_above += int(weights[i])
-        elif sorted(map(int.bit_count, g.adj)) == [k - 1] + [n] * (m - 1):
-            stats.extremal_copies.append(mask)
-        elif above:
-            stats.counterexample_masks.extend(_labellings(list(g.b_adj()), m, n))
-        else:
-            raise InternalError(f"mask {mask}: within CENSUS_SLACK of q* but not an extremal copy")
+    for members, lam in _up_set(m, n, qstar - CENSUS_SLACK):
+        for cols, q in zip(members, lam.tolist()):
+            mask = _class_mask(cols, m, n)
+            g = _graph_from_mask(mask, m, n)
+            weight = _class_size(cols)
+            stats.graphs_above_bound += weight
+            above = q > qstar + CENSUS_SLACK
+            result = construct_tree(g, demand) if above else None
+            if above and result.feasible:
+                if not verify_certificate(g, demand, result.tree):
+                    raise InternalError(f"certificate failed re-verification on mask {mask}")
+                stats.feasible_above += weight
+            elif sorted(map(int.bit_count, g.adj)) == [k - 1] + [n] * (m - 1):
+                stats.extremal_copies.append(mask)
+            elif above:
+                stats.counterexample_masks.extend(_labellings(list(cols), m, n))
+            else:
+                raise InternalError(f"mask {mask}: within CENSUS_SLACK of q* but not an extremal copy")
     stats.counterexample_masks.sort()
+    stats.graphs_connected = connected_bipartite_count(m, n)
     return stats
 
 
@@ -244,8 +301,9 @@ def certify_threshold(k: int, m: int, n: int) -> TheoremReport:
     must admit a qualifying spanning tree or be a relabeling of the extremal
     graph; the extremal graph itself must show up, attain the threshold, and
     be infeasible. It attains q* exactly if its family quotient is equitable
-    with the s=1 quartic as characteristic polynomial. Points with more than
-    ORBIT_CAP column multisets raise CapacityError.
+    with the s=1 quartic as characteristic polynomial. A point whose order
+    m + n does not fit one eigen chunk, or whose search holds more than
+    CENSUS_CAP column entries in one level, raises CapacityError.
     """
     _check_point(k, m, n)
     p1 = ExtremalParams(k, m, n, 1)
@@ -256,11 +314,9 @@ def certify_threshold(k: int, m: int, n: int) -> TheoremReport:
     quotient = quotient_matrix(gstar, family_partition(p1))
     gstar_attains = quotient.equitable and char_poly(quotient) == family_char_coeffs(p1)
 
-    stats = scan_stats(k, m, n)
-    counterexamples = []
-    for mask in stats.counterexample_masks:
-        g = _graph_from_mask(mask, m, n)
-        counterexamples.append({"mask": mask, "edges": [[a, b] for a, b in to_edge_list(g)]})
+    stats = scan_stats(k, m, n, qstar=qstar)
+    counterexamples = [{"mask": mask, "edges": [list(e) for e in to_edge_list(_graph_from_mask(mask, m, n))]}
+                       for mask in stats.counterexample_masks]
     extremal_found = bool(stats.extremal_copies) and gstar_infeasible and gstar_attains
     return TheoremReport(
         params={"k": k, "m": m, "n": n},

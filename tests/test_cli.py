@@ -325,10 +325,24 @@ class TestVerifyTheorem:
         assert main(["verify-theorem", "--k", "5", "--m", "3", "--n", "13"]) == 0
         assert json.loads(capsys.readouterr().out)["extremal_found"] is True
 
-    def test_over_orbit_cap_is_input_error(self, capsys):
-        assert main(["verify-theorem", "--k", "3", "--m", "4", "--n", "9"]) == 2
+    def test_first_point_past_orbit_cap(self, capsys):
+        assert main(["verify-theorem", "--k", "3", "--m", "4", "--n", "9"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["graphs_connected"], report["graphs_above_bound"]) == (37898120011, 10303)
+        assert report["counterexamples"] == [] and report["extremal_found"] is True
+
+    def test_over_orbit_cap_is_input_error(self, monkeypatch, capsys):
+        # the cap on classes held: (3,3,7)'s largest level holds 20 * 7 entries
+        monkeypatch.setattr(verify, "CENSUS_CAP", 139)
+        assert main(["verify-theorem", "--k", "3", "--m", "3", "--n", "7"]) == 2
         captured = capsys.readouterr()
-        assert "32768 column multisets" in captured.err
+        assert "more than 139 column entries" in captured.err
+        assert captured.out == ""
+
+    def test_order_over_eigen_chunk_is_input_error(self, capsys):
+        assert main(["verify-theorem", "--k", "3", "--m", "3", "--n", "254"]) == 2
+        captured = capsys.readouterr()
+        assert "eigen chunk" in captured.err
         assert captured.out == ""
 
     def test_bad_params(self, capsys):

@@ -1,5 +1,7 @@
 """Census engine, sweep checks, and the exact root-comparison machinery."""
 
+import itertools
+import math
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -33,11 +35,12 @@ from qspan.extremal import ExtremalParams, family_root, spectral_threshold
 from qspan.poly import exact_char_poly, strictly_larger_root
 from qspan.spectral import q_matrices
 from qspan.verify import (
+    _class_size,
     _connected_filter,
-    _connected_orbits,
     _graph_from_mask,
     _labellings,
-    orbit_count,
+    _up_set,
+    connected_bipartite_count,
     random_demand_instances,
     scan_stats,
 )
@@ -102,6 +105,79 @@ def labelled_337():
     return _labelled_census(3, 7)
 
 
+# --- orbit oracle: every column multiset, filtered to connected ---------------
+
+ORBIT_CAP = 1 << 15   # the oracle materialises at most 2**15 column multisets
+
+
+def orbit_count(m, n):
+    """Multisets of n nonempty columns (subsets of A) on (m, n): C(2^m - 2 + n, n)."""
+    return math.comb((1 << m) - 2 + n, n)
+
+
+def _connected_orbits(m, n):
+    """(biadjacency blocks, masks, weights) of the connected B-relabelling classes.
+
+    A class is n nonempty columns in ascending order; its mask labels B in
+    that order and its weight n!/prod(multiplicity!) is its size.
+    """
+    count = orbit_count(m, n)
+    cols = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(1, 1 << m), n)),
+        dtype=np.int64, count=count * n,
+    ).reshape(count, n)
+    bits = (cols[:, None, :] >> np.arange(m)[:, None]) & 1
+    masks = (bits << (np.arange(m)[:, None] * n + np.arange(n))).sum(axis=(1, 2))
+    keep = _connected_filter(masks, m, n)
+    cols = cols[keep]
+    run = np.ones_like(cols)   # run[:, b]: copies of column b among columns 0..b
+    for b in range(1, n):
+        run[:, b] = np.where(cols[:, b] == cols[:, b - 1], run[:, b - 1] + 1, 1)
+    return bits[keep], masks[keep], math.factorial(n) // run.prod(axis=1)
+
+
+def _oracle_classes(m, n, floor):
+    """{ascending column tuple: (weight, q)} of the oracle's classes with q >= floor."""
+    bits, masks, weights = _connected_orbits(m, n)
+    lam = np.linalg.eigvalsh(q_matrices(bits))[:, -1]
+    return {_graph_from_mask(mask, m, n).b_adj(): (weight, q)
+            for mask, weight, q in zip(masks.tolist(), weights.tolist(), lam.tolist())
+            if q >= floor}
+
+
+def _search_classes(m, n, floor):
+    """The same map from the up-set search."""
+    classes = {}
+    for members, lam in _up_set(m, n, floor):
+        for cols, q in zip(members, lam.tolist()):
+            assert _graph_from_mask(verify._class_mask(cols, m, n), m, n).b_adj() == cols
+            classes[cols] = (_class_size(cols), q)
+    return classes
+
+
+# m = 4 starts at 817,190 multisets and the count grows with n, so the points
+# the oracle admits are m = 3 with n <= 13, hence k <= 5
+ORACLE_POINTS = [(k, 3, n) for k in range(3, 8) for n in range((k - 1) * 3 + 1, 16)
+                 if orbit_count(3, n) <= ORBIT_CAP]
+
+
+class TestConnectedCount:
+    def test_recurrence_matches_brute_force(self):
+        for m, n in itertools.product(range(1, 17), repeat=2):
+            if m * n <= 16:
+                masks = np.arange(1 << (m * n), dtype=np.int64)
+                assert connected_bipartite_count(m, n) == int(_connected_filter(masks, m, n).sum()), (m, n)
+
+    @pytest.mark.parametrize("m, n, count", [
+        (3, 7, 778765), (3, 8, 5581315), (3, 13, 96690872461), (4, 9, 37898120011)])
+    def test_pinned_counts(self, m, n, count):
+        assert connected_bipartite_count(m, n) == count
+
+    def test_small_parts(self):
+        assert [connected_bipartite_count(m, 0) for m in (1, 2)] == [1, 0]
+        assert [connected_bipartite_count(1, n) for n in range(5)] == [1, 1, 1, 1, 1]
+
+
 class TestCensusEngine:
     # The census decides at q* itself, where a band of 1e-7 holds the same
     # classes. Wider bands move the threshold down to q* - band instead, so
@@ -136,6 +212,24 @@ class TestCensusEngine:
         assert (orbit_count(3, 7), weights.size) == (1716, 1428)
         assert int(weights.sum()) == scan_stats(3, 3, 7).graphs_connected == 778765
 
+    @pytest.mark.parametrize("k, m, n", ORACLE_POINTS)
+    def test_search_matches_orbit_oracle(self, k, m, n):
+        # the same classes, weights and q at or above q*; the extremal copies
+        # are compared at these points in test_degree_copy_test_matches_isomorphism
+        floor = spectral_threshold(k, m, n) - verify.CENSUS_SLACK
+        want, got = _oracle_classes(m, n, floor), _search_classes(m, n, floor)
+        assert sorted(got) == sorted(want)
+        for cols, (weight, q) in got.items():
+            assert weight == want[cols][0] and q == pytest.approx(want[cols][1], abs=1e-12)
+
+    # below q* the search still holds only connected classes, which the
+    # oracle's connectivity filter confirms
+    @pytest.mark.parametrize("band, classes", [(0.1, 31), (0.5, 98)])
+    def test_search_band_matches_orbit_oracle(self, band, classes):
+        floor = spectral_threshold(3, 3, 7) - band
+        assert sorted(_search_classes(3, 7, floor)) == sorted(_oracle_classes(3, 7, floor))
+        assert len(_search_classes(3, 7, floor)) == classes
+
     @pytest.mark.parametrize("m, n", [(1, 4), (2, 5), (3, 4), (4, 3)])
     def test_orbits_partition_labelled_graphs(self, m, n):
         masks = np.arange(1 << (m * n), dtype=np.int64)
@@ -160,13 +254,9 @@ class TestCensusEngine:
             certify_threshold(3, 3, 7, tol=tol)
 
     def test_census_clean_at_every_accepted_point(self):
-        # m = 4 starts at 817,190 multisets and the count grows with n, so the
-        # accepted points are m = 3 with n <= 13, hence k <= 5
-        points = [(k, 3, n) for k in range(3, 8) for n in range((k - 1) * 3 + 1, 16)
-                  if orbit_count(3, n) <= verify.ORBIT_CAP]
-        assert orbit_count(4, 9) > verify.ORBIT_CAP and orbit_count(3, 14) > verify.ORBIT_CAP
-        assert len(points) == 12
-        for k, m, n in points:
+        assert orbit_count(4, 9) > ORBIT_CAP and orbit_count(3, 14) > ORBIT_CAP
+        assert len(ORACLE_POINTS) == 12
+        for k, m, n in ORACLE_POINTS:
             rep = certify_threshold(k, m, n)
             assert rep.counterexamples == [] and rep.extremal_found, (k, m, n)
 
@@ -216,27 +306,76 @@ class TestCensusEngine:
         assert (rep.graphs_above_bound, rep.counterexamples) == (505, [])
 
     def test_orbit_cap_boundary(self, monkeypatch):
-        # (3,3,7) has exactly 1716 column multisets
-        monkeypatch.setattr(verify, "ORBIT_CAP", 1716)
-        assert scan_stats(3, 3, 7).graphs_connected == 778765
-        monkeypatch.setattr(verify, "ORBIT_CAP", 1715)
-        with pytest.raises(CapacityError, match="column multisets"):
+        # the cap on B-relabelling classes (orbits) held counts their column
+        # entries; at (3,3,7) the search solves levels of 1, 3, 9, 19, 15, 15
+        # and 15 classes, and level 3 also holds one disconnected class, so its
+        # 20 classes hold 20 * 7 = 140 entries
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+        monkeypatch.setattr(verify, "CENSUS_CAP", 140)
+        assert scan_stats(3, 3, 7).graphs_above_bound == 505
+        assert solved == [1, 3, 9, 19, 15, 15, 15]
+        monkeypatch.setattr(verify, "CENSUS_CAP", 139)
+        solved.clear()
+        with pytest.raises(CapacityError, match="more than 139 column entries"):
             scan_stats(3, 3, 7)
-        with pytest.raises(CapacityError, match="column multisets"):
+        assert solved == [1, 3, 9]   # refused before level 3's matrices exist
+        with pytest.raises(CapacityError, match="more than 139 column entries"):
             certify_threshold(3, 3, 7)
 
+    def test_eigen_chunks_split_a_level(self, monkeypatch):
+        # 10 * 10 entries per matrix, so chunks of 10 matrices
+        want = scan_stats(3, 3, 7)
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+        monkeypatch.setattr(verify, "EIGEN_CHUNK", 1000)
+        assert scan_stats(3, 3, 7) == want
+        assert solved == [1, 3, 9, 10, 9, 10, 5, 10, 5, 10, 5]
+
     def test_largest_point_under_cap(self):
-        assert orbit_count(3, 13) == 27132 <= verify.ORBIT_CAP < orbit_count(3, 14)
+        # the largest point the orbit oracle admits
+        assert orbit_count(3, 13) == 27132 <= ORBIT_CAP < orbit_count(3, 14)
         rep = certify_threshold(5, 3, 13)
         assert rep.graphs_total == 2**39
         assert rep.counterexamples == [] and rep.extremal_found
 
-    @pytest.mark.parametrize("k, m, n", [(3, 4, 9), (5, 3, 14), (3, 3, 10**9), (3, 10**6, 2 * 10**6 + 1)])
-    def test_over_cap_refused_before_allocating(self, k, m, n):
-        with pytest.raises(CapacityError, match="column multisets"):
+    @pytest.mark.parametrize("k, m, n", [(3, 4, 9), (3, 5, 11), (3, 6, 13), (5, 3, 14)])
+    def test_reach_past_orbit_cap(self, k, m, n):
+        connected, above = {
+            (3, 4, 9): (37898120011, 10303),
+            (3, 5, 11): (25320182311228861, 259051),
+            (3, 6, 13): (246057483524862034206091, 6742971),
+            (5, 3, 14): (677427332419, 55972),
+        }[k, m, n]
+        rep = certify_threshold(k, m, n)
+        assert (rep.graphs_total, rep.graphs_connected, rep.graphs_above_bound) == (
+            2 ** (m * n), connected, above)
+        assert rep.counterexamples == [] and rep.extremal_found
+
+    def test_reach_past_orbit_cap_agrees_with_oracle_at_5_3_14(self):
+        floor = spectral_threshold(5, 3, 14) - verify.CENSUS_SLACK
+        want = _oracle_classes(3, 14, floor)
+        assert sorted(_search_classes(3, 14, floor)) == sorted(want)
+        assert sum(weight for weight, _ in want.values()) == 55972
+
+    @pytest.mark.parametrize("k, m, n", [(3, 3, 10**9), (3, 10**6, 2 * 10**6 + 1), (3, 3, 254)])
+    def test_over_cap_refused_before_allocating(self, k, m, n, monkeypatch):
+        def untouched(*_):
+            raise AssertionError("census work ran before the refusal")
+
+        monkeypatch.setattr(verify, "spectral_threshold", untouched)
+        monkeypatch.setattr(verify, "_up_set", untouched)
+        with pytest.raises(CapacityError, match="eigen chunk"):
             certify_threshold(k, m, n)
-        with pytest.raises(CapacityError, match="column multisets"):
+        with pytest.raises(CapacityError, match="eigen chunk"):
             scan_stats(k, m, n)
+
+    def test_order_at_eigen_chunk_accepted(self):
+        # (3, 3, 253) has order 256, so one Q matrix fills a 2**16-entry chunk
+        assert (3 + 253) ** 2 == verify.EIGEN_CHUNK
+        verify._check_point(3, 3, 253)
 
 
 class TestPointChecks:
