@@ -93,15 +93,18 @@ def q_matrices(bits: np.ndarray) -> np.ndarray:
     return q
 
 
+def mask_bits(masks, width: int) -> np.ndarray:
+    """0/1 rows of shape (len(masks), width): entry [i, j] is bit j of masks[i]."""
+    size = (width + 7) // 8
+    packed = np.frombuffer(b"".join(mask.to_bytes(size, "little") for mask in masks), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(-1, size), axis=1, count=width, bitorder="little")
+
+
 def signless_laplacian(g: BipartiteGraph) -> SymMatrix:
     """Q(G) = degree diagonal + adjacency, A-vertices indexed first."""
     if g.m + g.n > DENSE_CAP:
         raise CapacityError(f"order {g.m + g.n} exceeds dense cap {DENSE_CAP}")
-    # unpack the bitmask rows into the m x n 0/1 biadjacency block
-    width = (g.n + 7) // 8
-    packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in g.adj), dtype=np.uint8)
-    block = np.unpackbits(packed.reshape(g.m, width), axis=1, count=g.n, bitorder="little")
-    return SymMatrix(q_matrices(block))
+    return SymMatrix(q_matrices(mask_bits(g.adj, g.n)))
 
 
 def check_tol(tol: float) -> None:

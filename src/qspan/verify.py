@@ -58,12 +58,20 @@ from .graph_core import (
     to_edge_list,
 )
 from .poly import exact_char_poly, strictly_larger_root
-from .spectral import DENSE_CAP, char_poly, q_matrices, quotient_matrix, signless_laplacian, spectral_radius
+from .spectral import (
+    DENSE_CAP,
+    char_poly,
+    mask_bits,
+    q_matrices,
+    quotient_matrix,
+    signless_laplacian,
+    spectral_radius,
+)
 from .trees import construct_tree, find_violation_flow, verify_certificate
 
 ENUMERATION_CAP = 24      # enumerate_bipartite: at most 2**24 labeled graphs
 ENGINE_CHUNK = 1 << 16    # masks per connectivity-filter chunk
-CENSUS_CAP = 1 << 20      # census: at most 2**20 column entries (classes x n) in one level
+CENSUS_CAP = 1 << 25      # census: at most 2**25 Q-matrix entries solved in all
 EIGEN_CHUNK = 1 << 16     # census: Q-matrix entries per batched eigvalsh
 CENSUS_SLACK = 1e-9       # census: eigvalsh q this close to q* must be an extremal copy
 
@@ -182,32 +190,30 @@ def _spans_a(cols: tuple, full: int) -> bool:
 
 def _radii(level: list, m: int, n: int) -> np.ndarray:
     """q of each class, by batched eigvalsh over chunks of EIGEN_CHUNK matrix entries."""
-    width, step = (m + 7) // 8, max(1, EIGEN_CHUNK // (m + n) ** 2)
+    step = max(1, EIGEN_CHUNK // (m + n) ** 2)
     out = []
     for lo in range(0, len(level), step):
-        raw = b"".join(c.to_bytes(width, "little") for cols in level[lo:lo + step] for c in cols)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, n, width),
-                             axis=2, count=m, bitorder="little")
+        bits = mask_bits([c for cols in level[lo:lo + step] for c in cols], m).reshape(-1, n, m)
         out.append(np.linalg.eigvalsh(q_matrices(bits.swapaxes(1, 2)))[:, -1])
     return np.concatenate(out)
 
 
-def _up_set(m: int, n: int, floor: float):
-    """Breadth-first search down from K_{m,n} over the connected B-relabelling
-    classes (ascending tuples of n nonempty columns) with q >= floor, yielding
-    each level's members and their q. q never falls when an edge is added, so
-    deleting one edge per distinct column of every member reaches them all;
-    disconnected children are dropped, as all their subgraphs are disconnected.
-    A level of more than CENSUS_CAP column entries (classes x n) raises
-    CapacityError before its matrices are built."""
-    full = (1 << m) - 1
-    level = [(full,) * n]
+def _up_set(m: int, n: int, floor: float) -> list:
+    """(class, q) for every connected B-relabelling class (ascending tuple of n
+    nonempty columns) with q >= floor, by breadth-first search down from
+    K_{m,n}. q never falls when an edge is added, so deleting one edge per
+    distinct column of every member reaches them all; disconnected children
+    are dropped, as all their subgraphs are disconnected. The whole search
+    solves at most CENSUS_CAP Q-matrix entries, (m + n)^2 per class: the class
+    past that raises CapacityError before its level's matrices are built."""
+    full, limit, solved = (1 << m) - 1, CENSUS_CAP // (m + n) ** 2, 1
+    level, found = [(full,) * n], []
     while level:
-        q = _radii(level, m, n)
-        members = [cols for cols, x in zip(level, q.tolist()) if x >= floor]
-        yield members, q[q >= floor]
+        q = _radii(level, m, n).tolist()
+        members = [(cols, x) for cols, x in zip(level, q) if x >= floor]
+        found += members
         children = {}   # column tuple -> whether it is connected
-        for cols in members:
+        for cols, _ in members:
             for i, c in enumerate(cols):
                 if i and c == cols[i - 1]:
                     continue
@@ -217,10 +223,12 @@ def _up_set(m: int, n: int, floor: float):
                     child = cols[:j] + (d,) + cols[j:i] + cols[i + 1:]
                     if child not in children:
                         children[child] = d != 0 and _spans_a(child, full)
-                        if len(children) * n > CENSUS_CAP:
-                            raise CapacityError(f"(m, n) = ({m}, {n}): a census level holds "
-                                                f"more than {CENSUS_CAP} column entries")
+                        solved += children[child]
+                        if solved > limit:
+                            raise CapacityError(f"(m, n) = ({m}, {n}): the census would solve more "
+                                                f"than {CENSUS_CAP} Q-matrix entries")
         level = [cols for cols, connected in children.items() if connected]
+    return found
 
 
 def _labellings(cols: list[int], m: int, n: int) -> list[int]:
@@ -237,6 +245,7 @@ def _labellings(cols: list[int], m: int, n: int) -> list[int]:
 
 @dataclass
 class ScanStats:
+    qstar: float
     graphs_connected: int
     graphs_above_bound: int
     feasible_above: int
@@ -254,11 +263,11 @@ def _check_point(k: int, m: int, n: int) -> None:
                             f"{EIGEN_CHUNK}-entry eigen chunk")
 
 
-def scan_stats(k: int, m: int, n: int, *, qstar: float | None = None) -> ScanStats:
+def scan_stats(k: int, m: int, n: int) -> ScanStats:
     """Census over the connected B-relabelling classes, in labelled counts.
 
-    _up_set gives the classes with q >= qstar - CENSUS_SLACK (qstar defaults to
-    spectral_threshold). A class above qstar + CENSUS_SLACK gets one
+    _up_set gives the classes with q >= qstar - CENSUS_SLACK, qstar being
+    spectral_threshold. A class above qstar + CENSUS_SLACK gets one
     construct_tree (certificate re-verified) or the extremal-copy test; a
     counterexample class adds its labelled masks, kept in ascending order. A
     class within CENSUS_SLACK of qstar must be an extremal copy (cospectral, so
@@ -267,28 +276,26 @@ def scan_stats(k: int, m: int, n: int, *, qstar: float | None = None) -> ScanSta
     extremal graph up to relabelling A and B.
     """
     _check_point(k, m, n)
-    if qstar is None:
-        qstar = spectral_threshold(k, m, n)
-    stats = ScanStats(0, 0, 0, [], [])
+    qstar = spectral_threshold(k, m, n)
+    stats = ScanStats(qstar, 0, 0, 0, [], [])
     demand = DegreeDemand.uniform(m, k)
-    for members, lam in _up_set(m, n, qstar - CENSUS_SLACK):
-        for cols, q in zip(members, lam.tolist()):
-            mask = _class_mask(cols, m, n)
-            g = _graph_from_mask(mask, m, n)
-            weight = _class_size(cols)
-            stats.graphs_above_bound += weight
-            above = q > qstar + CENSUS_SLACK
-            result = construct_tree(g, demand) if above else None
-            if above and result.feasible:
-                if not verify_certificate(g, demand, result.tree):
-                    raise InternalError(f"certificate failed re-verification on mask {mask}")
-                stats.feasible_above += weight
-            elif sorted(map(int.bit_count, g.adj)) == [k - 1] + [n] * (m - 1):
-                stats.extremal_copies.append(mask)
-            elif above:
-                stats.counterexample_masks.extend(_labellings(list(cols), m, n))
-            else:
-                raise InternalError(f"mask {mask}: within CENSUS_SLACK of q* but not an extremal copy")
+    for cols, q in _up_set(m, n, qstar - CENSUS_SLACK):
+        mask = _class_mask(cols, m, n)
+        g = _graph_from_mask(mask, m, n)
+        weight = _class_size(cols)
+        stats.graphs_above_bound += weight
+        above = q > qstar + CENSUS_SLACK
+        result = construct_tree(g, demand) if above else None
+        if above and result.feasible:
+            if not verify_certificate(g, demand, result.tree):
+                raise InternalError(f"certificate failed re-verification on mask {mask}")
+            stats.feasible_above += weight
+        elif sorted(map(int.bit_count, g.adj)) == [k - 1] + [n] * (m - 1):
+            stats.extremal_copies.append(mask)
+        elif above:
+            stats.counterexample_masks.extend(_labellings(list(cols), m, n))
+        else:
+            raise InternalError(f"mask {mask}: within CENSUS_SLACK of q* but not an extremal copy")
     stats.counterexample_masks.sort()
     stats.graphs_connected = connected_bipartite_count(m, n)
     return stats
@@ -302,25 +309,22 @@ def certify_threshold(k: int, m: int, n: int) -> TheoremReport:
     graph; the extremal graph itself must show up, attain the threshold, and
     be infeasible. It attains q* exactly if its family quotient is equitable
     with the s=1 quartic as characteristic polynomial. A point whose order
-    m + n does not fit one eigen chunk, or whose search holds more than
-    CENSUS_CAP column entries in one level, raises CapacityError.
+    m + n does not fit one eigen chunk, or whose search would solve more than
+    CENSUS_CAP Q-matrix entries, raises CapacityError before any tree is built.
     """
-    _check_point(k, m, n)
+    stats = scan_stats(k, m, n)
     p1 = ExtremalParams(k, m, n, 1)
-    qstar = spectral_threshold(k, m, n)
     gstar = extremal_graph(k, m, n)
     demand = DegreeDemand.uniform(m, k)
     gstar_infeasible = find_violation_flow(gstar, demand) is not None
     quotient = quotient_matrix(gstar, family_partition(p1))
     gstar_attains = quotient.equitable and char_poly(quotient) == family_char_coeffs(p1)
-
-    stats = scan_stats(k, m, n, qstar=qstar)
     counterexamples = [{"mask": mask, "edges": [list(e) for e in to_edge_list(_graph_from_mask(mask, m, n))]}
                        for mask in stats.counterexample_masks]
     extremal_found = bool(stats.extremal_copies) and gstar_infeasible and gstar_attains
     return TheoremReport(
         params={"k": k, "m": m, "n": n},
-        qstar=qstar,
+        qstar=stats.qstar,
         graphs_total=1 << (m * n),
         graphs_connected=stats.graphs_connected,
         graphs_above_bound=stats.graphs_above_bound,

@@ -332,11 +332,11 @@ class TestVerifyTheorem:
         assert report["counterexamples"] == [] and report["extremal_found"] is True
 
     def test_over_orbit_cap_is_input_error(self, monkeypatch, capsys):
-        # the cap on classes held: (3,3,7)'s largest level holds 20 * 7 entries
-        monkeypatch.setattr(verify, "CENSUS_CAP", 139)
+        # the cap on Q-matrix entries solved: (3,3,7) solves 77 classes of 10 * 10
+        monkeypatch.setattr(verify, "CENSUS_CAP", 7699)
         assert main(["verify-theorem", "--k", "3", "--m", "3", "--n", "7"]) == 2
         captured = capsys.readouterr()
-        assert "more than 139 column entries" in captured.err
+        assert "more than 7699 Q-matrix entries" in captured.err
         assert captured.out == ""
 
     def test_order_over_eigen_chunk_is_input_error(self, capsys):

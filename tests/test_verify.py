@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from collections import defaultdict
 from fractions import Fraction
 
@@ -148,10 +149,9 @@ def _oracle_classes(m, n, floor):
 def _search_classes(m, n, floor):
     """The same map from the up-set search."""
     classes = {}
-    for members, lam in _up_set(m, n, floor):
-        for cols, q in zip(members, lam.tolist()):
-            assert _graph_from_mask(verify._class_mask(cols, m, n), m, n).b_adj() == cols
-            classes[cols] = (_class_size(cols), q)
+    for cols, q in _up_set(m, n, floor):
+        assert _graph_from_mask(verify._class_mask(cols, m, n), m, n).b_adj() == cols
+        classes[cols] = (_class_size(cols), q)
     return classes
 
 
@@ -306,23 +306,39 @@ class TestCensusEngine:
         assert (rep.graphs_above_bound, rep.counterexamples) == (505, [])
 
     def test_orbit_cap_boundary(self, monkeypatch):
-        # the cap on B-relabelling classes (orbits) held counts their column
-        # entries; at (3,3,7) the search solves levels of 1, 3, 9, 19, 15, 15
-        # and 15 classes, and level 3 also holds one disconnected class, so its
-        # 20 classes hold 20 * 7 = 140 entries
+        # the cap counts the Q-matrix entries of every B-relabelling class
+        # (orbit) the search solves; at (3,3,7) it solves levels of 1, 3, 9,
+        # 19, 15, 15 and 15 classes, 77 matrices of 10 * 10 entries
         solved = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
-        monkeypatch.setattr(verify, "CENSUS_CAP", 140)
+        monkeypatch.setattr(verify, "CENSUS_CAP", 7700)
         assert scan_stats(3, 3, 7).graphs_above_bound == 505
         assert solved == [1, 3, 9, 19, 15, 15, 15]
-        monkeypatch.setattr(verify, "CENSUS_CAP", 139)
+        monkeypatch.setattr(verify, "CENSUS_CAP", 7699)
         solved.clear()
-        with pytest.raises(CapacityError, match="more than 139 column entries"):
+        with pytest.raises(CapacityError, match="more than 7699 Q-matrix entries"):
             scan_stats(3, 3, 7)
-        assert solved == [1, 3, 9]   # refused before level 3's matrices exist
-        with pytest.raises(CapacityError, match="more than 139 column entries"):
+        assert solved == [1, 3, 9, 19, 15, 15]   # refused before the last level's matrices exist
+        with pytest.raises(CapacityError, match="more than 7699 Q-matrix entries"):
             certify_threshold(3, 3, 7)
+
+    def test_far_point_refused_before_any_tree(self, monkeypatch):
+        # (3,8,17) lies past the cap: the search stops within CENSUS_CAP
+        # entries, 25 * 25 per class, and no tree is built for its members
+        def untouched(*_):
+            raise AssertionError("a tree was built before the refusal")
+
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+        monkeypatch.setattr(verify, "construct_tree", untouched)
+        monkeypatch.setattr(verify, "find_violation_flow", untouched)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="Q-matrix entries"):
+            certify_threshold(3, 8, 17)
+        assert time.perf_counter() - start < 15   # about 1 s on a 2-vCPU Xeon
+        assert sum(solved) * 25 * 25 <= verify.CENSUS_CAP
 
     def test_eigen_chunks_split_a_level(self, monkeypatch):
         # 10 * 10 entries per matrix, so chunks of 10 matrices
