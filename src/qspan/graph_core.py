@@ -111,16 +111,6 @@ def join(g1: BipartiteGraph, g2: BipartiteGraph) -> BipartiteGraph:
     return BipartiteGraph(g1.m + g2.m, g1.n + g2.n, tuple(adj))
 
 
-def neighbors_of_set(g: BipartiteGraph, subset) -> frozenset[int]:
-    """Union of neighborhoods of the given A-vertices."""
-    mask = 0
-    for a in subset:
-        if not (0 <= a < g.m):
-            raise InputError(f"A-index {a} out of range [0, {g.m})")
-        mask |= g.adj[a]
-    return frozenset(iter_bits(mask))
-
-
 def is_connected(g: BipartiteGraph) -> bool:
     """True iff a breadth-first search from A-vertex 0 reaches all m+n vertices."""
     b_rows = g.b_adj()

@@ -223,9 +223,9 @@ def _grow_tree(g: BipartiteGraph, cap: list[int], held: list[int],
     """Spanning tree in which every A-vertex parents its matched B-vertices.
 
     held / owner is a maximum b-matching for cap that fills every cap; it
-    is consumed by the stall repairs.
+    is consumed by the stall repairs. Growth returns once every vertex is
+    reached and raises InputError when g is disconnected.
     """
-    m = g.m
     b_rows = g.b_adj()
     free = 0
     for b, a in enumerate(owner):
@@ -251,12 +251,15 @@ def _grow_tree(g: BipartiteGraph, cap: list[int], held: list[int],
                 for a in iter_bits(kids):
                     edges.append((a, b))
                     grow_a.append(a)
-        if reached_a == (1 << m) - 1:
+        if reached_a == (1 << g.m) - 1 and reached_b == (1 << g.n) - 1:
             return edges
         # stalled: a reached x sees an unreached u, which is held by an
         # unreached A-vertex; hang u under x and pay its holder back along
-        # an alternating path outside the tree
-        x = next(a for a in iter_bits(reached_a) if g.adj[a] & ~reached_b)
+        # an alternating path outside the tree; with no such x the reached
+        # vertices are a component short of the whole graph
+        x = next((a for a in iter_bits(reached_a) if g.adj[a] & ~reached_b), None)
+        if x is None:
+            raise InputError("construct_tree requires a connected graph")
         u = next(iter_bits(g.adj[x] & ~reached_b))
         held[owner[u]] &= ~(1 << u)
         reached_b |= 1 << u
@@ -288,14 +291,19 @@ def construct_tree(g: BipartiteGraph, f: DegreeDemand) -> FeasibilityResult:
     (f-1), a violation. Each stall reaches at least one more A-vertex, so
     there are at most m of them, each one O(|E|) search; no caps and no
     fallbacks.
+
+    A disconnected graph raises InputError. The growth decides that on the
+    feasible branch: it stalls with no reached A-vertex next to an unreached
+    B-vertex. The infeasible branch grows no tree, so one breadth-first
+    search (is_connected) decides it there.
     """
     _check_demand_length(g, f)
-    if not is_connected(g):
-        raise InputError("construct_tree requires a connected graph")
     cap = [f[a] - 1 for a in range(g.m)]
     held, owner = _max_matching(g, cap)
     violation = _first_violation(g, f, cap, held, owner)
     if violation is not None:
+        if not is_connected(g):
+            raise InputError("construct_tree requires a connected graph")
         return FeasibilityResult(False, violation=violation)
     cert = TreeCertificate(tuple(sorted(_grow_tree(g, cap, held, owner))))
     if not verify_certificate(g, f, cert):

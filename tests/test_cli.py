@@ -171,6 +171,15 @@ class TestCheckTree:
         assert "badf.txt:3: not UTF-8 text" in captured.err
         assert captured.out == ""
 
+    def test_disconnected_graph_is_input_error(self, tmp_path, capsys):
+        # the graph satisfies the condition, so the tree growth finds the isolated B0
+        path = tmp_path / "split.graph"
+        path.write_text("p bip 1 3\ne 0 1\ne 0 2\n")
+        assert main(["check-tree", str(path), "--k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: construct_tree requires a connected graph\n"
+        assert captured.out == ""
+
     def test_requires_exactly_one_demand_source(self, k37, capsys):
         assert main(["check-tree", k37]) == 2
         capsys.readouterr()

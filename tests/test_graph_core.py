@@ -13,7 +13,6 @@ from qspan import (
     from_edge_list,
     is_connected,
     join,
-    neighbors_of_set,
     parse_demands,
     parse_graph,
     part_preserving_isomorphic,
@@ -112,35 +111,6 @@ class TestJoin:
     def test_join_of_completes_is_connected(self):
         g = join(complete_bipartite(1, 2), complete_bipartite(2, 5))
         assert is_connected(g)
-
-
-class TestNeighborhoods:
-    def test_examples(self):
-        g = from_edge_list(3, 3, [(0, 0), (1, 0), (1, 1), (2, 2)])
-        assert neighbors_of_set(g, [0]) == frozenset({0})
-        assert neighbors_of_set(g, [0, 1]) == frozenset({0, 1})
-        assert neighbors_of_set(g, []) == frozenset()
-
-    def test_rejects_bad_vertex(self):
-        g = complete_bipartite(2, 2)
-        with pytest.raises(InputError):
-            neighbors_of_set(g, [5])
-
-    @given(small_graphs(), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_monotone_in_set(self, g, data):
-        sub = data.draw(st.sets(st.integers(0, g.m - 1)))
-        sup = sub | data.draw(st.sets(st.integers(0, g.m - 1)))
-        assert neighbors_of_set(g, sub) <= neighbors_of_set(g, sup)
-
-    @given(small_graphs())
-    @settings(max_examples=60, deadline=None)
-    def test_union_of_rows(self, g):
-        full = neighbors_of_set(g, range(g.m))
-        rows = set()
-        for a in range(g.m):
-            rows |= neighbors_of_set(g, [a])
-        assert full == rows
 
 
 class TestConnectivity:

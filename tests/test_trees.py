@@ -1,5 +1,6 @@
 """Feasibility checkers, tree construction, and certificate validation."""
 
+import itertools
 import random
 
 import pytest
@@ -223,9 +224,51 @@ class TestConstructTree:
         assert verify_certificate(g, demand(2, 2), res.tree)
 
     def test_disconnected_rejected(self):
-        g = from_edge_list(2, 2, [(0, 0), (1, 1)])
-        with pytest.raises(InputError):
-            construct_tree(g, DegreeDemand.uniform(2, 2))
+        # (m, n, edges, demand, satisfies the condition): the first case is
+        # refused by the breadth-first search of the infeasible branch, the
+        # others by the tree growth
+        cases = [
+            (2, 2, [(0, 0), (1, 1)], (2, 2), False),
+            (1, 3, [(0, 1), (0, 2)], (2,), True),      # isolated B0 is the root
+            (1, 3, [(0, 0), (0, 1)], (2,), True),      # isolated B2 is never reached
+            (2, 4, [(0, 0), (0, 1), (1, 2), (1, 3)], (2, 2), True),   # two feasible parts
+        ]
+        for m, n, edges, values, hall in cases:
+            g = from_edge_list(m, n, edges)
+            f = DegreeDemand(values)
+            assert (find_violation_flow(g, f) is None) == hall
+            with pytest.raises(InputError, match="construct_tree requires a connected graph"):
+                construct_tree(g, f)
+
+    def test_every_small_disconnected_graph_rejected(self):
+        # all disconnected graphs with m <= 3, n <= 4 under every demand in {2, 3}^m
+        pairs = hall = 0
+        for m in range(1, 4):
+            for n in range(1, 5):
+                for rows in itertools.product(range(1 << n), repeat=m):
+                    g = BipartiteGraph(m, n, rows)
+                    if is_connected(g):
+                        continue
+                    for values in itertools.product((2, 3), repeat=m):
+                        f = DegreeDemand(values)
+                        hall += find_violation_flow(g, f) is None
+                        with pytest.raises(InputError,
+                                           match="construct_tree requires a connected graph"):
+                            construct_tree(g, f)
+                        pairs += 1
+        assert (pairs, hall) == (22332, 75)
+
+    def test_one_connectivity_pass_per_call(self, monkeypatch):
+        # the feasible branch checks only the finished tree, the infeasible
+        # branch only the input
+        calls = []
+        real = trees.is_connected
+        monkeypatch.setattr(trees, "is_connected", lambda g: calls.append(g) or real(g))
+        f = DegreeDemand.uniform(3, 3)
+        for g, feasible in ((complete_bipartite(3, 7), True), (extremal_graph(3, 3, 7), False)):
+            calls.clear()
+            assert construct_tree(g, f).feasible == feasible
+            assert len(calls) == 1
 
     def test_demand_length_mismatch(self):
         g = complete_bipartite(3, 3)
