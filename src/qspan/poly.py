@@ -1,8 +1,9 @@
-"""Exact polynomials: characteristic polynomials, roots and Sturm chains.
+"""Exact arithmetic: characteristic polynomials, roots and eigenvalue bounds.
 
 Coefficient vectors are ascending (c0 first). Characteristic polynomials,
-root bisection and the Sturm comparison run in plain integers, so roots are
-correctly rounded floats and every strictness claim is exact.
+root bisection and the positive-definiteness certificate run in plain
+integers, so roots are correctly rounded floats and every strictness claim is
+exact.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from .errors import CapacityError, InputError, InternalError, NumericalError
 
-CHAR_POLY_CAP = 11      # exact characteristic polynomial cap (the fuzz needs order 8)
+CHAR_POLY_CAP = 11      # exact characteristic polynomial cap (quotients here have order 4)
 BISECTION_CAP = 4096    # root halvings; a float bracket shrinks below a subnormal in ~2,100
 
 
@@ -33,6 +34,25 @@ def _horner(coeffs, x, den=1):
         scale *= den
         acc = acc * x + c * scale
     return acc
+
+
+def _int_matrix(rows):
+    """A square matrix as lists of ints; entries may be of any type that
+    Fraction maps to an integer."""
+    mat = []
+    for row in rows:
+        if len(row) != len(rows):
+            raise InputError("matrix is not square")
+        conv = []
+        for x in row:
+            if type(x) is not int:
+                fx = Fraction(x)
+                if fx.denominator != 1:
+                    raise InputError(f"entries must be integers, got {x!r}")
+                x = int(fx)
+            conv.append(x)
+        mat.append(conv)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -68,17 +88,7 @@ def exact_char_poly(rows) -> PolyCoeffs:
     t = len(rows)
     if t > CHAR_POLY_CAP:
         raise CapacityError(f"order {t} exceeds exact char poly cap {CHAR_POLY_CAP}")
-    mat = []
-    for row in rows:
-        if len(row) != t:
-            raise InputError("matrix is not square")
-        conv = []
-        for x in row:
-            fx = Fraction(x)
-            if fx.denominator != 1:
-                raise InputError(f"entries must be integers, got {x!r}")
-            conv.append(int(fx))
-        mat.append(conv)
+    mat = _int_matrix(rows)
 
     aux = [[int(i == j) for j in range(t)] for i in range(t)]
     descending = [1]
@@ -128,98 +138,35 @@ def largest_real_root(p: PolyCoeffs, bracket) -> float:
     raise InternalError(f"bisection on ({bracket[0]}, {bracket[1]}) did not settle on one float")
 
 
-# --- Sturm chains over the integers -------------------------------------------
+def _positive_definite(a) -> bool:
+    """Sylvester's criterion on a symmetric integer matrix (a list of lists,
+    overwritten). Bareiss's fraction-free elimination makes the k-th pivot
+    the k-th leading principal minor, every division exact; the first pivot
+    <= 0 decides "not positive definite"."""
+    prev = 1
+    for k, row_k in enumerate(a):
+        piv = row_k[k]
+        if piv <= 0:
+            return False
+        for row in a[k + 1:]:
+            for j in range(k + 1, len(a)):
+                row[j] = (piv * row[j] - row[k] * row_k[j]) // prev
+        prev = piv
+    return True
 
 
-def _trim(p):
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
+def separates_top_eigenvalues(big, small, x) -> bool:
+    """Exact certificate that x separates the largest eigenvalues of two
+    symmetric integer matrices: x I - small is positive definite and
+    x I - big is not, so lambda(small) < x <= lambda(big). x is an int,
+    Fraction or float; False certifies nothing about the two eigenvalues."""
+    x = Fraction(x)
 
+    def shifted(rows):
+        mat = _int_matrix(rows)
+        if any(mat[i][j] != mat[j][i] for i in range(len(mat)) for j in range(i)):
+            raise InputError("matrix is not symmetric")
+        return [[x.numerator * (i == j) - x.denominator * v for j, v in enumerate(row)]
+                for i, row in enumerate(mat)]
 
-def _primitive(p):
-    """Trimmed p divided by the positive gcd of its coefficients."""
-    p = _trim(p)
-    content = math.gcd(*p)
-    return [c // content for c in p] if content > 1 else p
-
-
-def _divmod(a, b):
-    """Quotient and remainder of integer a by a nonzero trimmed b; the quotient must be integral."""
-    rem = _trim(list(a))
-    db, lb = len(b) - 1, b[-1]
-    quot = [0] * max(len(rem) - db, 0)
-    while rem and len(rem) - 1 >= db:
-        shift = len(rem) - 1 - db
-        factor, inexact = divmod(rem[-1], lb)
-        if inexact:
-            raise InternalError("inexact integer polynomial division")
-        quot[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        rem = _trim(rem)
-    return quot, rem
-
-
-def _sturm_chain(p):
-    """p, p' and the negated primitive pseudo-remainders. The multiplier
-    |lc|**(deg a - deg b + 1) makes each division integral and is positive,
-    so each member is a positive multiple of the rational chain's."""
-    chain = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        scale = abs(b[-1]) ** (len(a) - len(b) + 1)
-        rem = _primitive(_divmod([c * scale for c in a], b)[1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return [c for c in chain if c]
-
-
-def _squarefree(coeffs):
-    """p = coeffs as primitive integers divided by gcd(p, p'), the last member
-    of its Sturm chain; that gcd is primitive, so by Gauss's lemma the
-    division is exact."""
-    p = _primitive(_integral(coeffs))
-    g = _sturm_chain(p)[-1] if p else p
-    return _divmod(p, g)[0] if len(g) > 1 else p
-
-
-def _variations(chain, num, den):
-    """Sign changes along the chain at x = num / den (den > 0), from den**d * p(x)."""
-    signs = [v > 0 for v in (_horner(p, num, den) for p in chain) if v != 0]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def strictly_larger_root(p_big, p_small) -> bool:
-    """Exact check that the largest real root of p_big exceeds that of
-    p_small. Coefficients ascending, integers or Fractions; both polynomials
-    must have at least one real root (true for characteristic polynomials of
-    symmetric matrices). All arithmetic is in integers."""
-    big = _squarefree(p_big)
-    small = _squarefree(p_small)
-    chain_b = _sturm_chain(big)
-    chain_s = _sturm_chain(small)
-
-    def cauchy_bound(p):
-        if len(p) < 2:
-            return Fraction(1)
-        return 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
-
-    upper = max(cauchy_bound(big), cauchy_bound(small))
-    # bisect (lo / den, hi / den] around the largest root of p_small; the
-    # roots of a chain above x number V(x) - V(upper)
-    den = upper.denominator
-    lo, hi = -upper.numerator, upper.numerator
-    var_b_top = _variations(chain_b, hi, den)
-    var_s_top = _variations(chain_s, hi, den)
-    for _ in range(200):
-        if _variations(chain_b, hi, den) - var_b_top >= 1:
-            return True
-        mid = lo + hi
-        lo, hi, den = 2 * lo, 2 * hi, 2 * den
-        if _variations(chain_s, mid, den) - var_s_top >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return False
+    return _positive_definite(shifted(small)) and not _positive_definite(shifted(big))

@@ -1,9 +1,9 @@
 """Signless Laplacian assembly and spectral computations.
 
-Provides the dense signless Laplacian Q = D + A of a bipartite graph, its
-spectral radius from one LAPACK eigh call with a residual check, and quotient
-matrices of vertex partitions with their exact characteristic polynomials
-(computed by qspan.poly).
+Provides the dense signless Laplacian Q = D + A of a bipartite graph, the
+spectral radii of a stack of such matrices from one LAPACK eigh call with a
+residual check, and quotient matrices of vertex partitions with their exact
+characteristic polynomials (computed by qspan.poly).
 """
 
 from __future__ import annotations
@@ -113,22 +113,36 @@ def check_tol(tol: float) -> None:
         raise InputError(f"tolerance must be finite and > 0, got {tol!r}")
 
 
-def spectral_radius(mtx: SymMatrix, tol: float = 1e-10) -> SpectralEstimate:
-    """Largest eigenvalue of a symmetric nonnegative matrix, from one LAPACK
-    eigh call. If the residual ||Q v - value v|| of its eigenvector v exceeds
-    tol * max(1, value), NumericalError is raised with the estimate as best."""
+def spectral_radii(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenvalues and their residuals for a (k, t, t) stack of
+    symmetric nonnegative matrices, from one LAPACK eigh call. If the residual
+    ||Q v - value v|| of a top eigenvector v exceeds tol * max(1, value),
+    NumericalError is raised with the first such estimate as best."""
     check_tol(tol)
-    if mtx.order > DENSE_CAP:
-        raise CapacityError(f"order {mtx.order} exceeds dense cap {DENSE_CAP}")
-    arr = mtx.entries
-    if float(arr.min()) < 0.0:
+    if q.ndim != 3 or q.shape[1] != q.shape[2]:
+        raise InputError(f"expected a stack of square matrices, got shape {q.shape}")
+    if q.shape[1] > DENSE_CAP:
+        raise CapacityError(f"order {q.shape[1]} exceeds dense cap {DENSE_CAP}")
+    if not np.array_equal(q, np.swapaxes(q, 1, 2)):
+        raise InputError("matrix is not symmetric")
+    if float(q.min()) < 0.0:
         raise InputError("matrix has negative entries")
-    vals, vecs = np.linalg.eigh(arr)
-    value, vec = float(vals[-1]), vecs[:, -1]
-    est = SpectralEstimate(value, float(np.linalg.norm(arr @ vec - value * vec)), 0, "eigh")
-    if est.residual > tol * max(1.0, value):
-        raise NumericalError(f"eigh residual {est.residual:.3e} exceeds tol {tol:.3e}", best=est)
-    return est
+    vals, vecs = np.linalg.eigh(q)
+    value, vec = vals[:, -1], vecs[:, :, -1:]
+    r = q @ vec - value[:, None, None] * vec
+    residual = np.sqrt(np.swapaxes(r, 1, 2) @ r)[:, 0, 0]
+    bad = np.flatnonzero(residual > tol * np.maximum(1.0, value))
+    if bad.size:
+        best = SpectralEstimate(float(value[bad[0]]), float(residual[bad[0]]), 0, "eigh")
+        raise NumericalError(f"eigh residual {best.residual:.3e} exceeds tol {tol:.3e}", best=best)
+    return value, residual
+
+
+def spectral_radius(mtx: SymMatrix, tol: float = 1e-10) -> SpectralEstimate:
+    """Largest eigenvalue of a symmetric nonnegative matrix: spectral_radii
+    on a stack of one."""
+    value, residual = spectral_radii(mtx.entries[None], tol)
+    return SpectralEstimate(float(value[0]), float(residual[0]), 0, "eigh")
 
 
 def _partition_masks(g: BipartiteGraph, partition):

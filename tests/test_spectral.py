@@ -1,7 +1,7 @@
 """Spectral radius, quotient matrices, and exact characteristic polynomials.
 
-numpy.linalg.eigvalsh serves here as the oracle for spectral_radius, which
-makes one LAPACK eigh call per matrix.
+numpy.linalg.eigvalsh serves here as the oracle for spectral_radius and
+spectral_radii, which make one LAPACK eigh call per stack of matrices.
 """
 
 import math
@@ -33,7 +33,7 @@ from qspan import (
 )
 from qspan.extremal import ExtremalParams, build_family, family_partition
 from qspan.poly import CHAR_POLY_CAP, PolyCoeffs, exact_char_poly, largest_real_root
-from qspan.spectral import DENSE_CAP
+from qspan.spectral import DENSE_CAP, spectral_radii
 
 
 def oracle_radius(mtx: SymMatrix) -> float:
@@ -195,6 +195,46 @@ class TestSpectralRadius:
         row_sums = mtx.entries.sum(axis=1)
         assert row_sums.mean() <= est.value + 1e-7
         assert est.value <= row_sums.max() + 1e-7
+
+
+class TestSpectralRadii:
+    @staticmethod
+    def stack(rng, count, m, n):
+        return np.stack([signless_laplacian(random_graph(rng, m, n)).entries for _ in range(count)])
+
+    def test_matches_eigvalsh_and_spectral_radius(self):
+        rng = random.Random(43)
+        for m, n in [(1, 1), (2, 5), (4, 4), (6, 8)]:
+            q = self.stack(rng, 25, m, n)
+            values, residuals = spectral_radii(q)
+            assert values.shape == residuals.shape == (25,)
+            np.testing.assert_allclose(values, np.linalg.eigvalsh(q)[:, -1], rtol=0, atol=1e-12)
+            for mtx, value, residual in zip(q, values.tolist(), residuals.tolist()):
+                est = spectral_radius(SymMatrix(mtx))
+                assert (est.value, est.residual) == (value, residual)
+                assert residual <= 1e-10 * max(1.0, value)
+
+    def test_residual_over_tol_raises_with_first_best(self):
+        # K_{1,1} has residual 0; the path after it is the first that fails 1e-300
+        path = signless_laplacian(from_edge_list(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])).entries
+        k11 = signless_laplacian(from_edge_list(2, 3, [(0, 0)])).entries
+        with pytest.raises(NumericalError) as info:
+            spectral_radii(np.stack([k11, path, path]), tol=1e-300)
+        best = info.value.best
+        assert best.method == "eigh"
+        assert best.value == pytest.approx(float(np.linalg.eigvalsh(path)[-1]), abs=1e-12)
+        assert 0 < best.residual <= 1e-12
+
+    def test_rejects_bad_stacks(self):
+        sym = signless_laplacian(complete_bipartite(2, 3)).entries
+        with pytest.raises(InputError, match="symmetric"):
+            spectral_radii(np.stack([sym, np.triu(sym)]))
+        with pytest.raises(InputError, match="negative"):
+            spectral_radii(np.stack([sym, -sym]))
+        with pytest.raises(InputError, match="stack of square"):
+            spectral_radii(sym)
+        with pytest.raises(InputError):
+            spectral_radii(np.stack([sym]), tol=0.0)
 
 
 class TestQuotientMatrix:
@@ -498,4 +538,4 @@ class TestPublicNames:
         assert qspan.PolyCoeffs is qspan.poly.PolyCoeffs
         assert qspan.largest_real_root is qspan.poly.largest_real_root
         assert qspan.spectral.exact_char_poly is qspan.poly.exact_char_poly
-        assert qspan.verify.strictly_larger_root is qspan.poly.strictly_larger_root
+        assert qspan.verify.separates_top_eigenvalues is qspan.poly.separates_top_eigenvalues

@@ -1,4 +1,4 @@
-"""Census engine, sweep checks, and the exact root-comparison machinery."""
+"""Census engine, sweep checks, the monotonicity fuzz and its exact strictness certificate."""
 
 import itertools
 import math
@@ -14,6 +14,7 @@ from qspan import (
     BipartiteGraph,
     CapacityError,
     DegreeDemand,
+    InputError,
     InternalError,
     build_family,
     certify_threshold,
@@ -33,8 +34,8 @@ from qspan import (
 )
 from qspan import verify
 from qspan.extremal import ExtremalParams, family_root, spectral_threshold
-from qspan.poly import exact_char_poly, strictly_larger_root
-from qspan.spectral import q_matrices
+from qspan.poly import _positive_definite, separates_top_eigenvalues
+from qspan.spectral import q_matrices, spectral_radii
 from qspan.verify import (
     _class_size,
     _connected_filter,
@@ -510,29 +511,78 @@ class TestSweep:
 
 
 class TestStrictRootComparison:
+    """separates_top_eigenvalues(big, small, x): x I - small positive definite
+    and x I - big not, so lambda(small) < x <= lambda(big)."""
+
+    @staticmethod
+    def top(rows):
+        return float(np.linalg.eigvalsh(np.array(rows, dtype=float))[-1])
+
+    def certify(self, big, small):
+        """The certificate at the float midpoint, as the fuzz takes it."""
+        return separates_top_eigenvalues(big, small, Fraction((self.top(big) + self.top(small)) / 2))
+
     def test_separated_linear(self):
-        big = (Fraction(-3), Fraction(1))  # root 3
-        small = (Fraction(-2), Fraction(1))  # root 2
-        assert strictly_larger_root(big, small)
-        assert not strictly_larger_root(small, big)
+        assert separates_top_eigenvalues([[3]], [[2]], Fraction(5, 2))
+        assert not separates_top_eigenvalues([[2]], [[3]], Fraction(5, 2))
+        assert not separates_top_eigenvalues([[3]], [[2]], 4)   # x above both
+        assert not separates_top_eigenvalues([[3]], [[2]], 1)   # x below both
 
     def test_equal_polys(self):
-        p = (Fraction(-2), Fraction(1))
-        assert not strictly_larger_root(p, p)
+        # equal matrices, so equal characteristic polynomials: always refused
+        q = signless_laplacian(complete_bipartite(2, 3)).entries.astype(int).tolist()
+        for x in (0, 4, Fraction(9, 2), 5, 6, 5.000000001):
+            assert not separates_top_eigenvalues(q, q, x)
 
     def test_close_roots(self):
-        # roots 2 and 2 + 1/1000000
-        eps = Fraction(1, 10**6)
-        big = (Fraction(-2) - eps, Fraction(1))
-        small = (Fraction(-2), Fraction(1))
-        assert strictly_larger_root(big, small)
+        # 13860 * sqrt(2) = 19600.99997..., 2.6e-5 below 19601 (a Pell pair)
+        big, small = [[19601]], [[13860, 13860], [13860, -13860]]
+        assert self.certify(big, small)
+        assert not self.certify(small, big)
 
     def test_repeated_roots_handled(self):
-        # (x-2)^2 versus (x-1): squarefree reduction keeps it decidable
-        big = (Fraction(4), Fraction(-4), Fraction(1))
-        small = (Fraction(-1), Fraction(1))
-        assert strictly_larger_root(big, small)
-        assert not strictly_larger_root(small, big)
+        # 3 is a double top eigenvalue of big; small's top is 3 as well, or 2
+        big = [[3, 0], [0, 3]]
+        assert separates_top_eigenvalues(big, [[2]], Fraction(5, 2))
+        assert not separates_top_eigenvalues([[2]], big, Fraction(5, 2))
+        for x in (Fraction(5, 2), 3, Fraction(7, 2)):
+            assert not separates_top_eigenvalues(big, [[2, 1], [1, 2]], x)
+            assert not separates_top_eigenvalues([[2, 1], [1, 2]], big, x)
+
+    def test_singular_shift_not_positive_definite(self):
+        # x = 4 = q(K_{2,2}): 4 I - Q is positive semidefinite and singular
+        small = signless_laplacian(complete_bipartite(2, 2)).entries.astype(int).tolist()
+        big = signless_laplacian(complete_bipartite(2, 3)).entries.astype(int).tolist()
+        assert not separates_top_eigenvalues(big, small, 4)
+        assert separates_top_eigenvalues(big, small, Fraction(9, 2))
+        for rows in ([[0]], [[0, 0], [0, 1]], [[4, 2], [2, 1]], [[1, 1, 0], [1, 1, 0], [0, 0, 1]]):
+            assert not _positive_definite([row[:] for row in rows])
+
+    def test_positive_definite_matches_eigvalsh(self):
+        rng = random.Random(31)
+        kinds = set()
+        for _ in range(500):
+            t = rng.randint(1, 8)
+            rows = [[0] * t for _ in range(t)]
+            for i in range(t):
+                for j in range(i, t):
+                    rows[i][j] = rows[j][i] = rng.randint(-5, 5)
+            for i in range(t):
+                rows[i][i] += rng.randint(0, 4 * t)
+            low = float(np.linalg.eigvalsh(np.array(rows, dtype=float))[0])
+            if abs(low) <= 1e-6:
+                continue
+            kinds.add(low > 0)
+            assert _positive_definite([row[:] for row in rows]) == (low > 0)
+        assert kinds == {True, False}
+
+    def test_rejects_non_integer_or_asymmetric(self):
+        with pytest.raises(InputError, match="integers"):
+            separates_top_eigenvalues([[3]], [[Fraction(1, 2)]], 2)
+        with pytest.raises(InputError, match="symmetric"):
+            separates_top_eigenvalues([[3]], [[0, 1], [2, 0]], 2)
+        with pytest.raises(InputError, match="square"):
+            separates_top_eigenvalues([[3]], [[0, 1]], 2)
 
     def test_matches_float_on_graphs(self):
         rng = random.Random(7)
@@ -548,58 +598,32 @@ class TestStrictRootComparison:
                     break
                 sub_mask &= ~(1 << rng.choice(edges))
             h = _graph_from_mask(sub_mask, m, n)
-            mat_g = signless_laplacian(g)
-            mat_h = signless_laplacian(h)
-            pg = exact_char_poly(mat_g.entries.tolist()).coeffs
-            ph = exact_char_poly(mat_h.entries.tolist()).coeffs
-            qg = spectral_radius(mat_g).value
-            qh = spectral_radius(mat_h).value
-            want = qg > qh + 1e-7
-            dont_know = abs(qg - qh) <= 1e-7
-            got = strictly_larger_root(pg, ph)
-            if not dont_know:
-                assert got == want
+            qg_rows, qh_rows = (signless_laplacian(x).entries.astype(int).tolist() for x in (g, h))
+            qg, qh = self.top(qg_rows), self.top(qh_rows)
+            assert not self.certify(qh_rows, qg_rows)
+            if sub_mask == g_mask or abs(qg - qh) <= 1e-7:
+                assert not self.certify(qg_rows, qh_rows)
+            else:
+                assert self.certify(qg_rows, qh_rows) == (qg > qh)
 
     def test_matches_float_on_random_symmetric_pairs(self):
         rng = random.Random(23)
         checked = 0
         while checked < 200:
-            t1, t2 = rng.randint(1, 7), rng.randint(1, 7)
             mats = []
-            for t in (t1, t2):
+            for t in (rng.randint(1, 7), rng.randint(1, 7)):
                 rows = [[0] * t for _ in range(t)]
                 for i in range(t):
                     for j in range(i, t):
                         rows[i][j] = rows[j][i] = rng.randint(-5, 5)
                 mats.append(rows)
-            top = [float(np.linalg.eigvalsh(np.array(r, dtype=float))[-1]) for r in mats]
+            top = [self.top(r) for r in mats]
             if abs(top[0] - top[1]) <= 1e-6:
                 continue
             checked += 1
-            p1, p2 = (exact_char_poly(r).coeffs for r in mats)
-            assert strictly_larger_root(p1, p2) == (top[0] > top[1])
-            assert strictly_larger_root(p2, p1) == (top[1] > top[0])
-
-    def test_matches_float_on_polys_with_complex_roots(self):
-        # odd degree, so a real root exists. Chains of such polynomials have
-        # negative leading coefficients, and sparse ones skip degrees, so a
-        # pseudo-remainder multiplier lc**3 that is not made positive flips
-        # a sign
-        rng = random.Random(29)
-        checked = 0
-        while checked < 200:
-            polys = []
-            for _ in range(2):
-                deg = rng.choice((1, 3, 5, 7))
-                coeffs = [rng.choice((0, rng.randint(-9, 9))) for _ in range(deg)]
-                polys.append(coeffs + [rng.choice((-3, -2, -1, 1, 2, 3))])
-            top = [max(r.real for r in np.roots(c[::-1]) if abs(r.imag) < 1e-9) for c in polys]
-            if abs(top[0] - top[1]) <= 1e-6:
-                continue
-            checked += 1
-            big = [Fraction(c, 6) for c in polys[0]]
-            assert strictly_larger_root(big, polys[1]) == (top[0] > top[1])
-            assert strictly_larger_root(polys[1], big) == (top[1] > top[0])
+            big, small = mats if top[0] > top[1] else mats[::-1]
+            assert self.certify(big, small)
+            assert not self.certify(small, big)
 
 
 class TestRemovableEdges:
@@ -687,6 +711,59 @@ class TestMonotonicityFuzz:
         a = subgraph_monotonicity_fuzz(trials=100, seed=8)
         b = subgraph_monotonicity_fuzz(trials=100, seed=8)
         assert a == b
+
+    @pytest.mark.parametrize("seed, equal_pairs", [(1, 1417), (5, 1433), (8, 1449)])
+    def test_reports_pinned(self, seed, equal_pairs):
+        rep = subgraph_monotonicity_fuzz(trials=3000, seed=seed)
+        assert (rep.equal_pairs, rep.strict_checks, rep.violations, rep.strict_failures) == (
+            equal_pairs, 400, [], [])
+
+    def test_batched_radii_match_spectral_radius(self):
+        by_shape = defaultdict(list)
+        for g, h in verify._fuzz_pairs(300, seed=3):
+            by_shape[g.m, g.n] += [g, h]
+        for graphs in by_shape.values():
+            values, _ = spectral_radii(np.stack([signless_laplacian(x).entries for x in graphs]))
+            for x, value in zip(graphs, values.tolist()):
+                assert abs(value - spectral_radius(signless_laplacian(x)).value) <= 1e-12
+
+    def test_violations_reported_in_trial_order(self, monkeypatch):
+        solve = verify.spectral_radii
+
+        def raised(q):   # every H one above its G
+            top, residual = solve(q)
+            top[1::2] = top[0::2] + 1
+            return top, residual
+
+        monkeypatch.setattr(verify, "spectral_radii", raised)
+        rep = subgraph_monotonicity_fuzz(trials=60, seed=5)
+        pairs = list(verify._fuzz_pairs(60, seed=5))
+        assert [(v["trial"], v["m"], v["n"]) for v in rep.violations] == [
+            (trial, g.m, g.n) for trial, (g, _) in enumerate(pairs)]
+        assert all(v["qh"] == v["qg"] + 1 for v in rep.violations)
+
+    def test_unseparated_radii_are_strict_failures(self, monkeypatch):
+        solve = verify.spectral_radii
+
+        def tied(q):   # every H at its G's radius: no violation, nothing certified
+            top, residual = solve(q)
+            top[1::2] = top[0::2]
+            return top, residual
+
+        monkeypatch.setattr(verify, "spectral_radii", tied)
+        rep = subgraph_monotonicity_fuzz(trials=300, seed=5)
+        assert rep.violations == []
+        trials = [f["trial"] for f in rep.strict_failures]
+        assert len(trials) == rep.strict_checks > 0 and trials == sorted(trials)
+
+    @pytest.mark.parametrize("trials", [-3, -1, 2.5, 3.0, "10", None, True])
+    def test_bad_trials_rejected(self, trials):
+        with pytest.raises(InputError, match="trials must be a non-negative integer"):
+            subgraph_monotonicity_fuzz(trials=trials)
+
+    def test_zero_trials(self):
+        rep = subgraph_monotonicity_fuzz(trials=0, seed=2)
+        assert (rep.trials, rep.equal_pairs, rep.strict_checks) == (0, 0, 0)
 
 
 class TestDemandCorpus:
