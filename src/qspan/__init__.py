@@ -38,7 +38,6 @@ from .graph_core import (
     join,
     parse_demands,
     parse_graph,
-    part_preserving_isomorphic,
     read_demands,
     read_graph,
     to_edge_list,
@@ -69,7 +68,6 @@ from .verify import (
     SweepReport,
     TheoremReport,
     certify_threshold,
-    enumerate_bipartite,
     point_checks,
     separation_sweep,
     subgraph_monotonicity_fuzz,
@@ -103,7 +101,6 @@ __all__ = [
     "construct_tree",
     "difference_factor",
     "difference_factor_coeffs",
-    "enumerate_bipartite",
     "extremal_graph",
     "family_bracket",
     "family_char_coeffs",
@@ -121,7 +118,6 @@ __all__ = [
     "lower_endpoint_quadratic",
     "parse_demands",
     "parse_graph",
-    "part_preserving_isomorphic",
     "point_checks",
     "quotient_matrix",
     "read_demands",

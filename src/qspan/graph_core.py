@@ -1,4 +1,4 @@
-"""Bipartite graph type, constructors, queries, isomorphism, and file I/O.
+"""Bipartite graph type, constructors, queries, and file I/O.
 
 Graphs have a part A of m vertices and a part B of n vertices, with edges
 only across the parts. Each A-vertex stores its B-neighborhood as an int
@@ -8,7 +8,6 @@ checker in qspan.trees unions up to 2**m of these per call.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -129,40 +128,6 @@ def is_connected(g: BipartiteGraph) -> bool:
         frontier_a = reached_a & ~seen_a
         seen_a |= frontier_a
     return seen_a == (1 << g.m) - 1 and seen_b == (1 << g.n) - 1
-
-
-def part_preserving_isomorphic(g: BipartiteGraph, h: BipartiteGraph) -> bool:
-    """True iff some relabeling of A-indices and of B-indices maps g onto h.
-
-    Brute force over A-permutations with degree-multiset pruning; once A is
-    mapped, the B sides match iff the relabeled column multisets coincide.
-    Meant for small graphs (a handful of near-extremal candidates).
-    """
-    if (g.m, g.n) != (h.m, h.n):
-        raise InputError(f"size mismatch: ({g.m},{g.n}) vs ({h.m},{h.n})")
-    if g.edge_count != h.edge_count:
-        return False
-    deg_g = [g.degree_a(a) for a in range(g.m)]
-    deg_h = [h.degree_a(a) for a in range(h.m)]
-    if sorted(deg_g) != sorted(deg_h):
-        return False
-    cols_h = sorted(h.b_adj())
-    if sorted(x.bit_count() for x in g.b_adj()) != sorted(x.bit_count() for x in cols_h):
-        return False
-    cols_g = g.b_adj()
-    for perm in itertools.permutations(range(g.m)):
-        # perm[a] = destination slot in h for g's A-vertex a
-        if any(deg_g[a] != deg_h[perm[a]] for a in range(g.m)):
-            continue
-        relabeled = []
-        for col in cols_g:
-            out = 0
-            for a in iter_bits(col):
-                out |= 1 << perm[a]
-            relabeled.append(out)
-        if sorted(relabeled) == cols_h:
-            return True
-    return False
 
 
 @dataclass(frozen=True)

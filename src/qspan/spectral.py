@@ -121,6 +121,8 @@ def spectral_radii(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nd
     check_tol(tol)
     if q.ndim != 3 or q.shape[1] != q.shape[2]:
         raise InputError(f"expected a stack of square matrices, got shape {q.shape}")
+    if q.size == 0:
+        raise InputError(f"expected at least one matrix of order >= 1, got shape {q.shape}")
     if q.shape[1] > DENSE_CAP:
         raise CapacityError(f"order {q.shape[1]} exceeds dense cap {DENSE_CAP}")
     if not np.array_equal(q, np.swapaxes(q, 1, 2)):

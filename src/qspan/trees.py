@@ -63,16 +63,20 @@ def _check_demand_length(g: BipartiteGraph, f: DegreeDemand):
 
 def is_violation(g: BipartiteGraph, f: DegreeDemand, vertices) -> bool:
     """True iff the subset refutes the spanning-tree condition:
-    |N(S)| <= sum_{v in S} f(v) - |S| for nonempty S."""
+    |N(S)| <= sum_{v in S} f(v) - |S| for nonempty S. S is a set of A-vertices,
+    so a repeated or out-of-range one is an InputError."""
     _check_demand_length(g, f)
     vertices = tuple(vertices)
     if not vertices:
         return False
-    mask = 0
+    mask = seen = 0
     demand = 0
     for a in vertices:
         if not (0 <= a < g.m):
             raise InputError(f"A-vertex {a} out of range [0, {g.m})")
+        if seen >> a & 1:
+            raise InputError(f"A-vertex {a} repeated")
+        seen |= 1 << a
         mask |= g.adj[a]
         demand += f[a]
     return mask.bit_count() <= demand - len(vertices)

@@ -13,11 +13,14 @@ Three entry points:
   integers, from qspan.poly).
 
 The census is a breadth-first search of single-edge deletions down from
-K_{m,n}: adding an edge never lowers q, so the connected graphs with
+K_{m,n}: adding an edge never lowers q, so the graphs with
 q >= q* - CENSUS_SLACK form an up-set that it finds without touching the rest.
-It runs over B-relabelling classes (ascending tuples of n nonempty columns,
-weighted by their size n!/prod(multiplicity!)), one chunked batched eigvalsh
-per level. Classes above q* + CENSUS_SLACK are re-checked through
+They are all connected: each component of a disconnected graph lies inside
+some K_{a,b} with a + b <= m + n - 1, so its q is at most m + n - 1, and q*
+exceeds that (Perron-Frobenius: G* strictly contains K_{m-1,n} plus an
+isolated vertex). It runs over B-relabelling classes (ascending tuples of n
+columns, weighted by their size n!/prod(multiplicity!)), one chunked batched
+eigvalsh per level. Classes above q* + CENSUS_SLACK are re-checked through
 construct_tree; those within CENSUS_SLACK of q* must be extremal copies (known
 by their A-degrees, at q* exactly) or InternalError.
 """
@@ -68,8 +71,6 @@ from .spectral import (
 )
 from .trees import construct_tree, find_violation_flow
 
-ENUMERATION_CAP = 24      # enumerate_bipartite: at most 2**24 labeled graphs
-ENGINE_CHUNK = 1 << 16    # masks per connectivity-filter chunk
 CENSUS_CAP = 1 << 25      # census: at most 2**25 Q-matrix entries solved in all
 EIGEN_CHUNK = 1 << 16     # census: Q-matrix entries per batched eigvalsh
 CENSUS_SLACK = 1e-9       # census: eigvalsh q this close to q* must be an extremal copy
@@ -108,43 +109,6 @@ class MonotonicityReport:
     strict_failures: list
 
 
-def enumerate_bipartite(m: int, n: int, connected_only: bool = False):
-    """Yield every labeled bipartite graph on parts (m, n) in edge-bitmask
-    order: bit a*n + b of the mask is edge (a, b)."""
-    if m < 1 or n < 1:
-        raise InputError(f"both parts must be nonempty, got m={m}, n={n}")
-    if m * n > ENUMERATION_CAP:
-        raise CapacityError(f"m*n={m * n} exceeds enumeration cap {ENUMERATION_CAP}")
-
-    def gen():
-        total = 1 << (m * n)
-        for lo in range(0, total, ENGINE_CHUNK):
-            masks = np.arange(lo, min(lo + ENGINE_CHUNK, total), dtype=np.int64)
-            if connected_only:
-                masks = masks[_connected_filter(masks, m, n)]
-            for mask in masks.tolist():
-                yield _graph_from_mask(mask, m, n)
-
-    return gen()
-
-
-def _connected_filter(masks: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Boolean connectivity per mask, vectorized over the whole chunk."""
-    full_b = (1 << n) - 1
-    nb = [(masks >> (a * n)) & full_b for a in range(m)]
-    member = np.zeros((m, masks.size), dtype=bool)
-    member[0] = True
-    reach = nb[0].copy()
-    for _ in range(m):
-        for a in range(1, m):
-            member[a] |= (nb[a] & reach) != 0
-        acc = np.zeros_like(reach)
-        for a in range(m):
-            acc |= np.where(member[a], nb[a], 0)
-        reach = acc
-    return member.all(axis=0) & (reach == full_b)
-
-
 def _graph_from_mask(mask: int, m: int, n: int) -> BipartiteGraph:
     full = (1 << n) - 1
     return BipartiteGraph(m, n, tuple((mask >> (a * n)) & full for a in range(m)))
@@ -176,17 +140,6 @@ def _class_mask(cols: tuple, m: int, n: int) -> int:
     return sum(1 << (a * n + b) for b, c in enumerate(cols) for a in iter_bits(c))
 
 
-def _spans_a(cols: tuple, full: int) -> bool:
-    """Whether columns (subsets of A) make one connected graph that covers A;
-    run on the columns themselves, as no graph is built for a child."""
-    reach, distinct = cols[0], set(cols)
-    for _ in range(full.bit_length() - 1):
-        for c in distinct:
-            if c & reach:
-                reach |= c
-    return reach == full
-
-
 def _radii(level: list, m: int, n: int) -> np.ndarray:
     """q of each class, by batched eigvalsh over chunks of EIGEN_CHUNK matrix entries."""
     step = max(1, EIGEN_CHUNK // (m + n) ** 2)
@@ -198,20 +151,21 @@ def _radii(level: list, m: int, n: int) -> np.ndarray:
 
 
 def _up_set(m: int, n: int, floor: float) -> list:
-    """(class, q) for every connected B-relabelling class (ascending tuple of n
-    nonempty columns) with q >= floor, by breadth-first search down from
-    K_{m,n}. q never falls when an edge is added, so deleting one edge per
-    distinct column of every member reaches them all; disconnected children
-    are dropped, as all their subgraphs are disconnected. The whole search
+    """(class, q) for every B-relabelling class (ascending tuple of n columns,
+    subsets of A) with q >= floor, by breadth-first search down from K_{m,n}.
+    q never falls when an edge is added, so deleting one edge per distinct
+    column of every member reaches them all. Connectivity is not tested: a
+    disconnected class has q <= m + n - 1, below q* at every admissible point,
+    so at the census's own floor the eigen-solve drops it. The whole search
     solves at most CENSUS_CAP Q-matrix entries, (m + n)^2 per class: the class
     past that raises CapacityError before its level's matrices are built."""
-    full, limit, solved = (1 << m) - 1, CENSUS_CAP // (m + n) ** 2, 1
-    level, found = [(full,) * n], []
+    limit, solved = CENSUS_CAP // (m + n) ** 2, 1
+    level, found = [((1 << m) - 1,) * n], []
     while level:
         q = _radii(level, m, n).tolist()
         members = [(cols, x) for cols, x in zip(level, q) if x >= floor]
         found += members
-        children = {}   # column tuple -> whether it is connected
+        children = {}   # the next level, in insertion order
         for cols, _ in members:
             for i, c in enumerate(cols):
                 if i and c == cols[i - 1]:
@@ -219,14 +173,12 @@ def _up_set(m: int, n: int, floor: float) -> list:
                 for a in iter_bits(c):
                     d = c & ~(1 << a)
                     j = bisect.bisect_right(cols, d, 0, i)
-                    child = cols[:j] + (d,) + cols[j:i] + cols[i + 1:]
-                    if child not in children:
-                        children[child] = d != 0 and _spans_a(child, full)
-                        solved += children[child]
-                        if solved > limit:
-                            raise CapacityError(f"(m, n) = ({m}, {n}): the census would solve more "
-                                                f"than {CENSUS_CAP} Q-matrix entries")
-        level = [cols for cols, connected in children.items() if connected]
+                    children[cols[:j] + (d,) + cols[j:i] + cols[i + 1:]] = None
+                    if solved + len(children) > limit:
+                        raise CapacityError(f"(m, n) = ({m}, {n}): the census would solve more "
+                                            f"than {CENSUS_CAP} Q-matrix entries")
+        solved += len(children)
+        level = list(children)
     return found
 
 
@@ -266,7 +218,8 @@ def scan_stats(k: int, m: int, n: int) -> ScanStats:
     """Census over the connected B-relabelling classes, in labelled counts.
 
     _up_set gives the classes with q >= qstar - CENSUS_SLACK, qstar being
-    spectral_threshold. A class above qstar + CENSUS_SLACK gets one
+    spectral_threshold. A disconnected class, which can only show up when
+    qstar is moved below m + n - 1 (its q bound), is skipped. A class above qstar + CENSUS_SLACK gets one
     construct_tree, which verifies the tree it returns, or the extremal-copy
     test; a counterexample class adds its labelled masks, kept in ascending
     order. A class within CENSUS_SLACK of qstar must be an extremal copy
@@ -281,6 +234,8 @@ def scan_stats(k: int, m: int, n: int) -> ScanStats:
     for cols, q in _up_set(m, n, qstar - CENSUS_SLACK):
         mask = _class_mask(cols, m, n)
         g = _graph_from_mask(mask, m, n)
+        if q <= m + n - 1 + CENSUS_SLACK and not is_connected(g):
+            continue
         weight = _class_size(cols)
         stats.graphs_above_bound += weight
         above = q > qstar + CENSUS_SLACK

@@ -1,0 +1,80 @@
+"""Reference implementations that the tests compare the package against.
+
+None of these has a caller in the package itself:
+
+* connected_filter: connectivity of a whole array of edge bitmasks at once,
+  independent of graph_core.is_connected;
+* connected_graphs: every connected labelled graph on (m, n), in mask order;
+* part_preserving_isomorphic: brute-force isomorphism that keeps A and B,
+  against which the census's degree-based copy test is checked.
+"""
+
+import itertools
+
+import numpy as np
+
+from qspan import BipartiteGraph, InputError
+from qspan.graph_core import iter_bits
+from qspan.verify import _graph_from_mask
+
+
+def connected_filter(masks: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Boolean connectivity per mask (bit a*n + b is edge (a, b)), vectorised
+    over the whole array."""
+    full_b = (1 << n) - 1
+    nb = [(masks >> (a * n)) & full_b for a in range(m)]
+    member = np.zeros((m, masks.size), dtype=bool)
+    member[0] = True
+    reach = nb[0].copy()
+    for _ in range(m):
+        for a in range(1, m):
+            member[a] |= (nb[a] & reach) != 0
+        acc = np.zeros_like(reach)
+        for a in range(m):
+            acc |= np.where(member[a], nb[a], 0)
+        reach = acc
+    return member.all(axis=0) & (reach == full_b)
+
+
+def connected_graphs(m: int, n: int):
+    """Yield every connected labelled bipartite graph on (m, n) in ascending
+    mask order, filtering 2^16 masks at a time."""
+    total, chunk = 1 << (m * n), 1 << 16
+    for lo in range(0, total, chunk):
+        masks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        for mask in masks[connected_filter(masks, m, n)].tolist():
+            yield _graph_from_mask(mask, m, n)
+
+
+def part_preserving_isomorphic(g: BipartiteGraph, h: BipartiteGraph) -> bool:
+    """True iff some relabeling of A-indices and of B-indices maps g onto h.
+
+    Brute force over A-permutations with degree-multiset pruning; once A is
+    mapped, the B sides match iff the relabeled column multisets coincide.
+    Meant for small graphs (a handful of near-extremal candidates).
+    """
+    if (g.m, g.n) != (h.m, h.n):
+        raise InputError(f"size mismatch: ({g.m},{g.n}) vs ({h.m},{h.n})")
+    if g.edge_count != h.edge_count:
+        return False
+    deg_g = [g.degree_a(a) for a in range(g.m)]
+    deg_h = [h.degree_a(a) for a in range(h.m)]
+    if sorted(deg_g) != sorted(deg_h):
+        return False
+    cols_h = sorted(h.b_adj())
+    if sorted(x.bit_count() for x in g.b_adj()) != sorted(x.bit_count() for x in cols_h):
+        return False
+    cols_g = g.b_adj()
+    for perm in itertools.permutations(range(g.m)):
+        # perm[a] = destination slot in h for g's A-vertex a
+        if any(deg_g[a] != deg_h[perm[a]] for a in range(g.m)):
+            continue
+        relabeled = []
+        for col in cols_g:
+            out = 0
+            for a in iter_bits(col):
+                out |= 1 << perm[a]
+            relabeled.append(out)
+        if sorted(relabeled) == cols_h:
+            return True
+    return False

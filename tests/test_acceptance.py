@@ -19,7 +19,6 @@ from qspan import (
     construct_tree,
     difference_factor,
     difference_factor_coeffs,
-    enumerate_bipartite,
     family_char_coeffs,
     family_quotient,
     family_root,
@@ -35,6 +34,8 @@ from qspan import (
     verify_certificate,
 )
 from qspan.verify import random_demand_instances
+
+from oracles import connected_graphs
 
 GRID = [
     (k, m, n, s)
@@ -201,7 +202,7 @@ def test_criterion_8_constructor_correctness():
     internal_errors = 0
     feasible = 0
     scanned = 0
-    for g in enumerate_bipartite(3, 7, connected_only=True):
+    for g in connected_graphs(3, 7):
         scanned += 1
         want = find_violation_bruteforce(g, f3) is None
         try:

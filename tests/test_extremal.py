@@ -22,7 +22,6 @@ from qspan import (
     is_connected,
     join,
     lower_endpoint_quadratic,
-    part_preserving_isomorphic,
     quotient_matrix,
     signless_laplacian,
     spectral_radius,
@@ -30,6 +29,8 @@ from qspan import (
     to_edge_list,
     upper_endpoint_quadratic,
 )
+
+from oracles import part_preserving_isomorphic
 
 GRID = [
     (k, m, n, s)

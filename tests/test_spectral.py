@@ -236,6 +236,15 @@ class TestSpectralRadii:
         with pytest.raises(InputError):
             spectral_radii(np.stack([sym]), tol=0.0)
 
+    @pytest.mark.parametrize("shape", [(0, 5, 5), (1, 0, 0), (3, 0, 0)])
+    def test_rejects_empty_stacks(self, shape):
+        with pytest.raises(InputError, match="at least one matrix"):
+            spectral_radii(np.zeros(shape))
+
+    def test_radius_of_empty_matrix_rejected(self):
+        with pytest.raises(InputError, match="at least one matrix"):
+            spectral_radius(SymMatrix(np.zeros((0, 0))))
+
 
 class TestQuotientMatrix:
     def test_family_partition_is_equitable(self):

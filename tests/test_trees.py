@@ -48,6 +48,16 @@ class TestViolationPredicate:
         with pytest.raises(InputError):
             is_violation(g, DegreeDemand.uniform(2, 2), [4])
 
+    def test_rejects_repeated_vertex(self):
+        # counted three times, A-vertex 0 would meet |N(S)| = 5 <= 3 * 3 - 3
+        # on K_{2,5}, a graph with no violation at f = 3
+        g, f = complete_bipartite(2, 5), DegreeDemand((3, 3))
+        assert find_violation_bruteforce(g, f) is None
+        with pytest.raises(InputError, match="A-vertex 0 repeated"):
+            is_violation(g, f, [0, 0, 0])
+        with pytest.raises(InputError, match="A-vertex 1 repeated"):
+            is_violation(g, f, (1, 0, 1))
+
 
 class TestCheckers:
     def test_complete_graph_feasible(self):

@@ -19,12 +19,10 @@ from qspan import (
     build_family,
     certify_threshold,
     complete_bipartite,
-    enumerate_bipartite,
     extremal_graph,
     find_violation_bruteforce,
     is_connected,
     join,
-    part_preserving_isomorphic,
     point_checks,
     separation_sweep,
     signless_laplacian,
@@ -33,12 +31,11 @@ from qspan import (
     to_edge_list,
 )
 from qspan import verify
-from qspan.extremal import ExtremalParams, family_root, spectral_threshold
+from qspan.extremal import ExtremalParams, family_char_coeffs, family_root, spectral_threshold
 from qspan.poly import _positive_definite, separates_top_eigenvalues
 from qspan.spectral import q_matrices, spectral_radii
 from qspan.verify import (
     _class_size,
-    _connected_filter,
     _graph_from_mask,
     _labellings,
     _up_set,
@@ -47,31 +44,10 @@ from qspan.verify import (
     scan_stats,
 )
 
+from oracles import connected_filter, part_preserving_isomorphic
+
 
 class TestEnumeration:
-    def test_total_count(self):
-        assert sum(1 for _ in enumerate_bipartite(2, 2)) == 16
-        assert sum(1 for _ in enumerate_bipartite(1, 3)) == 8
-
-    def test_connected_count_2x2(self):
-        # K22 (1), minus-one-edge (4): every other mask leaves a vertex out
-        got = sum(1 for _ in enumerate_bipartite(2, 2, connected_only=True))
-        assert got == 5
-
-    def test_connected_matches_predicate(self):
-        want = [g for g in enumerate_bipartite(2, 3) if is_connected(g)]
-        got = list(enumerate_bipartite(2, 3, connected_only=True))
-        assert got == want
-
-    def test_connected_order_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(verify, "ENGINE_CHUNK", 7)
-        want = [g for g in enumerate_bipartite(2, 3) if is_connected(g)]
-        assert list(enumerate_bipartite(2, 3, connected_only=True)) == want
-
-    def test_rejects_oversize(self):
-        with pytest.raises(CapacityError):
-            enumerate_bipartite(5, 5)
-
     def test_mask_layout(self):
         g = _graph_from_mask(0b1, 2, 2)  # bit 0 is edge (0, 0)
         assert g.has_edge(0, 0) and g.edge_count == 1
@@ -83,7 +59,7 @@ class TestVectorisedKernels:
     def test_connected_filter_matches_python(self):
         m, n = 2, 3
         masks = np.arange(1 << (m * n), dtype=np.int64)
-        flags = _connected_filter(masks, m, n)
+        flags = connected_filter(masks, m, n)
         for mask, flag in zip(masks, flags):
             assert bool(flag) == is_connected(_graph_from_mask(int(mask), m, n))
 
@@ -92,7 +68,7 @@ def _labelled_census(m, n, chunk=1 << 15):
     """(connected masks, their q) over every labelled graph on (m, n):
     the connectivity filter, then a chunked q_matrices + eigvalsh."""
     masks = np.arange(1 << (m * n), dtype=np.int64)
-    connected = masks[_connected_filter(masks, m, n)]
+    connected = masks[connected_filter(masks, m, n)]
     shifts = np.arange(m * n, dtype=np.int64)
     lam = np.concatenate([
         np.linalg.eigvalsh(q_matrices(
@@ -130,7 +106,7 @@ def _connected_orbits(m, n):
     ).reshape(count, n)
     bits = (cols[:, None, :] >> np.arange(m)[:, None]) & 1
     masks = (bits << (np.arange(m)[:, None] * n + np.arange(n))).sum(axis=(1, 2))
-    keep = _connected_filter(masks, m, n)
+    keep = connected_filter(masks, m, n)
     cols = cols[keep]
     run = np.ones_like(cols)   # run[:, b]: copies of column b among columns 0..b
     for b in range(1, n):
@@ -167,7 +143,7 @@ class TestConnectedCount:
         for m, n in itertools.product(range(1, 17), repeat=2):
             if m * n <= 16:
                 masks = np.arange(1 << (m * n), dtype=np.int64)
-                assert connected_bipartite_count(m, n) == int(_connected_filter(masks, m, n).sum()), (m, n)
+                assert connected_bipartite_count(m, n) == int(connected_filter(masks, m, n).sum()), (m, n)
 
     @pytest.mark.parametrize("m, n, count", [
         (3, 7, 778765), (3, 8, 5581315), (3, 13, 96690872461), (4, 9, 37898120011)])
@@ -223,19 +199,26 @@ class TestCensusEngine:
         for cols, (weight, q) in got.items():
             assert weight == want[cols][0] and q == pytest.approx(want[cols][1], abs=1e-12)
 
-    # below q* the search still holds only connected classes, which the
-    # oracle's connectivity filter confirms
+    # with the floor below m + n - 1 = 9 the search also returns disconnected
+    # classes, which the oracle's connectivity filter drops: K_{3,6} or
+    # K_{2,7} plus an isolated vertex (q = 9), and at band 0.5 three more
+    # with an empty column
     @pytest.mark.parametrize("band, classes", [(0.1, 31), (0.5, 98)])
     def test_search_band_matches_orbit_oracle(self, band, classes):
         floor = spectral_threshold(3, 3, 7) - band
-        assert sorted(_search_classes(3, 7, floor)) == sorted(_oracle_classes(3, 7, floor))
-        assert len(_search_classes(3, 7, floor)) == classes
+        got, want = _search_classes(3, 7, floor), _oracle_classes(3, 7, floor)
+        connected = {cols for cols in got
+                     if connected_filter(np.array([verify._class_mask(cols, 3, 7)]), 3, 7)[0]}
+        assert sorted(connected) == sorted(want) and len(want) == classes
+        assert len(got) - classes == {0.1: 4, 0.5: 7}[band]
+        for cols in got.keys() - connected:
+            assert got[cols][1] <= 3 + 7 - 1 + verify.CENSUS_SLACK
 
     @pytest.mark.parametrize("m, n", [(1, 4), (2, 5), (3, 4), (4, 3)])
     def test_orbits_partition_labelled_graphs(self, m, n):
         masks = np.arange(1 << (m * n), dtype=np.int64)
         classes = defaultdict(list)
-        for mask in masks[_connected_filter(masks, m, n)].tolist():
+        for mask in masks[connected_filter(masks, m, n)].tolist():
             classes[tuple(sorted(_graph_from_mask(mask, m, n).b_adj()))].append(mask)
         bits, reps, weights = _connected_orbits(m, n)
         assert np.array_equal(bits, ((reps[:, None] >> np.arange(m * n)) & 1).reshape(-1, m, n))
@@ -309,19 +292,20 @@ class TestCensusEngine:
     def test_orbit_cap_boundary(self, monkeypatch):
         # the cap counts the Q-matrix entries of every B-relabelling class
         # (orbit) the search solves; at (3,3,7) it solves levels of 1, 3, 9,
-        # 19, 15, 15 and 15 classes, 77 matrices of 10 * 10 entries
+        # 20, 15, 15 and 15 classes, 78 matrices of 10 * 10 entries. The 20
+        # include K_{3,6} plus an isolated B-vertex, solved at q = 9 < q*
         solved = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
-        monkeypatch.setattr(verify, "CENSUS_CAP", 7700)
+        monkeypatch.setattr(verify, "CENSUS_CAP", 7800)
         assert scan_stats(3, 3, 7).graphs_above_bound == 505
-        assert solved == [1, 3, 9, 19, 15, 15, 15]
-        monkeypatch.setattr(verify, "CENSUS_CAP", 7699)
+        assert solved == [1, 3, 9, 20, 15, 15, 15]
+        monkeypatch.setattr(verify, "CENSUS_CAP", 7799)
         solved.clear()
-        with pytest.raises(CapacityError, match="more than 7699 Q-matrix entries"):
+        with pytest.raises(CapacityError, match="more than 7799 Q-matrix entries"):
             scan_stats(3, 3, 7)
-        assert solved == [1, 3, 9, 19, 15, 15]   # refused before the last level's matrices exist
-        with pytest.raises(CapacityError, match="more than 7699 Q-matrix entries"):
+        assert solved == [1, 3, 9, 20, 15, 15]   # refused before the last level's matrices exist
+        with pytest.raises(CapacityError, match="more than 7799 Q-matrix entries"):
             certify_threshold(3, 3, 7)
 
     def test_far_point_refused_before_any_tree(self, monkeypatch):
@@ -349,7 +333,28 @@ class TestCensusEngine:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
         monkeypatch.setattr(verify, "EIGEN_CHUNK", 1000)
         assert scan_stats(3, 3, 7) == want
-        assert solved == [1, 3, 9, 10, 9, 10, 5, 10, 5, 10, 5]
+        assert solved == [1, 3, 9, 10, 10, 10, 5, 10, 5, 10, 5]
+
+    @pytest.mark.parametrize("k, m, n", [(3, 3, 7), (5, 3, 14), (3, 6, 13)])
+    def test_census_makes_no_connectivity_pass(self, k, m, n, monkeypatch):
+        # q* > m + n - 1, so every class the search returns at the census's
+        # floor is connected and scan_stats never asks
+        calls = []
+        monkeypatch.setattr(verify, "is_connected", lambda g: calls.append(g) or is_connected(g))
+        assert scan_stats(k, m, n).counterexample_masks == []
+        assert calls == []
+
+    def test_disconnected_graphs_lie_below_qstar(self):
+        # every disconnected graph has q <= m + n - 1, and q* lies above that
+        # at every admissible point the census accepts: p_1 is negative there
+        points = 0
+        for m in range(3, 256):
+            for k in range(3, 255 // m + 1):
+                for n in range((k - 1) * m + 1, 257 - m):
+                    p1 = family_char_coeffs(ExtremalParams(k, m, n, 1))
+                    assert p1.evaluate(m + n - 1) < 0, (k, m, n)
+                    points += 1
+        assert points == 73667
 
     def test_largest_point_under_cap(self):
         # the largest point the orbit oracle admits
