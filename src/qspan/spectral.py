@@ -125,6 +125,8 @@ def spectral_radii(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nd
         raise InputError(f"expected at least one matrix of order >= 1, got shape {q.shape}")
     if q.shape[1] > DENSE_CAP:
         raise CapacityError(f"order {q.shape[1]} exceeds dense cap {DENSE_CAP}")
+    if not np.isfinite(q).all():
+        raise InputError("matrix has non-finite entries")
     if not np.array_equal(q, np.swapaxes(q, 1, 2)):
         raise InputError("matrix is not symmetric")
     if float(q.min()) < 0.0:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
+import operator
 
 from .errors import CapacityError, InputError, InternalError
 from .graph_core import BipartiteGraph, DegreeDemand, from_edge_list, is_connected, iter_bits
@@ -64,7 +65,7 @@ def _check_demand_length(g: BipartiteGraph, f: DegreeDemand):
 def is_violation(g: BipartiteGraph, f: DegreeDemand, vertices) -> bool:
     """True iff the subset refutes the spanning-tree condition:
     |N(S)| <= sum_{v in S} f(v) - |S| for nonempty S. S is a set of A-vertices,
-    so a repeated or out-of-range one is an InputError."""
+    so a repeated, out-of-range, bool or non-integer one is an InputError."""
     _check_demand_length(g, f)
     vertices = tuple(vertices)
     if not vertices:
@@ -72,6 +73,9 @@ def is_violation(g: BipartiteGraph, f: DegreeDemand, vertices) -> bool:
     mask = seen = 0
     demand = 0
     for a in vertices:
+        if isinstance(a, bool) or not hasattr(type(a), "__index__"):
+            raise InputError(f"A-vertex {a!r} is not an integer")
+        a = operator.index(a)
         if not (0 <= a < g.m):
             raise InputError(f"A-vertex {a} out of range [0, {g.m})")
         if seen >> a & 1:

@@ -8,9 +8,9 @@ Three entry points:
 * separation_sweep: re-derive, per parameter point, every exact identity and
   strict inequality that places the family members below the threshold.
 * subgraph_monotonicity_fuzz: randomized check that the spectral radius
-  never grows when edges are deleted, from one batched eigh per shape, with
-  exact strictness spot checks (a positive-definiteness certificate in
-  integers, from qspan.poly).
+  never grows when edges are deleted (each a uniformly random non-bridge, by
+  one shuffle and is_connected), from one batched eigh per shape, with exact
+  strictness spot checks (a positive-definiteness certificate in integers).
 
 The census is a breadth-first search of single-edge deletions down from
 K_{m,n}: adding an edge never lowers q, so the graphs with
@@ -443,42 +443,21 @@ def _random_connected(rng: random.Random, m: int, n: int) -> BipartiteGraph:
     return complete_bipartite(m, n)
 
 
-def _removable_edges(g: BipartiteGraph) -> list[tuple[int, int]]:
-    """Edges of g, in to_edge_list order, whose removal leaves g connected: the
-    non-bridges, from one low-link pass (Tarjan); none if g is disconnected."""
-    edges = to_edge_list(g)
-    nbrs = [[] for _ in range(g.m + g.n)]
-    for a, b in edges:
-        nbrs[a].append(g.m + b)
-        nbrs[g.m + b].append(a)
-    order, low, bridges = {}, {}, set()
-
-    def visit(v, parent):
-        order[v] = low[v] = len(order)
-        for w in nbrs[v]:
-            if w not in order:
-                visit(w, v)
-                low[v] = min(low[v], low[w])
-                if low[w] > order[v]:
-                    bridges.add((min(v, w), max(v, w)))
-            elif w != parent:
-                low[v] = min(low[v], order[w])
-
-    visit(0, -1)
-    if len(order) < g.m + g.n:
-        return []
-    return [(a, b) for a, b in edges if (a, g.m + b) not in bridges]
-
-
 def _random_spanning_subgraph(rng: random.Random, g: BipartiteGraph) -> BipartiteGraph:
+    """g less a uniform number, 0 to its cycle rank, of removals, each of a
+    uniformly random non-bridge, by one shuffle and is_connected: each edge in
+    turn is dropped if g stays connected without it. Removals only make bridges,
+    so the first non-bridge left in the order is a uniform pick among them."""
     slack = g.edge_count - (g.m + g.n - 1)
     removals = rng.randint(0, slack) if slack > 0 else 0
-    for _ in range(removals):
-        candidates = _removable_edges(g)
-        if not candidates:
+    edges = to_edge_list(g)
+    rng.shuffle(edges)
+    for a, b in edges:
+        if not removals:
             break
-        a, b = candidates[rng.randrange(len(candidates))]
-        g = BipartiteGraph(g.m, g.n, g.adj[:a] + (g.adj[a] & ~(1 << b),) + g.adj[a + 1:])
+        h = BipartiteGraph(g.m, g.n, g.adj[:a] + (g.adj[a] & ~(1 << b),) + g.adj[a + 1:])
+        if is_connected(h):
+            g, removals = h, removals - 1
     return g
 
 

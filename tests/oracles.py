@@ -6,7 +6,10 @@ None of these has a caller in the package itself:
   independent of graph_core.is_connected;
 * connected_graphs: every connected labelled graph on (m, n), in mask order;
 * part_preserving_isomorphic: brute-force isomorphism that keeps A and B,
-  against which the census's degree-based copy test is checked.
+  against which the census's degree-based copy test is checked;
+* non_bridges: the edges whose removal leaves a graph connected, one
+  is_connected call per edge, from which the fuzz's subgraph drawing is
+  checked.
 """
 
 import itertools
@@ -14,7 +17,7 @@ import itertools
 import numpy as np
 
 from qspan import BipartiteGraph, InputError
-from qspan.graph_core import iter_bits
+from qspan.graph_core import is_connected, iter_bits, to_edge_list
 from qspan.verify import _graph_from_mask
 
 
@@ -78,3 +81,14 @@ def part_preserving_isomorphic(g: BipartiteGraph, h: BipartiteGraph) -> bool:
         if sorted(relabeled) == cols_h:
             return True
     return False
+
+
+def non_bridges(g: BipartiteGraph) -> list[tuple[int, int]]:
+    """Edges of g, in to_edge_list order, whose removal leaves g connected;
+    none if g is disconnected."""
+    keep = []
+    for a, b in to_edge_list(g):
+        adj = g.adj[:a] + (g.adj[a] & ~(1 << b),) + g.adj[a + 1:]
+        if is_connected(BipartiteGraph(g.m, g.n, adj)):
+            keep.append((a, b))
+    return keep

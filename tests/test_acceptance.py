@@ -256,7 +256,7 @@ def test_criterion_9_subgraph_monotonicity():
     ok = (
         rep.trials == 10000
         and (rep.equal_pairs, rep.strict_checks, rep.violations, rep.strict_failures)
-        == (4741, 400, [], [])
+        == (4742, 400, [], [])
         and elapsed < 60
     )
     report(

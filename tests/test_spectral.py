@@ -236,6 +236,16 @@ class TestSpectralRadii:
         with pytest.raises(InputError):
             spectral_radii(np.stack([sym]), tol=0.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_entries(self, bad):
+        # an infinite entry used to come back as radius inf with a nan
+        # residual, and a nan one as "not symmetric"
+        q = signless_laplacian(complete_bipartite(2, 3)).entries.copy()
+        q[0, 0] = bad
+        for stack in (np.array([[[bad]]]), np.stack([q, q])):
+            with pytest.raises(InputError, match="matrix has non-finite entries"):
+                spectral_radii(stack)
+
     @pytest.mark.parametrize("shape", [(0, 5, 5), (1, 0, 0), (3, 0, 0)])
     def test_rejects_empty_stacks(self, shape):
         with pytest.raises(InputError, match="at least one matrix"):

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from qspan import (
@@ -57,6 +58,20 @@ class TestViolationPredicate:
             is_violation(g, f, [0, 0, 0])
         with pytest.raises(InputError, match="A-vertex 1 repeated"):
             is_violation(g, f, (1, 0, 1))
+
+    @pytest.mark.parametrize("vertex", [0.0, 1.5, True, False, "0", None, np.bool_(True)])
+    def test_rejects_non_integer_vertex(self, vertex):
+        # a float used to end in a bare TypeError, and True counted as vertex 1
+        g, f = complete_bipartite(2, 5), DegreeDemand((3, 3))
+        with pytest.raises(InputError, match="is not an integer"):
+            is_violation(g, f, [vertex])
+
+    def test_numpy_integer_vertices(self):
+        g, f = extremal_graph(3, 3, 7), DegreeDemand.uniform(3, 3)
+        assert is_violation(g, f, [np.int64(0)])
+        assert not is_violation(g, f, np.array([0, 1], dtype=np.int32))
+        with pytest.raises(InputError, match="A-vertex 0 repeated"):
+            is_violation(g, f, [np.int64(0), 0])
 
 
 class TestCheckers:

@@ -28,7 +28,6 @@ from qspan import (
     signless_laplacian,
     spectral_radius,
     subgraph_monotonicity_fuzz,
-    to_edge_list,
 )
 from qspan import verify
 from qspan.extremal import ExtremalParams, family_char_coeffs, family_root, spectral_threshold
@@ -44,7 +43,7 @@ from qspan.verify import (
     scan_stats,
 )
 
-from oracles import connected_filter, part_preserving_isomorphic
+from oracles import connected_filter, non_bridges, part_preserving_isomorphic
 
 
 class TestEnumeration:
@@ -631,64 +630,63 @@ class TestStrictRootComparison:
             assert not self.certify(small, big)
 
 
-class TestRemovableEdges:
-    @staticmethod
-    def brute_force(g):
-        edges = set(to_edge_list(g))
-        keep = []
-        for a, b in sorted(edges):
-            adj = [0] * g.m
-            for x, y in edges - {(a, b)}:
-                adj[x] |= 1 << y
-            if is_connected(BipartiteGraph(g.m, g.n, tuple(adj))):
-                keep.append((a, b))
-        return keep
+class TestSpanningSubgraphDrawing:
+    """The fuzz's H: a uniform number of removals, each a uniformly random
+    non-bridge, drawn by one shuffle and is_connected."""
 
-    @staticmethod
-    def random_tree(rng, m, n):
-        # Kruskal over the edges of K(m, n) in random order
-        root = list(range(m + n))
+    GRAPHS = [complete_bipartite(2, 3), BipartiteGraph(3, 3, (0b111, 0b011, 0b110)),
+              BipartiteGraph(2, 4, (0b1111, 0b1011)), BipartiteGraph(3, 2, (0b11, 0b11, 0b01))]
 
-        def find(v):
-            while root[v] != v:
-                v = root[v]
-            return v
+    class OrderRng:
+        """randint returns r; shuffle puts the list in the given order."""
 
-        edges = [(a, b) for a in range(m) for b in range(n)]
-        rng.shuffle(edges)
-        adj = [0] * m
-        for a, b in edges:
-            ra, rb = find(a), find(m + b)
-            if ra != rb:
-                root[ra] = rb
-                adj[a] |= 1 << b
-        return BipartiteGraph(m, n, tuple(adj))
+        def __init__(self, r, order):
+            self.r, self.order = r, order
 
-    def test_matches_connectivity_brute_force(self):
-        rng = random.Random(41)
-        kinds = set()
-        for i in range(500):
-            m, n = rng.randint(1, 6), rng.randint(1, 8)
-            if i % 4 == 0:
-                g = self.random_tree(rng, m, n)
-            elif i % 4 == 1:
-                # random graph, often disconnected
-                g = BipartiteGraph(m, n, tuple(rng.randrange(1 << n) for _ in range(m)))
-            else:
-                g = verify._random_connected(rng, m, n)
-            want = self.brute_force(g)
-            assert verify._removable_edges(g) == want
-            if is_connected(g):
-                cycles = g.edge_count - (m + n - 1)
-                kinds.add("tree" if cycles == 0 else "one cycle" if cycles == 1 else "cycles")
-        assert kinds == {"tree", "one cycle", "cycles"}
+        def randint(self, lo, hi):
+            assert lo == 0 and self.r <= hi
+            return self.r
 
-    def test_path_and_cycle(self):
+        def shuffle(self, x):
+            x[:] = [x[i] for i in self.order]
+
+    @classmethod
+    def removal_distribution(cls, g, r):
+        """P(H) after r removals, each uniform among the current non-bridges."""
+        choices = non_bridges(g)
+        if not r or not choices:
+            return {g.adj: Fraction(1)}
+        out = defaultdict(Fraction)
+        for a, b in choices:
+            h = BipartiteGraph(g.m, g.n, g.adj[:a] + (g.adj[a] & ~(1 << b),) + g.adj[a + 1:])
+            for adj, p in cls.removal_distribution(h, r - 1).items():
+                out[adj] += p / len(choices)
+        return out
+
+    def test_oracle_on_path_and_cycle(self):
         # path a0-b0-a1-b1: every edge is a bridge; closing it to a 4-cycle
-        # makes every edge removable
-        assert verify._removable_edges(BipartiteGraph(2, 2, (0b01, 0b11))) == []
+        # makes every edge a non-bridge; a disconnected graph has none
+        assert non_bridges(BipartiteGraph(2, 2, (0b01, 0b11))) == []
         cycle = BipartiteGraph(2, 2, (0b11, 0b11))
-        assert verify._removable_edges(cycle) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert non_bridges(cycle) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert non_bridges(BipartiteGraph(2, 2, (0b11, 0b00))) == []
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"{g.m}x{g.n}:{g.adj}")
+    def test_distribution_matches_uniform_non_bridge_removals(self, g):
+        slack = g.edge_count - (g.m + g.n - 1)
+        assert slack >= 1
+        orders = list(itertools.permutations(range(g.edge_count)))
+        for r in range(slack + 1):
+            got = defaultdict(Fraction)
+            for order in orders:
+                h = verify._random_spanning_subgraph(self.OrderRng(r, order), g)
+                got[h.adj] += Fraction(1, len(orders))
+            assert got == self.removal_distribution(g, r)
+
+    def test_fuzz_pairs_are_connected_spanning_subgraphs(self):
+        for g, h in verify._fuzz_pairs(3000, seed=1):
+            assert (h.m, h.n) == (g.m, g.n) and is_connected(h)
+            assert all(y & ~x == 0 for x, y in zip(g.adj, h.adj))
 
 
 class TestMonotonicityFuzz:
@@ -717,7 +715,7 @@ class TestMonotonicityFuzz:
         b = subgraph_monotonicity_fuzz(trials=100, seed=8)
         assert a == b
 
-    @pytest.mark.parametrize("seed, equal_pairs", [(1, 1417), (5, 1433), (8, 1449)])
+    @pytest.mark.parametrize("seed, equal_pairs", [(1, 1427), (5, 1431), (8, 1420)])
     def test_reports_pinned(self, seed, equal_pairs):
         rep = subgraph_monotonicity_fuzz(trials=3000, seed=seed)
         assert (rep.equal_pairs, rep.strict_checks, rep.violations, rep.strict_failures) == (
