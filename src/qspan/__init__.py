@@ -44,15 +44,7 @@ from .graph_core import (
     write_graph,
 )
 from .poly import PolyCoeffs, largest_real_root
-from .spectral import (
-    QuotientMatrix,
-    SpectralEstimate,
-    SymMatrix,
-    char_poly,
-    quotient_matrix,
-    signless_laplacian,
-    spectral_radius,
-)
+from .spectral import QuotientMatrix, quotient_matrix, signless_laplacian, spectral_radii
 from .trees import (
     FeasibilityResult,
     HallViolation,
@@ -89,14 +81,11 @@ __all__ = [
     "PolyCoeffs",
     "QspanError",
     "QuotientMatrix",
-    "SpectralEstimate",
     "SweepReport",
-    "SymMatrix",
     "TheoremReport",
     "TreeCertificate",
     "build_family",
     "certify_threshold",
-    "char_poly",
     "complete_bipartite",
     "construct_tree",
     "difference_factor",
@@ -124,7 +113,7 @@ __all__ = [
     "read_graph",
     "separation_sweep",
     "signless_laplacian",
-    "spectral_radius",
+    "spectral_radii",
     "spectral_threshold",
     "subgraph_monotonicity_fuzz",
     "to_edge_list",

@@ -1,9 +1,9 @@
 """Signless Laplacian assembly and spectral computations.
 
-Provides the dense signless Laplacian Q = D + A of a bipartite graph, the
-spectral radii of a stack of such matrices from one LAPACK eigh call with a
-residual check, and quotient matrices of vertex partitions with their exact
-characteristic polynomials (computed by qspan.poly).
+Provides the dense signless Laplacian Q = D + A of a bipartite graph as a
+float array, the spectral radii of a stack of such arrays from one LAPACK eigh
+call with a residual check, and quotient matrices of vertex partitions (their
+exact characteristic polynomials come from qspan.poly.exact_char_poly).
 """
 
 from __future__ import annotations
@@ -16,40 +16,8 @@ import numpy as np
 
 from .errors import CapacityError, InputError, NumericalError
 from .graph_core import BipartiteGraph, iter_bits
-from .poly import PolyCoeffs, exact_char_poly
 
 DENSE_CAP = 4096        # largest order accepted for dense spectral work
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Dense symmetric nonnegative matrix, stored as a read-only float array."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InputError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.array_equal(arr, arr.T):
-            raise InputError("matrix is not symmetric")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class SpectralEstimate:
-    """Largest eigenvalue and its residual; iterations is 0 and method "eigh"."""
-
-    value: float
-    residual: float
-    iterations: int
-    method: str
 
 
 @dataclass(frozen=True)
@@ -74,13 +42,6 @@ class QuotientMatrix:
         if any(x < 0 for row in self.entries for x in row):
             raise InputError("quotient entries must be nonnegative")
 
-    @property
-    def order(self) -> int:
-        return len(self.block_sizes)
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
 
 def q_matrices(bits: np.ndarray) -> np.ndarray:
     """Q for each m x n 0/1 biadjacency block of a (..., m, n) stack, A-vertices first."""
@@ -100,25 +61,21 @@ def mask_bits(masks, width: int) -> np.ndarray:
     return np.unpackbits(packed.reshape(-1, size), axis=1, count=width, bitorder="little")
 
 
-def signless_laplacian(g: BipartiteGraph) -> SymMatrix:
-    """Q(G) = degree diagonal + adjacency, A-vertices indexed first."""
+def signless_laplacian(g: BipartiteGraph) -> np.ndarray:
+    """Q(G) = degree diagonal + adjacency as an (m+n, m+n) float array,
+    A-vertices indexed first."""
     if g.m + g.n > DENSE_CAP:
         raise CapacityError(f"order {g.m + g.n} exceeds dense cap {DENSE_CAP}")
-    return SymMatrix(q_matrices(mask_bits(g.adj, g.n)))
-
-
-def check_tol(tol: float) -> None:
-    """Reject a tolerance that is not a finite positive number."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise InputError(f"tolerance must be finite and > 0, got {tol!r}")
+    return q_matrices(mask_bits(g.adj, g.n))
 
 
 def spectral_radii(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Largest eigenvalues and their residuals for a (k, t, t) stack of
     symmetric nonnegative matrices, from one LAPACK eigh call. If the residual
     ||Q v - value v|| of a top eigenvector v exceeds tol * max(1, value),
-    NumericalError is raised with the first such estimate as best."""
-    check_tol(tol)
+    NumericalError is raised with the first such (value, residual) as best."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tolerance must be finite and > 0, got {tol!r}")
     if q.ndim != 3 or q.shape[1] != q.shape[2]:
         raise InputError(f"expected a stack of square matrices, got shape {q.shape}")
     if q.size == 0:
@@ -137,16 +94,9 @@ def spectral_radii(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nd
     residual = np.sqrt(np.swapaxes(r, 1, 2) @ r)[:, 0, 0]
     bad = np.flatnonzero(residual > tol * np.maximum(1.0, value))
     if bad.size:
-        best = SpectralEstimate(float(value[bad[0]]), float(residual[bad[0]]), 0, "eigh")
-        raise NumericalError(f"eigh residual {best.residual:.3e} exceeds tol {tol:.3e}", best=best)
+        best = float(value[bad[0]]), float(residual[bad[0]])
+        raise NumericalError(f"eigh residual {best[1]:.3e} exceeds tol {tol:.3e}", best=best)
     return value, residual
-
-
-def spectral_radius(mtx: SymMatrix, tol: float = 1e-10) -> SpectralEstimate:
-    """Largest eigenvalue of a symmetric nonnegative matrix: spectral_radii
-    on a stack of one."""
-    value, residual = spectral_radii(mtx.entries[None], tol)
-    return SpectralEstimate(float(value[0]), float(residual[0]), 0, "eigh")
 
 
 def _partition_masks(g: BipartiteGraph, partition):
@@ -211,10 +161,3 @@ def quotient_matrix(g: BipartiteGraph, partition) -> QuotientMatrix:
             row.append(Fraction(sum(sums), len(sums)))
         entries.append(tuple(row))
     return QuotientMatrix(tuple(entries), tuple(m[0].bit_count() + m[1].bit_count() for m in masks), equitable)
-
-
-def char_poly(qm: QuotientMatrix) -> PolyCoeffs:
-    """Exact characteristic polynomial of an integer quotient matrix."""
-    if not qm.is_integral():
-        raise InputError("quotient matrix has non-integer entries")
-    return exact_char_poly(qm.entries)

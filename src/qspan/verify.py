@@ -60,10 +60,9 @@ from .graph_core import (
     join,
     to_edge_list,
 )
-from .poly import separates_top_eigenvalues
+from .poly import exact_char_poly, separates_top_eigenvalues
 from .spectral import (
     DENSE_CAP,
-    char_poly,
     mask_bits,
     q_matrices,
     quotient_matrix,
@@ -204,11 +203,7 @@ class ScanStats:
     extremal_copies: list    # one mask per extremal class
 
 
-def _check_point(k: int, m: int, n: int) -> None:
-    if k < 3 or m < 3:
-        raise InputError(f"need k >= 3 and m >= 3, got k={k}, m={m}")
-    if n < (k - 1) * m + 1:
-        raise InputError(f"need n >= (k-1)*m + 1 = {(k - 1) * m + 1}, got n={n}")
+def _check_point(m: int, n: int) -> None:
     if (m + n) ** 2 > EIGEN_CHUNK:
         raise CapacityError(f"order m + n = {m + n}: one Q matrix exceeds the "
                             f"{EIGEN_CHUNK}-entry eigen chunk")
@@ -227,7 +222,8 @@ def scan_stats(k: int, m: int, n: int) -> ScanStats:
     copy test is exact: m-1 A-vertices that see all of B and one that sees
     k-1 of B are the extremal graph up to relabelling A and B.
     """
-    _check_point(k, m, n)
+    ExtremalParams(k, m, n, 1)    # admissibility first, then capacity
+    _check_point(m, n)
     qstar = spectral_threshold(k, m, n)
     stats = ScanStats(qstar, 0, 0, 0, [], [])
     demand = DegreeDemand.uniform(m, k)
@@ -270,7 +266,7 @@ def certify_threshold(k: int, m: int, n: int) -> TheoremReport:
     demand = DegreeDemand.uniform(m, k)
     gstar_infeasible = find_violation_flow(gstar, demand) is not None
     quotient = quotient_matrix(gstar, family_partition(p1))
-    gstar_attains = quotient.equitable and char_poly(quotient) == family_char_coeffs(p1)
+    gstar_attains = quotient.equitable and exact_char_poly(quotient.entries) == family_char_coeffs(p1)
     counterexamples = [{"mask": mask, "edges": [list(e) for e in to_edge_list(_graph_from_mask(mask, m, n))]}
                        for mask in stats.counterexample_masks]
     extremal_found = bool(stats.extremal_copies) and gstar_infeasible and gstar_attains
@@ -310,7 +306,7 @@ def point_checks(p: ExtremalParams) -> dict:
     fam = family_char_coeffs(p)
     checks = {}
 
-    checks["coeff_identity"] = char_poly(family_quotient(p)).coeffs == fam.coeffs
+    checks["coeff_identity"] = exact_char_poly(family_quotient(p).entries).coeffs == fam.coeffs
 
     base = family_char_coeffs(ExtremalParams(k, m, n, 1))
     d0, d1, d2 = difference_factor_coeffs(p)
@@ -515,18 +511,3 @@ def subgraph_monotonicity_fuzz(trials: int = 10000, seed: int = 0) -> Monotonici
         strict_checks=len(checked),
         strict_failures=strict_failures,
     )
-
-
-# --- shared fuzz corpus for the demand checkers --------------------------------
-
-
-def random_demand_instances(count: int, seed: int = 0):
-    """Deterministic corpus of (connected graph, demand vector) pairs used to
-    cross-validate the two condition checkers and the constructor."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        m = rng.randint(1, 8)
-        n = rng.randint(1, 12)
-        g = _random_connected(rng, m, n)
-        f = DegreeDemand(tuple(rng.choice((2, 3, 4)) for _ in range(m)))
-        yield g, f

@@ -9,16 +9,19 @@ None of these has a caller in the package itself:
   against which the census's degree-based copy test is checked;
 * non_bridges: the edges whose removal leaves a graph connected, one
   is_connected call per edge, from which the fuzz's subgraph drawing is
-  checked.
+  checked;
+* random_demand_instances: a deterministic corpus of (connected graph,
+  demand) pairs on which the checkers and the constructor are compared.
 """
 
 import itertools
+import random
 
 import numpy as np
 
-from qspan import BipartiteGraph, InputError
+from qspan import BipartiteGraph, DegreeDemand, InputError
 from qspan.graph_core import is_connected, iter_bits, to_edge_list
-from qspan.verify import _graph_from_mask
+from qspan.verify import _graph_from_mask, _random_connected
 
 
 def connected_filter(masks: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -92,3 +95,15 @@ def non_bridges(g: BipartiteGraph) -> list[tuple[int, int]]:
         if is_connected(BipartiteGraph(g.m, g.n, adj)):
             keep.append((a, b))
     return keep
+
+
+def random_demand_instances(count: int, seed: int = 0):
+    """Deterministic corpus of (connected graph, demand vector) pairs used to
+    cross-validate the two condition checkers and the constructor."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 8)
+        n = rng.randint(1, 12)
+        g = _random_connected(rng, m, n)
+        f = DegreeDemand(tuple(rng.choice((2, 3, 4)) for _ in range(m)))
+        yield g, f

@@ -1,7 +1,8 @@
 """Spectral radius, quotient matrices, and exact characteristic polynomials.
 
-numpy.linalg.eigvalsh serves here as the oracle for spectral_radius and
-spectral_radii, which make one LAPACK eigh call per stack of matrices.
+numpy.linalg.eigvalsh serves here as the oracle for spectral_radii, which
+makes one LAPACK eigh call per stack of matrices; the radius of one matrix
+is spectral_radii on a stack of one.
 """
 
 import math
@@ -20,8 +21,6 @@ from qspan import (
     InputError,
     InternalError,
     NumericalError,
-    SymMatrix,
-    char_poly,
     complete_bipartite,
     extremal_graph,
     family_char_coeffs,
@@ -29,15 +28,21 @@ from qspan import (
     from_edge_list,
     quotient_matrix,
     signless_laplacian,
-    spectral_radius,
+    spectral_radii,
 )
 from qspan.extremal import ExtremalParams, build_family, family_partition
 from qspan.poly import CHAR_POLY_CAP, PolyCoeffs, exact_char_poly, largest_real_root
-from qspan.spectral import DENSE_CAP, spectral_radii
+from qspan.spectral import DENSE_CAP
 
 
-def oracle_radius(mtx: SymMatrix) -> float:
-    return float(np.linalg.eigvalsh(mtx.entries)[-1])
+def oracle_radius(mtx: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(mtx)[-1])
+
+
+def radius(mtx: np.ndarray, tol: float = 1e-10) -> tuple[float, float]:
+    """(value, residual) of one matrix: spectral_radii on a stack of one."""
+    (value,), (residual,) = spectral_radii(mtx[None], tol)
+    return float(value), float(residual)
 
 
 def random_graph(rng, m, n, p=0.5):
@@ -77,7 +82,7 @@ def monic_divmod(a, b):
 class TestSignlessLaplacian:
     def test_entries(self):
         g = from_edge_list(2, 2, [(0, 0), (0, 1), (1, 1)])
-        q = signless_laplacian(g).entries
+        q = signless_laplacian(g)
         # diagonal carries degrees, off-diagonal blocks carry adjacency
         expected = np.array(
             [
@@ -92,7 +97,7 @@ class TestSignlessLaplacian:
 
     def test_row_sums_are_twice_degree(self):
         g = complete_bipartite(3, 4)
-        q = signless_laplacian(g).entries
+        q = signless_laplacian(g)
         assert np.array_equal(q.sum(axis=1), 2 * q.diagonal())
 
     def test_matches_loop_reference(self):
@@ -108,25 +113,19 @@ class TestSignlessLaplacian:
                         ref[a, m + b] = ref[m + b, a] = 1.0
                         ref[a, a] += 1.0
                         ref[m + b, m + b] += 1.0
-            assert np.array_equal(signless_laplacian(g).entries, ref)
+            assert np.array_equal(signless_laplacian(g), ref)
 
     def test_order_over_dense_cap_rejected(self):
         with pytest.raises(CapacityError, match="dense cap"):
             signless_laplacian(BipartiteGraph(1, DENSE_CAP, (0,)))
 
-    def test_symmetry_enforced(self):
-        with pytest.raises(InputError):
-            SymMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
-        with pytest.raises(InputError):
-            SymMatrix(np.zeros((2, 3)))
-
 
 class TestSpectralRadius:
     def test_complete_bipartite_closed_form(self):
         for m, n in [(1, 1), (2, 5), (7, 7), (3, 30)]:
-            est = spectral_radius(signless_laplacian(complete_bipartite(m, n)))
-            assert est.value == pytest.approx(m + n, abs=1e-9)
-            assert est.residual <= 1e-10 * max(1.0, est.value)
+            value, residual = radius(signless_laplacian(complete_bipartite(m, n)))
+            assert value == pytest.approx(m + n, abs=1e-9)
+            assert residual <= 1e-10 * max(1.0, value)
 
     def test_matches_dense_oracle(self):
         rng = random.Random(42)
@@ -134,56 +133,50 @@ class TestSpectralRadius:
             m, n = rng.randint(1, 6), rng.randint(1, 7)
             g = random_graph(rng, m, n, rng.uniform(0.2, 0.9))
             mtx = signless_laplacian(g)
-            est = spectral_radius(mtx)
-            assert est.value == pytest.approx(oracle_radius(mtx), abs=1e-8)
+            value, _ = radius(mtx)
+            assert value == pytest.approx(oracle_radius(mtx), abs=1e-8)
 
     def test_zero_matrix(self):
-        est = spectral_radius(signless_laplacian(BipartiteGraph(2, 2, (0, 0))))
-        assert est.value == 0.0
+        value, _ = radius(signless_laplacian(BipartiteGraph(2, 2, (0, 0))))
+        assert value == 0.0
 
     def test_disconnected_still_correct(self):
         # a reducible Q has a repeated top eigenvalue; compare with oracle
         g = from_edge_list(2, 2, [(0, 0), (1, 1)])
         mtx = signless_laplacian(g)
-        est = spectral_radius(mtx)
-        assert est.value == pytest.approx(oracle_radius(mtx), abs=1e-9)
+        value, _ = radius(mtx)
+        assert value == pytest.approx(oracle_radius(mtx), abs=1e-9)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(InputError):
-            spectral_radius(SymMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]])))
-
-    def test_estimate_reports_method(self):
-        est = spectral_radius(signless_laplacian(complete_bipartite(2, 3)))
-        assert est.method == "eigh"
-        assert est.iterations == 0
+            radius(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
     def test_residual_over_tol_raises_with_best(self):
         # no eigenvector residual reaches 1e-300 * q in floating point
         mtx = signless_laplacian(from_edge_list(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)]))
         with pytest.raises(NumericalError) as info:
-            spectral_radius(mtx, tol=1e-300)
-        best = info.value.best
-        assert best.method == "eigh"
-        assert best.value == pytest.approx(oracle_radius(mtx), abs=1e-12)
-        assert 0 < best.residual <= 1e-12
+            radius(mtx, tol=1e-300)
+        value, residual = info.value.best
+        assert value == pytest.approx(oracle_radius(mtx), abs=1e-12)
+        assert 0 < residual <= 1e-12
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_tol(self, tol):
         with pytest.raises(InputError):
-            spectral_radius(signless_laplacian(complete_bipartite(2, 3)), tol=tol)
+            radius(signless_laplacian(complete_bipartite(2, 3)), tol=tol)
 
     @given(st.integers(1, 5), st.integers(1, 5), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_rayleigh_quotient_never_exceeds(self, m, n, rng):
         g = random_graph(rng, m, n)
         mtx = signless_laplacian(g)
-        est = spectral_radius(mtx)
+        value, _ = radius(mtx)
         vec = np.array([rng.uniform(-1, 1) for _ in range(m + n)])
         norm = float(vec @ vec)
         if norm == 0.0:
             return
-        rayleigh = float(vec @ mtx.entries @ vec) / norm
-        assert rayleigh <= est.value + 1e-7
+        rayleigh = float(vec @ mtx @ vec) / norm
+        assert rayleigh <= value + 1e-7
 
     @given(st.integers(1, 5), st.integers(1, 5), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
@@ -191,16 +184,16 @@ class TestSpectralRadius:
         # all-ones Rayleigh bound from below, max row sum from above
         g = random_graph(rng, m, n)
         mtx = signless_laplacian(g)
-        est = spectral_radius(mtx)
-        row_sums = mtx.entries.sum(axis=1)
-        assert row_sums.mean() <= est.value + 1e-7
-        assert est.value <= row_sums.max() + 1e-7
+        value, _ = radius(mtx)
+        row_sums = mtx.sum(axis=1)
+        assert row_sums.mean() <= value + 1e-7
+        assert value <= row_sums.max() + 1e-7
 
 
 class TestSpectralRadii:
     @staticmethod
     def stack(rng, count, m, n):
-        return np.stack([signless_laplacian(random_graph(rng, m, n)).entries for _ in range(count)])
+        return np.stack([signless_laplacian(random_graph(rng, m, n)) for _ in range(count)])
 
     def test_matches_eigvalsh_and_spectral_radius(self):
         rng = random.Random(43)
@@ -210,39 +203,42 @@ class TestSpectralRadii:
             assert values.shape == residuals.shape == (25,)
             np.testing.assert_allclose(values, np.linalg.eigvalsh(q)[:, -1], rtol=0, atol=1e-12)
             for mtx, value, residual in zip(q, values.tolist(), residuals.tolist()):
-                est = spectral_radius(SymMatrix(mtx))
-                assert (est.value, est.residual) == (value, residual)
+                assert radius(mtx) == (value, residual)
                 assert residual <= 1e-10 * max(1.0, value)
 
     def test_residual_over_tol_raises_with_first_best(self):
         # K_{1,1} has residual 0; the path after it is the first that fails 1e-300
-        path = signless_laplacian(from_edge_list(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])).entries
-        k11 = signless_laplacian(from_edge_list(2, 3, [(0, 0)])).entries
+        path = signless_laplacian(from_edge_list(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)]))
+        k11 = signless_laplacian(from_edge_list(2, 3, [(0, 0)]))
         with pytest.raises(NumericalError) as info:
             spectral_radii(np.stack([k11, path, path]), tol=1e-300)
-        best = info.value.best
-        assert best.method == "eigh"
-        assert best.value == pytest.approx(float(np.linalg.eigvalsh(path)[-1]), abs=1e-12)
-        assert 0 < best.residual <= 1e-12
+        value, residual = info.value.best
+        assert value == pytest.approx(oracle_radius(path), abs=1e-12)
+        assert 0 < residual <= 1e-12
 
     def test_rejects_bad_stacks(self):
-        sym = signless_laplacian(complete_bipartite(2, 3)).entries
+        sym = signless_laplacian(complete_bipartite(2, 3))
         with pytest.raises(InputError, match="symmetric"):
             spectral_radii(np.stack([sym, np.triu(sym)]))
+        with pytest.raises(InputError, match="symmetric"):
+            spectral_radii(np.array([[[0.0, 1.0], [2.0, 0.0]]]))
         with pytest.raises(InputError, match="negative"):
             spectral_radii(np.stack([sym, -sym]))
         with pytest.raises(InputError, match="stack of square"):
             spectral_radii(sym)
+        with pytest.raises(InputError, match="stack of square"):
+            spectral_radii(np.zeros((1, 2, 3)))
         with pytest.raises(InputError):
             spectral_radii(np.stack([sym]), tol=0.0)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_entries(self, bad):
         # an infinite entry used to come back as radius inf with a nan
-        # residual, and a nan one as "not symmetric"
-        q = signless_laplacian(complete_bipartite(2, 3)).entries.copy()
+        # residual, and a nan one as "not symmetric"; the array that
+        # signless_laplacian returns goes to spectral_radii unchecked
+        q = signless_laplacian(complete_bipartite(2, 3))
         q[0, 0] = bad
-        for stack in (np.array([[[bad]]]), np.stack([q, q])):
+        for stack in (np.array([[[bad]]]), q[None], np.stack([q, q])):
             with pytest.raises(InputError, match="matrix has non-finite entries"):
                 spectral_radii(stack)
 
@@ -251,17 +247,13 @@ class TestSpectralRadii:
         with pytest.raises(InputError, match="at least one matrix"):
             spectral_radii(np.zeros(shape))
 
-    def test_radius_of_empty_matrix_rejected(self):
-        with pytest.raises(InputError, match="at least one matrix"):
-            spectral_radius(SymMatrix(np.zeros((0, 0))))
-
 
 class TestQuotientMatrix:
     def test_family_partition_is_equitable(self):
         p = ExtremalParams(3, 3, 7, 1)
         qm = quotient_matrix(build_family(p), family_partition(p))
         assert qm.equitable
-        assert qm.is_integral()
+        assert all(x.denominator == 1 for row in qm.entries for x in row)
         assert qm.block_sizes == (1, 2, 2, 5)
 
     def test_unbalanced_partition_not_equitable(self):
@@ -392,7 +384,7 @@ class TestExactCharPoly:
     def test_family_quartic_divides_extremal_char_poly(self):
         # q* is an exact eigenvalue of Q(G*): the s=1 quotient quartic
         # divides the order-10 characteristic polynomial with no remainder
-        rows = signless_laplacian(extremal_graph(3, 3, 7)).entries.tolist()
+        rows = signless_laplacian(extremal_graph(3, 3, 7)).tolist()
         full = exact_char_poly(rows).coeffs
         quartic = family_char_coeffs(ExtremalParams(3, 3, 7, 1)).coeffs
         quotient, remainder = monic_divmod(full, quartic)
@@ -402,8 +394,8 @@ class TestExactCharPoly:
     def test_char_poly_requires_integral(self):
         g = from_edge_list(2, 2, [(0, 0), (0, 1), (1, 1)])
         qm = quotient_matrix(g, [[0, 1], [2, 3]])
-        with pytest.raises(InputError):
-            char_poly(qm)
+        with pytest.raises(InputError, match="integers"):
+            exact_char_poly(qm.entries)
 
 
 class TestPolyCoeffs:
@@ -556,5 +548,5 @@ class TestPublicNames:
     def test_polynomial_names_come_from_poly(self):
         assert qspan.PolyCoeffs is qspan.poly.PolyCoeffs
         assert qspan.largest_real_root is qspan.poly.largest_real_root
-        assert qspan.spectral.exact_char_poly is qspan.poly.exact_char_poly
+        assert qspan.verify.exact_char_poly is qspan.poly.exact_char_poly
         assert qspan.verify.separates_top_eigenvalues is qspan.poly.separates_top_eigenvalues

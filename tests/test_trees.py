@@ -23,7 +23,8 @@ from qspan import (
     verify_certificate,
 )
 from qspan import trees
-from qspan.verify import random_demand_instances
+
+from oracles import random_demand_instances
 
 
 def demand(*values):
