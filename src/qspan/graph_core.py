@@ -182,25 +182,8 @@ def parse_graph(text: str, source: str = "<string>") -> BipartiteGraph:
     m = n = None
     adj = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if fields[0] == "p":
-            if m is not None:
-                raise InputError(f"{source}:{lineno}: duplicate problem line")
-            if len(fields) != 4 or fields[1] != "bip":
-                raise InputError(f"{source}:{lineno}: expected 'p bip <m> <n>'")
-            try:
-                m, n = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise InputError(f"{source}:{lineno}: part sizes must be integers") from None
-            if m < 1 or n < 1:
-                raise InputError(f"{source}:{lineno}: part sizes must be >= 1")
-            if max(m, n) > PART_SIZE_CAP:
-                raise InputError(f"{source}:{lineno}: part sizes must be <= {PART_SIZE_CAP}")
-            adj = [0] * m
-        elif fields[0] == "e":
+        fields = raw.split() or ["#"]   # a blank line reads as a comment
+        if fields[0] == "e":
             if adj is None:
                 raise InputError(f"{source}:{lineno}: edge before problem line")
             if len(fields) != 3:
@@ -214,6 +197,22 @@ def parse_graph(text: str, source: str = "<string>") -> BipartiteGraph:
             if not (0 <= b < n):
                 raise InputError(f"{source}:{lineno}: B-index {b} out of range [0, {n})")
             adj[a] |= 1 << b
+        elif fields[0][0] == "#":
+            continue
+        elif fields[0] == "p":
+            if m is not None:
+                raise InputError(f"{source}:{lineno}: duplicate problem line")
+            if len(fields) != 4 or fields[1] != "bip":
+                raise InputError(f"{source}:{lineno}: expected 'p bip <m> <n>'")
+            try:
+                m, n = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise InputError(f"{source}:{lineno}: part sizes must be integers") from None
+            if m < 1 or n < 1:
+                raise InputError(f"{source}:{lineno}: part sizes must be >= 1")
+            if max(m, n) > PART_SIZE_CAP:
+                raise InputError(f"{source}:{lineno}: part sizes must be <= {PART_SIZE_CAP}")
+            adj = [0] * m
         else:
             raise InputError(f"{source}:{lineno}: unknown line type {fields[0]!r}")
     if adj is None:

@@ -3,15 +3,15 @@
 The question answered here: does a connected bipartite graph contain a
 spanning tree whose A-side degrees meet per-vertex lower bounds f(v) >= 2?
 By the Frank-Gyarfas / Kaneko-Yoshimoto condition it does iff
-|N(S)| >= sum_{v in S} (f(v) - 1) + 1 for every nonempty S inside A. One
-alternating-path search over a b-matching, which gives each A-vertex v at
-most f(v) - 1 private B-vertices, decides that condition: it builds the
-maximum matching, extracts a violating subset when the condition fails, and
-repairs the tree grown from the matching when it holds (Kuhn; Hopcroft and
-Karp, SIAM J. Comput. 1973). The answer is always accompanied by a checkable
-witness, either a spanning tree meeting the demands or a subset S of A with
-|N(S)| <= sum f(v) - |S|, and both witness kinds are re-verified before
-being returned.
+|N(S)| >= sum_{v in S} (f(v) - 1) + 1 for every nonempty S inside A. A
+b-matching giving each A-vertex v at most f(v) - 1 private B-vertices is
+built by alternating-path search (Kuhn; Hopcroft and Karp, SIAM J. Comput.
+1973). One sweep over A, or a search per anchor when a cap is left unfilled,
+then confirms the condition or extracts a violating subset; when it holds,
+the tree grown from the matching is repaired. The answer always carries a
+checkable witness, either a spanning tree meeting the demands or a subset S
+of A with |N(S)| <= sum f(v) - |S|, and both witness kinds are re-verified
+before being returned.
 """
 
 from __future__ import annotations
@@ -172,14 +172,32 @@ def _first_violation(g: BipartiteGraph, f: DegreeDemand, cap: list[int], held: l
     cap[a] = f(a) - 1 and held / owner is a maximum b-matching for it.
     Subsets S containing the anchor all satisfy the condition iff the
     matching can grow to target = sum cap + 1 once the anchor's cap is
-    lifted by the shortfall. So each anchor lifts its cap on a copy of the
+    lifted by the shortfall. So an anchor lifts its cap on a copy of the
     matching and augments again; by Kuhn's lemma every new path starts at
     the anchor, so at most n searches succeed whatever the shortfall. When
     the matching falls short, the A-vertices the failed search explored
     form a violating subset containing the anchor.
+
+    When every cap is filled the shortfall is 1, and an anchor's search
+    succeeds iff it has an alternating path to a free B-vertex. One sweep
+    over A finds those anchors: an A-vertex seeing a free or found B-vertex
+    is reached and its matched B-vertices are found, until a pass reaches
+    none. Only the first unreached anchor is then searched.
     """
     need = sum(cap) + 1 - sum(h.bit_count() for h in held)
-    for anchor in range(g.m):
+    anchors = range(g.m)
+    if need == 1:
+        found = (1 << g.n) - 1 & ~sum(held)   # free B-vertices; held sets are disjoint
+        left, rest = [], list(anchors)
+        while len(rest) != len(left):
+            left, rest = rest, []
+            for a in left:
+                if g.adj[a] & found:
+                    found |= held[a]
+                else:
+                    rest.append(a)
+        anchors = rest[:1]
+    for anchor in anchors:
         lifted = list(cap)
         lifted[anchor] += need
         held_copy, owner_copy = list(held), list(owner)
@@ -195,11 +213,11 @@ def _first_violation(g: BipartiteGraph, f: DegreeDemand, cap: list[int], held: l
 def find_violation_flow(g: BipartiteGraph, f: DegreeDemand) -> HallViolation | None:
     """Polynomial-time violation search on one maximum b-matching.
 
-    The matching gives each A-vertex a at most f(a)-1 B-vertices; then for
-    each anchor vertex a few augmenting paths run on a copy of it (see
-    _first_violation). The returned set is the A-part of the minimal minimum
-    cut for the first anchor that lies in a violating subset; None when the
-    condition holds everywhere.
+    The matching gives each A-vertex a at most f(a)-1 B-vertices; then one
+    sweep over A, or per anchor a few augmenting paths on a copy of it,
+    finds the anchors in violating subsets (see _first_violation). The
+    returned set is the A-part of the minimal minimum cut for the first
+    such anchor; None when the condition holds everywhere.
     """
     _check_demand_length(g, f)
     cap = [f[a] - 1 for a in range(g.m)]
@@ -207,17 +225,21 @@ def find_violation_flow(g: BipartiteGraph, f: DegreeDemand) -> HallViolation | N
 
 
 def verify_certificate(g: BipartiteGraph, f: DegreeDemand, cert: TreeCertificate) -> bool:
-    """True iff cert is a spanning tree of g meeting every A-side demand."""
+    """True iff cert is a spanning tree of g meeting every A-side demand. An
+    edge that is not a tuple of two in-range ints (not bools) makes it False."""
     _check_demand_length(g, f)
     edges = cert.edges
-    if len(edges) != g.m + g.n - 1 or len(set(edges)) != len(edges):
+    if len(edges) != g.m + g.n - 1:
         return False
     deg_a = [0] * g.m
-    for a, b in edges:
+    for edge in edges:
+        a, b = edge if type(edge) is tuple and len(edge) == 2 else (None, None)
+        if type(a) is not int or type(b) is not int:
+            return False
         if not (0 <= a < g.m and 0 <= b < g.n) or not g.has_edge(a, b):
             return False
         deg_a[a] += 1
-    if any(deg_a[a] < f[a] for a in range(g.m)):
+    if len(set(edges)) != len(edges) or any(deg_a[a] < f[a] for a in range(g.m)):
         return False
     # connected + exactly m+n-1 edges == tree
     return is_connected(from_edge_list(g.m, g.n, edges))
@@ -235,10 +257,7 @@ def _grow_tree(g: BipartiteGraph, cap: list[int], held: list[int],
     reached and raises InputError when g is disconnected.
     """
     b_rows = g.b_adj()
-    free = 0
-    for b, a in enumerate(owner):
-        if a < 0:
-            free |= 1 << b
+    free = (1 << g.n) - 1 & ~sum(held)   # held sets are disjoint
     root = (free & -free).bit_length() - 1
     edges = []
     reached_a, reached_b = 0, 1 << root
@@ -283,22 +302,22 @@ def construct_tree(g: BipartiteGraph, f: DegreeDemand) -> FeasibilityResult:
     """Decide feasibility and produce a verified witness either way.
 
     One maximum b-matching, giving each A-vertex a at most f(a)-1 private
-    B-vertices, settles the verdict (see find_violation_flow). When no set
-    violates the condition the matching fills every cap, and the condition
-    at S = A leaves at least one B-vertex free. The tree is rooted at a free
-    B-vertex and grown outward: a reached A-vertex takes its matched and
-    its free unreached neighbours as children, a reached B-vertex takes its
-    unreached A-neighbours. Every A-vertex then has its parent plus f(a)-1
-    children. When growth stalls with A-vertices left, some reached x sees
-    an unreached u held by an unreached a1; u moves under x and a1 takes a
-    replacement along an alternating path that avoids the reached
-    B-vertices (the same search that built the matching). Such a path
-    exists: otherwise the A-vertices X the search explores would see only u
-    and the sum_X (f-1) - 1 B-vertices they still hold (a stall leaves no
-    reached B-vertex next to an unreached A-vertex), so |N(X)| <= sum_X
-    (f-1), a violation. Each stall reaches at least one more A-vertex, so
-    there are at most m of them, each one O(|E|) search; no caps and no
-    fallbacks.
+    B-vertices, and one sweep over A settle the verdict (see
+    find_violation_flow). When no set violates the condition the matching
+    fills every cap, and the condition at S = A leaves at least one B-vertex
+    free. The tree is rooted at a free B-vertex and grown outward: a reached
+    A-vertex takes its matched and its free unreached neighbours as
+    children, a reached B-vertex takes its unreached A-neighbours. Every
+    A-vertex then has its parent plus f(a)-1 children. When growth stalls
+    with A-vertices left, some reached x sees an unreached u held by an
+    unreached a1; u moves under x and a1 takes a replacement along an
+    alternating path that avoids the reached B-vertices (the same search
+    that built the matching). Such a path exists: otherwise the A-vertices X
+    the search explores would see only u and the sum_X (f-1) - 1 B-vertices
+    they still hold (a stall leaves no reached B-vertex next to an unreached
+    A-vertex), so |N(X)| <= sum_X (f-1), a violation. Each stall reaches at
+    least one more A-vertex, so there are at most m of them, each one O(|E|)
+    search; no caps and no fallbacks.
 
     A disconnected graph raises InputError. The growth decides that on the
     feasible branch: it stalls with no reached A-vertex next to an unreached

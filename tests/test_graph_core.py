@@ -1,5 +1,7 @@
 """Bipartite graph container, join operation, and file round trips."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,6 +217,48 @@ class TestFileFormat:
     def test_header_at_cap_accepted(self):
         g = parse_graph(f"p bip {PART_SIZE_CAP} 1\ne 0 0\n", "f")
         assert (g.m, g.n) == (PART_SIZE_CAP, 1)
+
+    def test_outcomes_pinned(self):
+        # whitespace, comments and every error message, line number and
+        # check order, pinned by one digest over the outcomes
+        texts = [
+            "p bip 2 2\r\ne 0 0\r\ne 1 1\r\n",
+            "p\tbip\t2 2\n\te 0\t1\n",
+            "  # indented comment\np bip 1 1\n \t# another\ne 0 0\n",
+            "#glued p bip 9 9\np bip 1 2\ne 0 1 #trailing\n",
+            "p bip 1 2\ne#0 1\n",
+            "p bip 1 2\n#e 0 1\ne 0 1\n",
+            "e 0 0\np bip 1 1\n",
+            "e 0\n",
+            "p bip 1 1\np bip 1 1\n",
+            "p bip 1 1\np bip x\n",
+            "p bip x 2\n",
+            "p bip 2 2.0\n",
+            "p bip 0 2\n",
+            "p bip -1 2\n",
+            "p bip 2\n",
+            "p bip 2 2 2\n",
+            "p graph 2 2\n",
+            "p bip 2 2\ne 0 x\n",
+            "p bip 2 2\ne 0x1 0\n",
+            "p bip 2 2\ne 0 0 0\n",
+            "p bip 2 2\ne 2 0\n",
+            "p bip 2 2\ne 0 -1\n",
+            "p bip 2 2\ne 1_0 0\n",
+            "p bip 2 2\nE 0 0\n",
+            "p bip 2 2\npe 0 0\n",
+            "\n\n   \n",
+            "",
+        ]
+        h = hashlib.sha256()
+        for text in texts:
+            try:
+                g = parse_graph(text, "f")
+                outcome = (g.m, g.n, g.adj)
+            except InputError as exc:
+                outcome = str(exc)
+            h.update(repr(outcome).encode())
+        assert h.hexdigest() == "e0759f9bb5aacdc699a9b201f239d5bf98c931359fd0ec2ebaf034c308535908"
 
 
 class TestDegreeDemand:

@@ -1,5 +1,6 @@
 """Feasibility checkers, tree construction, and certificate validation."""
 
+import hashlib
 import itertools
 import random
 
@@ -24,7 +25,7 @@ from qspan import (
 )
 from qspan import trees
 
-from oracles import random_demand_instances
+from oracles import connected_graphs, random_demand_instances
 
 
 def demand(*values):
@@ -199,6 +200,22 @@ class TestVerifyCertificate:
     def test_duplicate_edge_rejected(self):
         edges = list(self.tree.edges[:-1]) + [self.tree.edges[0]]
         assert not verify_certificate(self.g, self.f, TreeCertificate(tuple(edges)))
+
+    @pytest.mark.parametrize("edges", [
+        ((False, 0), (0, True)),    # would be the tree (0, 0), (0, 1) if bools counted
+        ((0.0, 1), (0, 0)),
+        ((0, 0, 1), (0, 1)),
+        ((0,), (0, 1)),
+        (0, (0, 1)),
+        ([0, 0], (0, 1)),
+        (("0", "1"), (0, 0)),
+        ((np.int64(0), 0), (0, 1)),
+    ])
+    def test_malformed_edges_rejected(self, edges):
+        # every edge must be a tuple of two ints, as construct_tree writes
+        # them, or the answer is False; none of these raises
+        g, f = complete_bipartite(1, 2), demand(2)
+        assert not verify_certificate(g, f, TreeCertificate(edges))
 
 
 def _spy_stall_repairs(monkeypatch):
@@ -476,3 +493,55 @@ class TestTightInstances:
                     assert is_violation(g, f, res.violation.vertices)
                 verdicts.append(res.feasible)
         assert 5 <= sum(verdicts) <= len(verdicts) - 5
+
+
+def _witness_digest(instances):
+    """SHA-256 over the verdict and witness of construct_tree on each instance."""
+    h = hashlib.sha256()
+    for g, f in instances:
+        res = construct_tree(g, f)
+        witness = res.tree.edges if res.feasible else res.violation.vertices
+        h.update(repr((res.feasible, witness)).encode())
+    return h.hexdigest()
+
+
+class TestAnchorSweep:
+    @pytest.mark.parametrize("g, searches, want", [
+        (complete_bipartite(3, 7), 0, None),
+        (extremal_graph(3, 3, 7), 1, (0,)),
+    ])
+    def test_searches_per_decision(self, monkeypatch, g, searches, want):
+        # with every cap filled, one sweep over A stands in for the
+        # per-anchor searches: a feasible instance runs none, an infeasible
+        # one a single failing search from its first unreached anchor
+        f = DegreeDemand.uniform(3, 3)
+        cap = [2, 2, 2]
+        held, owner = trees._max_matching(g, cap)
+        calls = []
+        real = trees._augment
+        monkeypatch.setattr(trees, "_augment", lambda *args: calls.append(args) or real(*args))
+        got = trees._first_violation(g, f, cap, held, owner)
+        assert len(calls) == searches
+        assert (None if got is None else got.vertices) == want
+
+
+_WITNESS_DIGESTS = {
+    "random": "286bb961b0ad9302559356fc3b7dab39b9cc2e1136cca8e95f76eb2b2bb7fd65",
+    "tight": "303a7694344ba858c77b6666e127f8166ae83a507bb05a82c0fd853fc5ae3d6c",
+    "census": "f65d03510cea150d0770b8f35ee03c8bd7a20e7e100ee37439e957f00a521be5",
+}
+
+
+class TestWitnessPin:
+    @pytest.mark.parametrize("corpus", list(_WITNESS_DIGESTS))
+    def test_witnesses_unchanged(self, corpus):
+        # verdicts and witnesses are pinned, not only checked: a faster
+        # decider must pick the very same violating set and grow the very
+        # same tree
+        instances = {
+            "random": lambda: random_demand_instances(3000, seed=5),
+            "tight": lambda: _tight_instances(30, seed=4),
+            "census": lambda: ((g, DegreeDemand.uniform(3, 3))
+                               for g in itertools.islice(connected_graphs(3, 7), 0, None, 20)),
+        }[corpus]()
+        assert _witness_digest(instances) == _WITNESS_DIGESTS[corpus]
