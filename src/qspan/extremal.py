@@ -16,7 +16,6 @@ tolerance; the threshold is the correctly rounded root of the s=1 quartic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError
 from .graph_core import BipartiteGraph, complete_bipartite, join
@@ -74,8 +73,7 @@ def family_partition(p: ExtremalParams) -> list[list[int]]:
     Global indices: A-vertices are 0..m-1, B-vertices m..m+n-1, with each
     factor's vertices first (the join keeps factor-one indices first).
     """
-    k, m, n, s = p.k, p.m, p.n, p.s
-    r = p.r
+    m, n, s, r = p.m, p.n, p.s, p.r
     return [
         list(range(0, s)),
         list(range(s, m)),
@@ -87,20 +85,18 @@ def family_partition(p: ExtremalParams) -> list[list[int]]:
 def family_quotient(p: ExtremalParams) -> QuotientMatrix:
     """Closed-form quotient matrix of Q over the four-block partition.
 
-    Row order matches family_partition. Cross-checking this closed form
-    against quotient_matrix(build_family(p), family_partition(p)) is part of
-    the verification suite.
+    Row order matches family_partition, and the entries are ints.
+    Cross-checking this closed form against
+    quotient_matrix(build_family(p), family_partition(p)) is part of the
+    verification suite.
     """
-    k, m, n, s = p.k, p.m, p.n, p.s
-    r = p.r
-    rows = (
+    m, n, s, r = p.m, p.n, p.s, p.r
+    return QuotientMatrix((
         (r, 0, r, 0),
         (0, n, r, n - r),
         (s, m - s, m, 0),
         (0, m - s, 0, m - s),
-    )
-    entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    return QuotientMatrix(entries, (s, m - s, r, n - r), True)
+    ), (s, m - s, r, n - r), True)
 
 
 def family_char_coeffs(p: ExtremalParams) -> PolyCoeffs:

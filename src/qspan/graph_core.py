@@ -9,6 +9,8 @@ checker in qspan.trees unions up to 2**m of these per call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import InputError
 
@@ -41,8 +43,17 @@ class BipartiteGraph:
         if len(self.adj) != self.m:
             raise InputError(f"adj has {len(self.adj)} rows, expected m={self.m}")
         full = (1 << self.n) - 1
-        for a, mask in enumerate(self.adj):
-            if mask < 0 or mask & ~full:
+        try:
+            if 0 <= reduce(or_, self.adj, 0) <= full:
+                return
+        except (TypeError, OverflowError):   # a row that | rejects, or mixed numpy widths
+            pass
+        for a, mask in enumerate(self.adj):    # some row is bad: name the first
+            try:
+                bad = not 0 <= mask | 0 <= full
+            except TypeError:
+                raise InputError(f"neighborhood of A-vertex {a} is not an int bitmask: {mask!r}") from None
+            if bad:
                 raise InputError(f"neighborhood of A-vertex {a} has bits outside [0, {self.n})")
 
     @property

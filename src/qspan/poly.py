@@ -3,7 +3,8 @@
 Coefficient vectors are ascending (c0 first). Characteristic polynomials,
 root bisection and the positive-definiteness certificate run in plain
 integers, so roots are correctly rounded floats and every strictness claim is
-exact.
+exact. A float Newton step only picks the bisection's starting bracket, and
+its signs are checked in integers first.
 """
 
 from __future__ import annotations
@@ -17,10 +18,14 @@ from .errors import CapacityError, InputError, InternalError, NumericalError
 
 CHAR_POLY_CAP = 11      # exact characteristic polynomial cap (quotients here have order 4)
 BISECTION_CAP = 4096    # root halvings; a float bracket shrinks below a subnormal in ~2,100
+NEWTON_CAP = 64         # float Newton steps that seed the root bisection
+SEED_ULPS = 4           # half-width of the seeded bracket, in ulps of the Newton iterate
 
 
 def _integral(coeffs):
-    """Coefficients as integers: Fractions scaled by the positive lcm of their denominators."""
+    """Coefficients as integers: ints as they are, else scaled by the lcm of their denominators."""
+    if all(type(c) is int for c in coeffs):
+        return list(coeffs)
     fracs = [Fraction(c) for c in coeffs]
     scale = math.lcm(*(c.denominator for c in fracs))
     return [int(c * scale) for c in fracs]
@@ -39,20 +44,12 @@ def _horner(coeffs, x, den=1):
 def _int_matrix(rows):
     """A square matrix as lists of ints; entries may be of any type that
     Fraction maps to an integer."""
-    mat = []
-    for row in rows:
-        if len(row) != len(rows):
-            raise InputError("matrix is not square")
-        conv = []
-        for x in row:
-            if type(x) is not int:
-                fx = Fraction(x)
-                if fx.denominator != 1:
-                    raise InputError(f"entries must be integers, got {x!r}")
-                x = int(fx)
-            conv.append(x)
-        mat.append(conv)
-    return mat
+    if any(len(row) != len(rows) for row in rows):
+        raise InputError("matrix is not square")
+    bad = [x for row in rows for x in row if type(x) is not int and Fraction(x).denominator != 1]
+    if bad:
+        raise InputError(f"entries must be integers, got {bad[0]!r}")
+    return [[x if type(x) is int else int(Fraction(x)) for x in row] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,10 @@ class PolyCoeffs:
         return len(self.coeffs) - 1
 
     def evaluate(self, x):
-        """Horner evaluation; exact when x and the coefficients are exact."""
+        """Horner evaluation; exact when x and the coefficients are exact. A
+        Fraction x takes homogeneous Horner and one Fraction at the end."""
+        if isinstance(x, Fraction):
+            return _horner(self.coeffs, x.numerator, x.denominator) / Fraction(x.denominator ** self.degree)
         return _horner(self.coeffs, x)
 
 
@@ -107,12 +107,41 @@ def exact_char_poly(rows) -> PolyCoeffs:
     return PolyCoeffs(tuple(reversed(descending)))
 
 
+def _newton_bracket(coeffs, lo_num, hi_num, den, f_lo):
+    """x -/+ SEED_ULPS ulp(x) as (lo_num, hi_num, den), x the float Newton
+    iterate from hi_num / den once its step stops shrinking, if it lies
+    strictly inside (lo_num / den, hi_num / den) and its exact signs change
+    as there (f_lo is the value at lo); else None. Never raises."""
+    try:
+        fc, x, last = [float(c) for c in coeffs], hi_num / den, math.inf
+        for _ in range(NEWTON_CAP):
+            fx, dx = fc[-1], 0.0
+            for c in reversed(fc[:-1]):
+                fx, dx = fx * x + c, dx * x + fx
+            if not abs(step := fx / dx) < last:     # NaN included
+                break
+            x, last = x - step, abs(step)
+        num, x_den = x.as_integer_ratio()   # OverflowError once x is infinite
+    except (OverflowError, ZeroDivisionError):
+        return None
+    unit, seed_den = math.ulp(x).as_integer_ratio()
+    mid = num * seed_den // x_den           # x is a whole number of ulps
+    seed_lo, seed_hi = mid - SEED_ULPS * unit, mid + SEED_ULPS * unit
+    if not (lo_num * seed_den < seed_lo * den and seed_hi * den < hi_num * seed_den):
+        return None
+    at_lo, at_hi = _horner(coeffs, seed_lo, seed_den), _horner(coeffs, seed_hi, seed_den)
+    return (seed_lo, seed_hi, seed_den) if at_lo * f_lo > 0 > at_hi * f_lo else None
+
+
 def largest_real_root(p: PolyCoeffs, bracket) -> float:
-    """Correctly rounded root of p in a bracket (int, Fraction or float ends)
-    that changes sign and isolates the largest real root, in closed form for
-    the quotient quartics used here. Bisection on integer numerators over a
-    doubling denominator stops once both ends round to one float; int true
-    division rounds correctly, so that float is the rounded root."""
+    """Correctly rounded root of p in a bracket (int, Fraction or finite float
+    ends) that changes sign and isolates the largest real root. Bisection on
+    integer numerators over a doubling denominator, from _newton_bracket's
+    bracket if it gives one, else the caller's, stops once both ends round to
+    one float; int true division rounds correctly, so that is the root."""
+    for end in bracket[:2]:
+        if type(end) is bool or not isinstance(end, (int, Fraction, float)) or not -math.inf < end < math.inf:
+            raise InputError(f"bracket ends must be ints, Fractions or finite floats, got {end!r}")
     lo, hi = Fraction(bracket[0]), Fraction(bracket[1])
     if not lo < hi:
         raise InputError(f"invalid bracket ({bracket[0]}, {bracket[1]})")
@@ -124,6 +153,8 @@ def largest_real_root(p: PolyCoeffs, bracket) -> float:
         raise NumericalError(f"no sign change on bracket ({bracket[0]}, {bracket[1]})")
     if f_lo * f_hi == 0:   # a root at an end
         lo_num = hi_num = lo_num if f_lo == 0 else hi_num
+    else:
+        lo_num, hi_num, den = _newton_bracket(coeffs, lo_num, hi_num, den, f_lo) or (lo_num, hi_num, den)
     for _ in range(BISECTION_CAP):
         if lo_num / den == hi_num / den:
             return lo_num / den

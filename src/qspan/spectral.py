@@ -26,10 +26,10 @@ class QuotientMatrix:
 
     entries[i][j] is the average, over vertices of block i, of the row sum
     of the (i, j) block of Q. The partition is equitable when every row in
-    each block attains that average exactly.
+    each block attains that average exactly. Entries are exact (ints in family_quotient).
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Fraction | int, ...], ...]
     block_sizes: tuple[int, ...]
     equitable: bool
 

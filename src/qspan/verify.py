@@ -467,13 +467,24 @@ def _fuzz_pairs(trials: int, seed: int):
         yield g, _random_spanning_subgraph(rng, g)
 
 
+def _short_dyadic(qh: float, qg: float) -> Fraction:
+    """The dyadic j / 2**t, least t >= 0 then least j, in the middle half
+    [qh + gap/4, qg - gap/4] of finite floats qh < qg, gap = qg - qh. The
+    bounds are exact, so no float overflows; t stops once 2**t > 2 / gap."""
+    lo, hi = (3 * Fraction(qh) + Fraction(qg)) / 4, (Fraction(qh) + 3 * Fraction(qg)) / 4
+    t = 0   # j = ceil(lo * 2**t)
+    while (j := -((-lo.numerator << t) // lo.denominator)) * hi.denominator > hi.numerator << t:
+        t += 1
+    return Fraction(j, 1 << t)
+
+
 def subgraph_monotonicity_fuzz(trials: int = 10000, seed: int = 0) -> MonotonicityReport:
     """Random connected graph G, random connected spanning subgraph H:
     q(H) must never exceed q(G) + 1e-9. The radii come from one batched eigh
     per (m, n) shape. On the first STRICT_CHECK_BUDGET small pairs (at most
     8 vertices) with H != G, strictness is additionally certified in exact
-    arithmetic: at x, the float midpoint of q(H) < q(G), x I - Q(H) must be
-    positive definite and x I - Q(G) must not."""
+    arithmetic: at x, the _short_dyadic of q(H) < q(G) (short, so the
+    integers stay small), x I - Q(H) must be positive definite, x I - Q(G) not."""
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 0:
         raise InputError(f"trials must be a non-negative integer, got {trials!r}")
     shapes = {}   # (m, n) -> (trials, adjacency rows of G then H per trial)
@@ -499,7 +510,7 @@ def subgraph_monotonicity_fuzz(trials: int = 10000, seed: int = 0) -> Monotonici
             # small integer entries, so the float64 matrices convert exactly
             if trial in checked and not (qh < qg and separates_top_eigenvalues(
                     q[2 * j].astype(int).tolist(), q[2 * j + 1].astype(int).tolist(),
-                    Fraction((qg + qh) / 2))):
+                    _short_dyadic(qh, qg))):
                 strict_failures.append({"trial": trial, "m": m, "n": n})
     violations.sort(key=lambda v: v["trial"])
     strict_failures.sort(key=lambda f: f["trial"])

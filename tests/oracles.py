@@ -11,16 +11,21 @@ None of these has a caller in the package itself:
   is_connected call per edge, from which the fuzz's subgraph drawing is
   checked;
 * random_demand_instances: a deterministic corpus of (connected graph,
-  demand) pairs on which the checkers and the constructor are compared.
+  demand) pairs on which the checkers and the constructor are compared;
+* bisect_root: the root bisection from the caller's bracket alone, with no
+  Newton seed, against which poly.largest_real_root is checked.
 """
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
-from qspan import BipartiteGraph, DegreeDemand, InputError
+from qspan import BipartiteGraph, DegreeDemand, InputError, InternalError, NumericalError
 from qspan.graph_core import is_connected, iter_bits, to_edge_list
+from qspan.poly import BISECTION_CAP, _horner, _integral
 from qspan.verify import _graph_from_mask, _random_connected
 
 
@@ -107,3 +112,32 @@ def random_demand_instances(count: int, seed: int = 0):
         g = _random_connected(rng, m, n)
         f = DegreeDemand(tuple(rng.choice((2, 3, 4)) for _ in range(m)))
         yield g, f
+
+
+def bisect_root(p, bracket) -> float:
+    """Correctly rounded root of p in a bracket that changes sign, by
+    bisection on integer numerators over a doubling denominator, from the
+    caller's bracket: the root bisection as it was before the Newton seed."""
+    lo, hi = Fraction(bracket[0]), Fraction(bracket[1])
+    if not lo < hi:
+        raise InputError(f"invalid bracket ({bracket[0]}, {bracket[1]})")
+    coeffs = _integral(p.coeffs)
+    den = math.lcm(lo.denominator, hi.denominator)
+    lo_num, hi_num = int(lo * den), int(hi * den)
+    f_lo, f_hi = _horner(coeffs, lo_num, den), _horner(coeffs, hi_num, den)
+    if f_lo * f_hi > 0:
+        raise NumericalError(f"no sign change on bracket ({bracket[0]}, {bracket[1]})")
+    if f_lo * f_hi == 0:   # a root at an end
+        lo_num = hi_num = lo_num if f_lo == 0 else hi_num
+    for _ in range(BISECTION_CAP):
+        if lo_num / den == hi_num / den:
+            return lo_num / den
+        mid, den = lo_num + hi_num, 2 * den
+        value = _horner(coeffs, mid, den)
+        if value == 0:
+            lo_num = hi_num = mid
+        elif (value > 0) == (f_lo > 0):
+            lo_num, hi_num = mid, 2 * hi_num
+        else:
+            lo_num, hi_num = 2 * lo_num, mid
+    raise InternalError(f"bisection on ({bracket[0]}, {bracket[1]}) did not settle on one float")

@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +55,26 @@ class TestConstruction:
             from_edge_list(2, 2, [(0, 2)])
         with pytest.raises(InputError):
             BipartiteGraph(2, 2, (1 << 2, 0))
+
+    @pytest.mark.parametrize("row", [1.0, "1", None])
+    def test_rejects_non_int_row(self, row):
+        # the bad row is named, after a good one
+        with pytest.raises(InputError, match=r"A-vertex 1 is not an int bitmask"):
+            BipartiteGraph(3, 2, (1, row, 2))
+
+    def test_first_bad_row_named(self):
+        with pytest.raises(InputError, match=r"A-vertex 1 has bits outside \[0, 2\)"):
+            BipartiteGraph(3, 2, (1, -1, 1 << 2))
+        with pytest.raises(InputError, match=r"A-vertex 2 has bits outside"):
+            BipartiteGraph(3, 2, (3, 0, 1 << 5))
+        with pytest.raises(InputError, match=r"A-vertex 0 has bits outside"):
+            BipartiteGraph(1, 2, (np.uint8(8),))
+
+    def test_bool_and_numpy_rows_accepted(self):
+        g = BipartiteGraph(3, 2, (True, np.int64(3), np.uint8(2)))
+        assert g.edge_count == 4
+        # np.uint64 | (1 << 80) overflows; each row is still a valid bitmask
+        assert BipartiteGraph(2, 100, (np.uint64(1), 1 << 80)).edge_count == 2
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(InputError):

@@ -30,9 +30,12 @@ from qspan import (
     signless_laplacian,
     spectral_radii,
 )
-from qspan.extremal import ExtremalParams, build_family, family_partition
+from qspan import poly
+from qspan.extremal import ExtremalParams, build_family, family_bracket, family_partition, spectral_threshold
 from qspan.poly import CHAR_POLY_CAP, PolyCoeffs, exact_char_poly, largest_real_root
 from qspan.spectral import DENSE_CAP
+
+from oracles import bisect_root
 
 
 def oracle_radius(mtx: np.ndarray) -> float:
@@ -487,13 +490,22 @@ def isolated_largest_roots(count, seed):
     return out
 
 
-class TestExactRoot:
-    def test_benchmark_grid_roots_correctly_rounded(self):
-        grid = [ExtremalParams(k, m, (k - 1) * m + extra, s)
+# the points of the benchmark's proof sweep (k 3..7, m 3..8, n offsets 1..8)
+# that have a root; offset 0 is the boundary, with no root
+SWEEP_POINTS = [ExtremalParams(k, m, (k - 1) * m + extra, s)
                 for k in range(3, 8) for m in range(3, 9)
                 for extra in range(1, 9) for s in range(1, m)]
-        assert len(grid) == 1080
-        for p in grid:
+
+# every census point pinned in the tests: the orbit oracle's, the CLI goldens'
+# and the larger searches'
+CENSUS_POINTS = sorted({(k, 3, n) for k in range(3, 8) for n in range((k - 1) * 3 + 1, 16)}
+                       | {(3, 4, 9), (3, 5, 11), (3, 6, 13), (3, 7, 15), (5, 3, 14)})
+
+
+class TestExactRoot:
+    def test_benchmark_grid_roots_correctly_rounded(self):
+        assert len(SWEEP_POINTS) == 1080
+        for p in SWEEP_POINTS:
             assert correctly_rounded(family_char_coeffs(p), family_root(p)), p
 
     def test_random_polynomials_correctly_rounded(self):
@@ -528,16 +540,82 @@ class TestExactRoot:
         root = largest_real_root(p, (0, 1))
         assert correctly_rounded(p, root)
 
-    def test_root_on_a_rounding_midpoint(self):
+    def test_root_on_a_rounding_midpoint(self, monkeypatch):
         # 1 + 2**-53 lies halfway between 1 and the next float up
         p = PolyCoeffs((-Fraction(2 ** 53 + 1, 2 ** 53), 1))
         assert largest_real_root(p, (0, 2)) == 1.0     # hit exactly, ties to even
+        # the seeded bracket 1 -/+ 4 ulp is dyadic, so bisection hits the tie
+        assert largest_real_root(p, (0, 7)) == 1.0
+        monkeypatch.setattr(poly, "_newton_bracket", lambda *args: None)
         with pytest.raises(InternalError):             # 7 * j / 2**t never hits it
             largest_real_root(p, (0, 7))
 
     def test_invalid_bracket(self):
         with pytest.raises(InputError):
             largest_real_root(PolyCoeffs((-2, 0, 1)), (2, 1))
+
+    @pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf, None, "1", True, np.int64(1)])
+    def test_bracket_end_types_refused(self, end):
+        p = PolyCoeffs((-2, 0, 1))
+        for bracket in ((end, 2), (0, end)):
+            with pytest.raises(InputError, match="bracket ends"):
+                largest_real_root(p, bracket)
+
+
+class TestSeededRoot:
+    """largest_real_root starts its bisection from a few-ulp bracket around a
+    float Newton iterate once exact signs confirm it; the root it returns is
+    the one that bisection from the caller's bracket alone returns."""
+
+    def test_random_polynomials_match_plain_bisection(self):
+        for p, bracket, _ in isolated_largest_roots(200, seed=3):
+            assert largest_real_root(p, bracket) == bisect_root(p, bracket), (p, bracket)
+
+    def test_sweep_roots_match_plain_bisection(self):
+        for p in SWEEP_POINTS:
+            assert family_root(p) == bisect_root(family_char_coeffs(p), family_bracket(p)), p
+
+    def test_census_thresholds_match_plain_bisection(self):
+        for k, m, n in CENSUS_POINTS:
+            p = ExtremalParams(k, m, n, 1)
+            assert spectral_threshold(k, m, n) == bisect_root(family_char_coeffs(p), family_bracket(p))
+
+    def test_few_exact_evaluations_per_root(self, monkeypatch):
+        calls = []
+        horner = poly._horner
+
+        def counted(*args):
+            calls.append(None)
+            return horner(*args)
+
+        monkeypatch.setattr(poly, "_horner", counted)
+        for p in SWEEP_POINTS:
+            family_root(p)
+        # bisection from the caller's bracket alone takes 55.4 per root
+        assert len(calls) <= 12 * len(SWEEP_POINTS)
+
+    @pytest.mark.parametrize("coeffs, bracket", [
+        ((-(10 ** 400), 0, 1), (0, 10 ** 201)),         # float(coefficient) overflows
+        ((-10, 16, -7, 1), (0, 2)),                     # f'(2) = 0: (x - 1)(x^2 - 6x + 10)
+        ((1, 0, -(10 ** 200), 0, 1), (1, 10 ** 101)),   # Newton's values overflow to inf
+    ])
+    def test_seed_never_raises(self, coeffs, bracket):
+        p = PolyCoeffs(coeffs)
+        assert largest_real_root(p, bracket) == bisect_root(p, bracket)
+
+    def test_seed_from_an_end_past_the_floats(self):
+        # hi = 10**400 / 3 overflows a float; bisection from there would too, so
+        # only the seed is asked
+        assert poly._newton_bracket([-2, 0, 1], 0, 10 ** 400, 3, -18) is None
+
+    def test_seed_strictly_inside_the_bracket(self):
+        # the root 1 sits 1 ulp above the bracket's lower end, so the
+        # seeded bracket would leave the caller's and is not used
+        lo = math.nextafter(1.0, 0.0)
+        lo_num, den = lo.as_integer_ratio()
+        p = PolyCoeffs((-1, 1))
+        assert poly._newton_bracket([-1, 1], lo_num, 2 * den, den, lo_num - den) is None
+        assert largest_real_root(p, (lo, 2.0)) == 1.0
 
 
 class TestPublicNames:

@@ -36,6 +36,7 @@ from qspan.verify import (
     _class_size,
     _graph_from_mask,
     _labellings,
+    _short_dyadic,
     _up_set,
     connected_bipartite_count,
     scan_stats,
@@ -688,6 +689,42 @@ class TestSpanningSubgraphDrawing:
             assert all(y & ~x == 0 for x, y in zip(g.adj, h.adj))
 
 
+class TestShortDyadic:
+    """_short_dyadic(qh, qg): the dyadic with the least denominator exponent
+    t, then the least numerator, in [qh + gap/4, qg - gap/4]."""
+
+    @staticmethod
+    def middle_half(qh, qg):
+        qh, qg = Fraction(qh), Fraction(qg)
+        return qh + (qg - qh) / 4, qg - (qg - qh) / 4
+
+    def test_matches_brute_force(self):
+        rng = random.Random(23)
+        for _ in range(3000):
+            qh = rng.uniform(-60, 60)
+            qg = qh + rng.choice((1e-12, 1e-6, 1e-2, 1.0, 40.0)) * rng.random()
+            if not qh < qg:
+                continue
+            lo, hi = self.middle_half(qh, qg)
+            x = _short_dyadic(qh, qg)
+            t = x.denominator.bit_length() - 1
+            assert x.denominator == 1 << t and lo <= x <= hi, (qh, qg, x)
+            for shorter in range(t):   # no multiple of 2^-shorter in range
+                assert math.ceil(lo * 2 ** shorter) > hi * 2 ** shorter, (qh, qg, shorter)
+            assert x - Fraction(1, 1 << t) < lo   # and the least numerator at t
+
+    @pytest.mark.parametrize("qh, qg", [
+        (-1.7976931348623157e308, 1.7976931348623157e308),   # the float gap overflows
+        (1.7976931348623155e308, 1.7976931348623157e308),    # adjacent, at the top
+        (0.0, 5e-324),                                       # adjacent subnormals
+        (-5e-324, 0.0),
+        (1.0, math.nextafter(1.0, 2.0)),
+    ])
+    def test_extreme_pairs(self, qh, qg):
+        lo, hi = self.middle_half(qh, qg)
+        assert lo <= _short_dyadic(qh, qg) <= hi
+
+
 class TestMonotonicityFuzz:
     def test_spanning_tree_of_k33_below_six(self):
         # q(K_{3,3}) = 6; any proper spanning subgraph sits strictly below
@@ -719,6 +756,23 @@ class TestMonotonicityFuzz:
         rep = subgraph_monotonicity_fuzz(trials=3000, seed=seed)
         assert (rep.equal_pairs, rep.strict_checks, rep.violations, rep.strict_failures) == (
             equal_pairs, 400, [], [])
+
+    def test_separators_are_short(self, monkeypatch):
+        # the x of every certificate at the CI pin is a dyadic of at most 2^8;
+        # the float midpoint of the two radii had 2^50
+        xs = []
+        separates = verify.separates_top_eigenvalues
+
+        def recorded(big, small, x):
+            xs.append(x)
+            return separates(big, small, x)
+
+        monkeypatch.setattr(verify, "separates_top_eigenvalues", recorded)
+        rep = subgraph_monotonicity_fuzz(trials=3000, seed=1)
+        assert (rep.equal_pairs, rep.strict_checks, rep.violations, rep.strict_failures) == (
+            1427, 400, [], [])
+        assert len(xs) == 400
+        assert all(type(x) is Fraction and x.denominator <= 1 << 8 for x in xs)
 
     def test_batched_radii_match_spectral_radius(self):
         by_shape = defaultdict(list)
