@@ -188,8 +188,17 @@ def format_graph(g: BipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimal(*fields: str) -> None:
+    """A ValueError unless each field is ASCII -?[0-9]+. int() also reads 1_0,
+    +3 and non-ASCII digits, but none of them in an ASCII text without + or _."""
+    for field in fields:
+        if not (field.isascii() and field.removeprefix("-").isdigit()):
+            raise ValueError(field)
+
+
 def parse_graph(text: str, source: str = "<string>") -> BipartiteGraph:
     """Parse the graph file format, reporting errors as source:line: message."""
+    plain = text.isascii() and "+" not in text and "_" not in text   # edges need no _decimal
     m = n = None
     adj = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -200,6 +209,8 @@ def parse_graph(text: str, source: str = "<string>") -> BipartiteGraph:
             if len(fields) != 3:
                 raise InputError(f"{source}:{lineno}: expected 'e <a> <b>'")
             try:
+                if not plain:
+                    _decimal(fields[1], fields[2])
                 a, b = int(fields[1]), int(fields[2])
             except ValueError:
                 raise InputError(f"{source}:{lineno}: endpoints must be integers") from None
@@ -216,6 +227,7 @@ def parse_graph(text: str, source: str = "<string>") -> BipartiteGraph:
             if len(fields) != 4 or fields[1] != "bip":
                 raise InputError(f"{source}:{lineno}: expected 'p bip <m> <n>'")
             try:
+                _decimal(fields[2], fields[3])
                 m, n = int(fields[2]), int(fields[3])
             except ValueError:
                 raise InputError(f"{source}:{lineno}: part sizes must be integers") from None
@@ -259,6 +271,7 @@ def parse_demands(text: str, source: str = "<string>") -> DegreeDemand:
         if not line or line.startswith("#"):
             continue
         try:
+            _decimal(line)
             v = int(line)
         except ValueError:
             raise InputError(f"{source}:{lineno}: expected an integer, got {line!r}") from None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -134,14 +135,15 @@ def _newton_bracket(coeffs, lo_num, hi_num, den, f_lo):
 
 
 def largest_real_root(p: PolyCoeffs, bracket) -> float:
-    """Correctly rounded root of p in a bracket (int, Fraction or finite float
-    ends) that changes sign and isolates the largest real root. Bisection on
-    integer numerators over a doubling denominator, from _newton_bracket's
-    bracket if it gives one, else the caller's, stops once both ends round to
-    one float; int true division rounds correctly, so that is the root."""
+    """Correctly rounded root of p in a bracket that changes sign and isolates
+    the largest real root, its ends ints, Fractions or floats within the float
+    range. Bisection on integer numerators over a doubling denominator, from
+    _newton_bracket's bracket if it gives one, else the caller's, stops once
+    both ends round to one float; int true division rounds correctly, so that
+    is the root."""
     for end in bracket[:2]:
-        if type(end) is bool or not isinstance(end, (int, Fraction, float)) or not -math.inf < end < math.inf:
-            raise InputError(f"bracket ends must be ints, Fractions or finite floats, got {end!r}")
+        if type(end) is bool or not isinstance(end, (int, Fraction, float)) or not abs(end) <= sys.float_info.max:
+            raise InputError(f"bracket ends must be ints, Fractions or floats, finite and within the float range, got {end!r}")
     lo, hi = Fraction(bracket[0]), Fraction(bracket[1])
     if not lo < hi:
         raise InputError(f"invalid bracket ({bracket[0]}, {bracket[1]})")

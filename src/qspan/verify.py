@@ -43,6 +43,7 @@ from .extremal import (
     difference_factor,
     difference_factor_coeffs,
     extremal_graph,
+    family_bracket,
     family_char_coeffs,
     family_partition,
     family_quotient,
@@ -57,7 +58,6 @@ from .graph_core import (
     complete_bipartite,
     is_connected,
     iter_bits,
-    join,
     to_edge_list,
 )
 from .poly import exact_char_poly, separates_top_eigenvalues
@@ -296,13 +296,16 @@ def point_checks(p: ExtremalParams) -> dict:
     Every check is exact. At s = 1 separation asks that the two quartics
     coincide. For s >= 2, q1 is correctly rounded, so the float above it
     exceeds the s root; separation asks that it still lie below q*, where the
-    s=1 quartic is negative in its bracket. join_chain asks that the (m, n)
-    join at each r = 1..(k-1)s lie row by row in the next one, the last being
-    the family member, so q only rises. m + n > DENSE_CAP is a CapacityError.
+    s=1 quartic is negative in its bracket. join_chain asks that the family
+    member have s rows 2^r - 1, r = (k-1)s, then m - s rows 2^n - 1. A join at
+    any r has that form, and 2^r - 1 lies in 2^r' - 1 for r <= r', so the
+    chain nests and q only rises; the one built graph ties this to the family's
+    definition. m + n > DENSE_CAP is a CapacityError.
     """
     if p.m + p.n > DENSE_CAP:
         raise CapacityError(f"order {p.m + p.n} exceeds dense cap {DENSE_CAP}")
     k, m, n, s = p.k, p.m, p.n, p.s
+    lo, hi = family_bracket(p)
     fam = family_char_coeffs(p)
     checks = {}
 
@@ -314,11 +317,11 @@ def point_checks(p: ExtremalParams) -> dict:
     diff = tuple(bc - fc for bc, fc in zip(base.coeffs, fam.coeffs))
     checks["difference_identity"] = diff == expected
 
-    psi_hi = difference_factor(m + n, p)
+    psi_hi = difference_factor(hi, p)
     fn = upper_endpoint_quadratic(n, k, m)
     checks["upper_endpoint_negative"] = psi_hi <= fn < 0
 
-    psi_lo = difference_factor(m + p.r, p)
+    psi_lo = difference_factor(lo, p)
     hs = lower_endpoint_quadratic(s, k, m, n)
     checks["lower_endpoint_identity"] = psi_lo == (k - 1) * hs
     checks["lower_endpoint_negative"] = (
@@ -327,8 +330,6 @@ def point_checks(p: ExtremalParams) -> dict:
         and lower_endpoint_quadratic(m - 1, k, m, n) < 0
     )
 
-    lo = m + p.r
-    hi = m + n
     q1 = family_root(p)
     checks["ordering"] = fam.evaluate(lo) < 0 and fam.evaluate(hi) > 0 and lo < q1 < hi
 
@@ -337,12 +338,7 @@ def point_checks(p: ExtremalParams) -> dict:
     else:
         checks["separation"] = base.evaluate(Fraction(math.nextafter(q1, math.inf))) < 0
 
-    rows, chain_ok = (0,) * m, True
-    for r in range(1, p.r + 1):
-        g = join(complete_bipartite(s, r), complete_bipartite(m - s, n - r))
-        chain_ok = chain_ok and all(x & ~y == 0 for x, y in zip(rows, g.adj))
-        rows = g.adj
-    checks["join_chain"] = chain_ok and g == build_family(p)
+    checks["join_chain"] = build_family(p).adj == ((1 << p.r) - 1,) * s + ((1 << n) - 1,) * (m - s)
     return checks
 
 

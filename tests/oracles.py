@@ -13,7 +13,9 @@ None of these has a caller in the package itself:
 * random_demand_instances: a deterministic corpus of (connected graph,
   demand) pairs on which the checkers and the constructor are compared;
 * bisect_root: the root bisection from the caller's bracket alone, with no
-  Newton seed, against which poly.largest_real_root is checked.
+  Newton seed, against which poly.largest_real_root is checked;
+* join_chain: the joins at r = 1..(k-1)s, each built from two complete
+  graphs, against which verify.point_checks's closed-form rows are checked.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from qspan import BipartiteGraph, DegreeDemand, InputError, InternalError, NumericalError
-from qspan.graph_core import is_connected, iter_bits, to_edge_list
+from qspan.graph_core import complete_bipartite, is_connected, iter_bits, join, to_edge_list
 from qspan.poly import BISECTION_CAP, _horner, _integral
 from qspan.verify import _graph_from_mask, _random_connected
 
@@ -141,3 +143,10 @@ def bisect_root(p, bracket) -> float:
         else:
             lo_num, hi_num = 2 * lo_num, mid
     raise InternalError(f"bisection on ({bracket[0]}, {bracket[1]}) did not settle on one float")
+
+
+def join_chain(p) -> list[BipartiteGraph]:
+    """join(K_{s,r}, K_{m-s,n-r}) for r = 1..(k-1)s at ExtremalParams p, each
+    from two fresh complete_bipartite graphs; the last is the family member."""
+    return [join(complete_bipartite(p.s, r), complete_bipartite(p.m - p.s, p.n - r))
+            for r in range(1, p.r + 1)]

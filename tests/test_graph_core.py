@@ -279,7 +279,20 @@ class TestFileFormat:
             except InputError as exc:
                 outcome = str(exc)
             h.update(repr(outcome).encode())
-        assert h.hexdigest() == "e0759f9bb5aacdc699a9b201f239d5bf98c931359fd0ec2ebaf034c308535908"
+        assert h.hexdigest() == "4d2475950c6727810929a0a961f1ab02fb4e97c03f68f8bbd022f9543f8407fc"
+
+    @pytest.mark.parametrize("field", ["1_0", "+3", "\u0664"])   # U+0664: an Arabic-Indic 4
+    @pytest.mark.parametrize("parse, template, message", [
+        (parse_graph, "p bip {} 2\n", "f:1: part sizes must be integers"),
+        (parse_graph, "p bip 11 2\ne {} 0\n", "f:2: endpoints must be integers"),
+        (parse_demands, "2\n{}\n", "f:2: expected an integer"),
+    ], ids=["header", "edge", "demand"])
+    def test_integer_fields_are_ascii_decimal(self, parse, template, message, field):
+        # int() takes all three fields; the file formats take -?[0-9]+ only
+        with pytest.raises(InputError, match=message):
+            parse(template.format(field), "f")
+        # the same characters in a comment leave a valid field valid
+        parse(f"# {field}\n" + template.format(3), "f")
 
 
 class TestDegreeDemand:

@@ -554,12 +554,19 @@ class TestExactRoot:
         with pytest.raises(InputError):
             largest_real_root(PolyCoeffs((-2, 0, 1)), (2, 1))
 
-    @pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf, None, "1", True, np.int64(1)])
+    @pytest.mark.parametrize("end", [
+        math.nan, math.inf, -math.inf, None, "1", True, np.int64(1),
+        pytest.param(10**401, id="10**401"),
+        pytest.param(10**400, id="10**400"),
+        pytest.param(Fraction(10**401, 3), id="10**401/3"),
+    ])
     def test_bracket_end_types_refused(self, end):
-        p = PolyCoeffs((-2, 0, 1))
-        for bracket in ((end, 2), (0, end)):
-            with pytest.raises(InputError, match="bracket ends"):
-                largest_real_root(p, bracket)
+        # ends past the float range included, whether the root lies past it
+        # (x^2 - 10^800 on (0, 10^401)) or not (x - 1 on (0, 10^400))
+        for p in (PolyCoeffs((-2, 0, 1)), PolyCoeffs((-(10**800), 0, 1)), PolyCoeffs((-1, 1))):
+            for bracket in ((end, 2), (0, end)):
+                with pytest.raises(InputError, match="bracket ends"):
+                    largest_real_root(p, bracket)
 
 
 class TestSeededRoot:

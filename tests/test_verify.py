@@ -28,7 +28,7 @@ from qspan import (
     signless_laplacian,
     subgraph_monotonicity_fuzz,
 )
-from qspan import verify
+from qspan import extremal, verify
 from qspan.extremal import ExtremalParams, family_char_coeffs, family_root, spectral_threshold
 from qspan.poly import _positive_definite, separates_top_eigenvalues
 from qspan.spectral import q_matrices, spectral_radii
@@ -42,7 +42,13 @@ from qspan.verify import (
     scan_stats,
 )
 
-from oracles import connected_filter, non_bridges, part_preserving_isomorphic, random_demand_instances
+from oracles import (
+    connected_filter,
+    join_chain,
+    non_bridges,
+    part_preserving_isomorphic,
+    random_demand_instances,
+)
 
 
 class TestEnumeration:
@@ -435,15 +441,44 @@ class TestPointChecks:
             patch.setattr(verify, "build_family", lambda _: dropped)
             assert point_checks(p)["join_chain"] is False
 
-        def join_plus_edge_at_r1(g1, g2):
-            # at r = 1 only, A-vertex 0 also sees the last B-vertex; the top is untouched
+        def join_plus_edge(g1, g2):
+            # A-vertex 0 also sees the last B-vertex, outside its 2^r - 1
             h = join(g1, g2)
-            if g1.n > 1:
-                return h
             return BipartiteGraph(h.m, h.n, (h.adj[0] | 1 << (h.n - 1),) + h.adj[1:])
 
-        monkeypatch.setattr(verify, "join", join_plus_edge_at_r1)
+        monkeypatch.setattr(extremal, "join", join_plus_edge)
         assert point_checks(p)["join_chain"] is False
+
+    def test_join_chain_oracle_on_the_sweep_grid(self):
+        # every join of the chain, built from two complete graphs, has the
+        # closed-form rows that join_chain checks, and lies row by row in the
+        # next; the last is the family member
+        joins = 0
+        for k, m, extra in itertools.product(range(3, 8), range(3, 9), range(1, 9)):
+            n = (k - 1) * m + extra
+            for s in range(1, m):
+                p = ExtremalParams(k, m, n, s)
+                chain = join_chain(p)
+                for r, g in enumerate(chain, start=1):
+                    assert g.adj == ((1 << r) - 1,) * s + ((1 << n) - 1,) * (m - s), (p, r)
+                for g, h in zip(chain, chain[1:]):
+                    assert all(x & ~y == 0 for x, y in zip(g.adj, h.adj)), p
+                assert chain[-1] == build_family(p)
+                joins += len(chain)
+        assert joins == 13280
+
+    @pytest.mark.parametrize("k, m, n, s", [(3, 3, 7, 2), (3, 1365, 2731, 1364)])
+    def test_builds_at_most_three_graphs(self, monkeypatch, k, m, n, s):
+        built = []
+        post_init = BipartiteGraph.__post_init__
+
+        def counted(g):
+            built.append((g.m, g.n))
+            post_init(g)
+
+        monkeypatch.setattr(BipartiteGraph, "__post_init__", counted)
+        assert all(point_checks(ExtremalParams(k, m, n, s)).values())
+        assert len(built) <= 3, len(built)
 
     def test_join_radii_below_family_root_on_default_grid(self):
         # the float form of join_chain: q of every join in every chain stays
