@@ -121,24 +121,29 @@ def join(g1: BipartiteGraph, g2: BipartiteGraph) -> BipartiteGraph:
     return BipartiteGraph(g1.m + g2.m, g1.n + g2.n, tuple(adj))
 
 
-def is_connected(g: BipartiteGraph) -> bool:
-    """True iff a breadth-first search from A-vertex 0 reaches all m+n vertices."""
-    b_rows = g.b_adj()
-    seen_a = 1
-    seen_b = 0
-    frontier_a = 1
-    while frontier_a:
-        reached_b = 0
-        for a in iter_bits(frontier_a):
-            reached_b |= g.adj[a]
-        new_b = reached_b & ~seen_b
-        seen_b |= new_b
+def reach(start: int, a_rows, b_rows) -> tuple[int, int]:
+    """(A-mask, B-mask) of the vertices a breadth-first search reaches from
+    the B-vertices in start: B-vertex b reaches b_rows[b], A-vertex a reaches
+    a_rows[a]."""
+    seen_a, seen_b = 0, start
+    frontier_b = start
+    while frontier_b:
         reached_a = 0
-        for b in iter_bits(new_b):
+        for b in iter_bits(frontier_b):
             reached_a |= b_rows[b]
         frontier_a = reached_a & ~seen_a
         seen_a |= frontier_a
-    return seen_a == (1 << g.m) - 1 and seen_b == (1 << g.n) - 1
+        reached_b = 0
+        for a in iter_bits(frontier_a):
+            reached_b |= a_rows[a]
+        frontier_b = reached_b & ~seen_b
+        seen_b |= frontier_b
+    return seen_a, seen_b
+
+
+def is_connected(g: BipartiteGraph) -> bool:
+    """True iff a breadth-first search from A-vertex 0 reaches all m+n vertices."""
+    return reach(g.adj[0], g.adj, g.b_adj()) == ((1 << g.m) - 1, (1 << g.n) - 1)
 
 
 @dataclass(frozen=True)

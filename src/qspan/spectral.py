@@ -9,13 +9,14 @@ exact characteristic polynomials come from qspan.poly.exact_char_poly).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import CapacityError, InputError, NumericalError
-from .graph_core import BipartiteGraph, iter_bits
+from .graph_core import BipartiteGraph
 
 DENSE_CAP = 4096        # largest order accepted for dense spectral work
 
@@ -99,65 +100,46 @@ def spectral_radii(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nd
     return value, residual
 
 
-def _partition_masks(g: BipartiteGraph, partition):
-    """Split each part into (A-mask, B-mask) pairs and validate the cover."""
+def _partition_blocks(g: BipartiteGraph, partition) -> list[list[int]]:
+    """Each block as a list of vertex indices, after checking that the
+    blocks are nonempty and cover 0..m+n-1 once. A bool, or a vertex
+    without __index__, is an InputError."""
     t = g.m + g.n
     seen = 0
-    masks = []
+    blocks = []
     for i, part in enumerate(partition):
-        amask = bmask = 0
-        empty = True
+        block = []
         for v in part:
-            empty = False
+            if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+                raise InputError(f"partition block {i}: vertex {v!r} is not an integer")
+            v = operator.index(v)
             if not (0 <= v < t):
                 raise InputError(f"partition block {i}: vertex {v} out of range [0, {t})")
-            bit = 1 << v
-            if seen & bit:
+            if seen >> v & 1:
                 raise InputError(f"partition block {i}: vertex {v} repeated")
-            seen |= bit
-            if v < g.m:
-                amask |= 1 << v
-            else:
-                bmask |= 1 << (v - g.m)
-        if empty:
+            seen |= 1 << v
+            block.append(v)
+        if not block:
             raise InputError(f"partition block {i} is empty")
-        masks.append((amask, bmask))
+        blocks.append(block)
     if seen != (1 << t) - 1:
         raise InputError("partition does not cover all vertices")
-    return masks
+    return blocks
 
 
 def quotient_matrix(g: BipartiteGraph, partition) -> QuotientMatrix:
     """Average block row sums of Q(G) for the given partition of all m+n
     vertices (A-vertices are global indices 0..m-1, B-vertices m..m+n-1).
 
-    Row sums are computed exactly in integers; the equitable flag records
-    whether every block of Q has constant row sums.
+    The row sums are read off signless_laplacian(g), so an order above
+    DENSE_CAP is a CapacityError; they are small integers, which float64
+    holds exactly. The equitable flag records whether every block of Q has
+    constant row sums.
     """
-    masks = _partition_masks(g, partition)
-    b_rows = g.b_adj()
-    p = len(masks)
-    entries = []
-    equitable = True
-    for i, (amask_i, bmask_i) in enumerate(masks):
-        row_sums = [[] for _ in range(p)]
-        for a in iter_bits(amask_i):
-            for j, (amask_j, bmask_j) in enumerate(masks):
-                s = (g.adj[a] & bmask_j).bit_count()
-                if amask_j >> a & 1:
-                    s += g.degree_a(a)
-                row_sums[j].append(s)
-        for b in iter_bits(bmask_i):
-            for j, (amask_j, bmask_j) in enumerate(masks):
-                s = (b_rows[b] & amask_j).bit_count()
-                if bmask_j >> b & 1:
-                    s += g.degree_b(b)
-                row_sums[j].append(s)
-        row = []
-        for j in range(p):
-            sums = row_sums[j]
-            if any(x != sums[0] for x in sums[1:]):
-                equitable = False
-            row.append(Fraction(sum(sums), len(sums)))
-        entries.append(tuple(row))
-    return QuotientMatrix(tuple(entries), tuple(m[0].bit_count() + m[1].bit_count() for m in masks), equitable)
+    blocks = _partition_blocks(g, partition)
+    q = signless_laplacian(g)
+    sums = np.stack([q[:, block].sum(axis=1) for block in blocks], axis=1)   # [v, j]: row v over block j
+    rows = [sums[block] for block in blocks]
+    equitable = all((r == r[0]).all() for r in rows)
+    entries = tuple(tuple(Fraction(int(x), len(r)) for x in r.sum(axis=0)) for r in rows)
+    return QuotientMatrix(entries, tuple(map(len, blocks)), equitable)

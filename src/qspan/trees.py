@@ -6,12 +6,12 @@ By the Frank-Gyarfas / Kaneko-Yoshimoto condition it does iff
 |N(S)| >= sum_{v in S} (f(v) - 1) + 1 for every nonempty S inside A. A
 b-matching giving each A-vertex v at most f(v) - 1 private B-vertices is
 built by alternating-path search (Kuhn; Hopcroft and Karp, SIAM J. Comput.
-1973). One sweep over A, or a search per anchor when a cap is left unfilled,
-then confirms the condition or extracts a violating subset; when it holds,
-the tree grown from the matching is repaired. The answer always carries a
-checkable witness, either a spanning tree meeting the demands or a subset S
-of A with |N(S)| <= sum f(v) - |S|, and both witness kinds are re-verified
-before being returned.
+1973). One breadth-first search from the free B-vertices, or a search per
+anchor when a cap is left unfilled, then confirms the condition or extracts
+a violating subset; when it holds, the tree grown from the matching is
+repaired. The answer always carries a checkable witness, either a spanning
+tree meeting the demands or a subset S of A with |N(S)| <= sum f(v) - |S|,
+and both witness kinds are re-verified before being returned.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import operator
 
 from .errors import CapacityError, InputError, InternalError
-from .graph_core import BipartiteGraph, DegreeDemand, from_edge_list, is_connected, iter_bits
+from .graph_core import BipartiteGraph, DegreeDemand, iter_bits, reach
 
 BRUTE_FORCE_CAP = 25       # 2**m subset enumeration cap
 
@@ -166,7 +166,7 @@ def _max_matching(g: BipartiteGraph, cap: list[int]) -> tuple[list[int], list[in
 
 
 def _first_violation(g: BipartiteGraph, f: DegreeDemand, cap: list[int], held: list[int],
-                     owner: list[int]) -> HallViolation | None:
+                     owner: list[int], b_rows) -> HallViolation | None:
     """Violating set of the first anchor, in index order, that lies in one.
 
     cap[a] = f(a) - 1 and held / owner is a maximum b-matching for it.
@@ -179,24 +179,18 @@ def _first_violation(g: BipartiteGraph, f: DegreeDemand, cap: list[int], held: l
     form a violating subset containing the anchor.
 
     When every cap is filled the shortfall is 1, and an anchor's search
-    succeeds iff it has an alternating path to a free B-vertex. One sweep
-    over A finds those anchors: an A-vertex seeing a free or found B-vertex
-    is reached and its matched B-vertices are found, until a pass reaches
-    none. Only the first unreached anchor is then searched.
+    succeeds iff it has an alternating path to a free B-vertex. One
+    breadth-first search from the free B-vertices finds those anchors (reach
+    with b_rows = g.b_adj(): a B-vertex reaches its A-neighbours, an
+    A-vertex its matched B-vertices), and only the lowest unreached anchor
+    is then searched.
     """
     need = sum(cap) + 1 - sum(h.bit_count() for h in held)
     anchors = range(g.m)
     if need == 1:
-        found = (1 << g.n) - 1 & ~sum(held)   # free B-vertices; held sets are disjoint
-        left, rest = [], list(anchors)
-        while len(rest) != len(left):
-            left, rest = rest, []
-            for a in left:
-                if g.adj[a] & found:
-                    found |= held[a]
-                else:
-                    rest.append(a)
-        anchors = rest[:1]
+        free = (1 << g.n) - 1 & ~sum(held)   # held sets are disjoint
+        unreached = (1 << g.m) - 1 & ~reach(free, held, b_rows)[0]
+        anchors = [(unreached & -unreached).bit_length() - 1] if unreached else []
     for anchor in anchors:
         lifted = list(cap)
         lifted[anchor] += need
@@ -214,49 +208,52 @@ def find_violation_flow(g: BipartiteGraph, f: DegreeDemand) -> HallViolation | N
     """Polynomial-time violation search on one maximum b-matching.
 
     The matching gives each A-vertex a at most f(a)-1 B-vertices; then one
-    sweep over A, or per anchor a few augmenting paths on a copy of it,
-    finds the anchors in violating subsets (see _first_violation). The
-    returned set is the A-part of the minimal minimum cut for the first
-    such anchor; None when the condition holds everywhere.
+    breadth-first search from its free B-vertices, or per anchor a few
+    augmenting paths on a copy of it, finds the anchors in violating subsets
+    (see _first_violation). The returned set is the A-part of the minimal
+    minimum cut for the first such anchor; None when the condition holds
+    everywhere.
     """
     _check_demand_length(g, f)
     cap = [f[a] - 1 for a in range(g.m)]
-    return _first_violation(g, f, cap, *_max_matching(g, cap))
+    return _first_violation(g, f, cap, *_max_matching(g, cap), g.b_adj())
 
 
 def verify_certificate(g: BipartiteGraph, f: DegreeDemand, cert: TreeCertificate) -> bool:
     """True iff cert is a spanning tree of g meeting every A-side demand. An
-    edge that is not a tuple of two in-range ints (not bools) makes it False."""
+    edge that is not a tuple of two in-range ints (not bools) makes it False.
+    The tree's rows and columns are filled as the edges are checked, and one
+    breadth-first search over them (reach) decides connectivity."""
     _check_demand_length(g, f)
     edges = cert.edges
     if len(edges) != g.m + g.n - 1:
         return False
-    deg_a = [0] * g.m
+    rows, cols = [0] * g.m, [0] * g.n
     for edge in edges:
         a, b = edge if type(edge) is tuple and len(edge) == 2 else (None, None)
         if type(a) is not int or type(b) is not int:
             return False
-        if not (0 <= a < g.m and 0 <= b < g.n) or not g.has_edge(a, b):
+        if not (0 <= a < g.m and 0 <= b < g.n) or not g.has_edge(a, b) or rows[a] >> b & 1:
             return False
-        deg_a[a] += 1
-    if len(set(edges)) != len(edges) or any(deg_a[a] < f[a] for a in range(g.m)):
+        rows[a] |= 1 << b
+        cols[b] |= 1 << a
+    if any(rows[a].bit_count() < f[a] for a in range(g.m)):
         return False
-    # connected + exactly m+n-1 edges == tree
-    return is_connected(from_edge_list(g.m, g.n, edges))
+    # connected + exactly m+n-1 distinct edges == tree
+    return reach(rows[0], rows, cols) == ((1 << g.m) - 1, (1 << g.n) - 1)
 
 
 # --- constructor internals ---------------------------------------------------
 
 
 def _grow_tree(g: BipartiteGraph, cap: list[int], held: list[int],
-               owner: list[int]) -> list[tuple[int, int]]:
+               owner: list[int], b_rows) -> list[tuple[int, int]]:
     """Spanning tree in which every A-vertex parents its matched B-vertices.
 
     held / owner is a maximum b-matching for cap that fills every cap; it
     is consumed by the stall repairs. Growth returns once every vertex is
-    reached and raises InputError when g is disconnected.
+    reached and raises InputError when g is disconnected. b_rows is g.b_adj().
     """
-    b_rows = g.b_adj()
     free = (1 << g.n) - 1 & ~sum(held)   # held sets are disjoint
     root = (free & -free).bit_length() - 1
     edges = []
@@ -302,37 +299,39 @@ def construct_tree(g: BipartiteGraph, f: DegreeDemand) -> FeasibilityResult:
     """Decide feasibility and produce a verified witness either way.
 
     One maximum b-matching, giving each A-vertex a at most f(a)-1 private
-    B-vertices, and one sweep over A settle the verdict (see
-    find_violation_flow). When no set violates the condition the matching
-    fills every cap, and the condition at S = A leaves at least one B-vertex
-    free. The tree is rooted at a free B-vertex and grown outward: a reached
-    A-vertex takes its matched and its free unreached neighbours as
-    children, a reached B-vertex takes its unreached A-neighbours. Every
-    A-vertex then has its parent plus f(a)-1 children. When growth stalls
-    with A-vertices left, some reached x sees an unreached u held by an
-    unreached a1; u moves under x and a1 takes a replacement along an
-    alternating path that avoids the reached B-vertices (the same search
-    that built the matching). Such a path exists: otherwise the A-vertices X
-    the search explores would see only u and the sum_X (f-1) - 1 B-vertices
-    they still hold (a stall leaves no reached B-vertex next to an unreached
-    A-vertex), so |N(X)| <= sum_X (f-1), a violation. Each stall reaches at
-    least one more A-vertex, so there are at most m of them, each one O(|E|)
-    search; no caps and no fallbacks.
+    B-vertices, and one breadth-first search from its free B-vertices settle
+    the verdict (see find_violation_flow). When no set violates the
+    condition the matching fills every cap, and the condition at S = A
+    leaves at least one B-vertex free. The tree is rooted at a free B-vertex
+    and grown outward: a reached A-vertex takes its matched and its free
+    unreached neighbours as children, a reached B-vertex takes its unreached
+    A-neighbours. Every A-vertex then has its parent plus f(a)-1 children.
+    When growth stalls with A-vertices left, some reached x sees an
+    unreached u held by an unreached a1; u moves under x and a1 takes a
+    replacement along an alternating path that avoids the reached B-vertices
+    (the same search that built the matching). Such a path exists: otherwise
+    the A-vertices X the search explores would see only u and the sum_X
+    (f-1) - 1 B-vertices they still hold (a stall leaves no reached B-vertex
+    next to an unreached A-vertex), so |N(X)| <= sum_X (f-1), a violation.
+    Each stall reaches at least one more A-vertex, so there are at most m of
+    them, each one O(|E|) search; no caps and no fallbacks.
 
     A disconnected graph raises InputError. The growth decides that on the
     feasible branch: it stalls with no reached A-vertex next to an unreached
     B-vertex. The infeasible branch grows no tree, so one breadth-first
-    search (is_connected) decides it there.
+    search (reach) from A-vertex 0 decides it there. g.b_adj() is built once
+    and shared by the Hall search, the growth and that check.
     """
     _check_demand_length(g, f)
     cap = [f[a] - 1 for a in range(g.m)]
+    b_rows = g.b_adj()
     held, owner = _max_matching(g, cap)
-    violation = _first_violation(g, f, cap, held, owner)
+    violation = _first_violation(g, f, cap, held, owner, b_rows)
     if violation is not None:
-        if not is_connected(g):
+        if reach(g.adj[0], g.adj, b_rows) != ((1 << g.m) - 1, (1 << g.n) - 1):
             raise InputError("construct_tree requires a connected graph")
         return FeasibilityResult(False, violation=violation)
-    cert = TreeCertificate(tuple(sorted(_grow_tree(g, cap, held, owner))))
+    cert = TreeCertificate(tuple(sorted(_grow_tree(g, cap, held, owner, b_rows))))
     if not verify_certificate(g, f, cert):
         raise InternalError("constructed tree failed certificate verification")
     return FeasibilityResult(True, tree=cert)

@@ -12,6 +12,9 @@ None of these has a caller in the package itself:
   checked;
 * random_demand_instances: a deterministic corpus of (connected graph,
   demand) pairs on which the checkers and the constructor are compared;
+* sweep_anchor: the first A-vertex with no alternating path to a free
+  B-vertex, by passes over A, against which the Hall search's anchor from
+  graph_core.reach is checked;
 * bisect_root: the root bisection from the caller's bracket alone, with no
   Newton seed, against which poly.largest_real_root is checked;
 * join_chain: the joins at r = 1..(k-1)s, each built from two complete
@@ -114,6 +117,23 @@ def random_demand_instances(count: int, seed: int = 0):
         g = _random_connected(rng, m, n)
         f = DegreeDemand(tuple(rng.choice((2, 3, 4)) for _ in range(m)))
         yield g, f
+
+
+def sweep_anchor(g: BipartiteGraph, held):
+    """The lowest A-vertex with no alternating path to a free B-vertex under
+    the b-matching held, or None. Each pass over the unreached A-vertices
+    reaches those that see a free or found B-vertex and finds the B-vertices
+    they hold, until a pass reaches none."""
+    found = (1 << g.n) - 1 & ~sum(held)   # free B-vertices; held sets are disjoint
+    left, rest = [], list(range(g.m))
+    while len(rest) != len(left):
+        left, rest = rest, []
+        for a in left:
+            if g.adj[a] & found:
+                found |= held[a]
+            else:
+                rest.append(a)
+    return rest[0] if rest else None
 
 
 def bisect_root(p, bracket) -> float:

@@ -7,6 +7,7 @@ is spectral_radii on a stack of one.
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -297,6 +298,30 @@ class TestQuotientMatrix:
             quotient_matrix(g, [[0, 1], [2, 3], []])
         with pytest.raises(InputError):
             quotient_matrix(g, [[0, 1], [2, 3, 3]])
+
+    @pytest.mark.parametrize("partition", [
+        [[0, 1, 2], [3.0]],
+        [[0, 1, 2], ["3"]],
+        [[0, 1, 2], [None]],
+        [[0, 2, 3], [True]],    # would stand for vertex 1
+        [[1, 2, 3], [False]],   # would stand for vertex 0
+    ])
+    def test_vertex_must_be_an_integer(self, partition):
+        bad = partition[1][0]
+        with pytest.raises(InputError, match=re.escape(f"partition block 1: vertex {bad!r} is not an integer")):
+            quotient_matrix(complete_bipartite(2, 2), partition)
+
+    def test_index_types_normalised(self):
+        g = from_edge_list(2, 2, [(0, 0), (0, 1), (1, 1)])
+        qm = quotient_matrix(g, [np.arange(2), [np.int64(2), 3]])
+        assert qm == quotient_matrix(g, [[0, 1], [2, 3]])
+        assert all(type(x) is Fraction for row in qm.entries for x in row)
+
+    def test_order_above_dense_cap_refused(self):
+        # the row sums are read off the dense Q(G), so its cap applies
+        g = complete_bipartite(1, DENSE_CAP)
+        with pytest.raises(CapacityError, match="exceeds dense cap"):
+            quotient_matrix(g, [[0], range(1, DENSE_CAP + 1)])
 
 
 class TestExactCharPoly:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from qspan import (
     verify_certificate,
 )
 from qspan import trees
+from qspan.graph_core import PART_SIZE_CAP
 
-from oracles import connected_graphs, random_demand_instances
+from oracles import connected_graphs, random_demand_instances, sweep_anchor
 
 
 def demand(*values):
@@ -303,15 +305,20 @@ class TestConstructTree:
 
     def test_one_connectivity_pass_per_call(self, monkeypatch):
         # the feasible branch checks only the finished tree, the infeasible
-        # branch only the input
+        # branch only the input; a search over either one's rows is a
+        # connectivity check, one over the matching's is the Hall search
         calls = []
-        real = trees.is_connected
-        monkeypatch.setattr(trees, "is_connected", lambda g: calls.append(g) or real(g))
+        real = trees.reach
+        monkeypatch.setattr(trees, "reach",
+                            lambda start, a_rows, b_rows: calls.append(list(a_rows)) or real(start, a_rows, b_rows))
         f = DegreeDemand.uniform(3, 3)
         for g, feasible in ((complete_bipartite(3, 7), True), (extremal_graph(3, 3, 7), False)):
             calls.clear()
-            assert construct_tree(g, f).feasible == feasible
-            assert len(calls) == 1
+            res = construct_tree(g, f)
+            assert res.feasible == feasible
+            tree_rows = [sum(1 << b for x, b in res.tree.edges if x == a) for a in range(g.m)] if feasible else None
+            checks = [rows for rows in calls if rows in (list(g.adj), tree_rows)]
+            assert checks == [tree_rows if feasible else list(g.adj)]
 
     def test_demand_length_mismatch(self):
         g = complete_bipartite(3, 3)
@@ -511,18 +518,56 @@ class TestAnchorSweep:
         (extremal_graph(3, 3, 7), 1, (0,)),
     ])
     def test_searches_per_decision(self, monkeypatch, g, searches, want):
-        # with every cap filled, one sweep over A stands in for the
-        # per-anchor searches: a feasible instance runs none, an infeasible
-        # one a single failing search from its first unreached anchor
+        # with every cap filled, one breadth-first search from the free
+        # B-vertices stands in for the per-anchor searches: a feasible
+        # instance runs none, an infeasible one a single failing search from
+        # its first unreached anchor
         f = DegreeDemand.uniform(3, 3)
         cap = [2, 2, 2]
         held, owner = trees._max_matching(g, cap)
         calls = []
         real = trees._augment
         monkeypatch.setattr(trees, "_augment", lambda *args: calls.append(args) or real(*args))
-        got = trees._first_violation(g, f, cap, held, owner)
+        got = trees._first_violation(g, f, cap, held, owner, g.b_adj())
         assert len(calls) == searches
         assert (None if got is None else got.vertices) == want
+
+    def test_anchor_matches_pass_sweep(self, monkeypatch):
+        # on every instance whose matching fills every cap, the search is
+        # lifted at the anchor the pass-based sweep picks, or nowhere
+        lifted = []
+        real = trees._augment
+        monkeypatch.setattr(trees, "_augment",
+                            lambda g, cap, *rest: lifted.append(list(cap)) or real(g, cap, *rest))
+        census = ((g, DegreeDemand.uniform(3, 3))
+                  for g in itertools.islice(connected_graphs(3, 7), 0, None, 20))
+        anchors = []
+        for g, f in itertools.chain(random_demand_instances(3000, seed=5), _tight_instances(30, seed=4), census):
+            cap = [f[a] - 1 for a in range(g.m)]
+            held, owner = trees._max_matching(g, cap)
+            if sum(cap) + 1 - sum(h.bit_count() for h in held) != 1:
+                continue
+            lifted.clear()
+            trees._first_violation(g, f, cap, held, owner, g.b_adj())
+            got = next((a for a in range(g.m) if lifted[0][a] != cap[a]), None) if lifted else None
+            assert got == sweep_anchor(g, held)
+            anchors.append(got)
+        assert len(anchors) > 10000 and anchors.count(None) < len(anchors) - 1000
+
+
+class TestLongPath:
+    @pytest.mark.parametrize("decide, want", [
+        (lambda g, f: construct_tree(g, f).feasible, True),
+        (find_violation_flow, None),
+    ], ids=["construct_tree", "find_violation_flow"])
+    def test_decides_in_time(self, decide, want):
+        # a_i ~ b_i, b_(i+1) at the largest part size: the Hall search must
+        # not reach one A-vertex per pass over A
+        m = PART_SIZE_CAP
+        g = BipartiteGraph(m, m + 1, tuple(3 << a for a in range(m)))
+        start = time.perf_counter()
+        assert decide(g, DegreeDemand.uniform(m, 2)) == want
+        assert time.perf_counter() - start < 5
 
 
 _WITNESS_DIGESTS = {
