@@ -21,9 +21,9 @@ from .extremal import (
     extremal_graph,
     family_bracket,
     family_char_coeffs,
-    family_partition,
     family_quotient,
     family_root,
+    family_rows,
     lower_endpoint_quadratic,
     spectral_threshold,
     upper_endpoint_quadratic,
@@ -44,7 +44,7 @@ from .graph_core import (
     write_graph,
 )
 from .poly import PolyCoeffs, largest_real_root
-from .spectral import QuotientMatrix, quotient_matrix, signless_laplacian, spectral_radii
+from .spectral import signless_laplacian, spectral_radii
 from .trees import (
     FeasibilityResult,
     HallViolation,
@@ -80,7 +80,6 @@ __all__ = [
     "NumericalError",
     "PolyCoeffs",
     "QspanError",
-    "QuotientMatrix",
     "SweepReport",
     "TheoremReport",
     "TreeCertificate",
@@ -93,9 +92,9 @@ __all__ = [
     "extremal_graph",
     "family_bracket",
     "family_char_coeffs",
-    "family_partition",
     "family_quotient",
     "family_root",
+    "family_rows",
     "find_violation_bruteforce",
     "find_violation_flow",
     "format_graph",
@@ -108,7 +107,6 @@ __all__ = [
     "parse_demands",
     "parse_graph",
     "point_checks",
-    "quotient_matrix",
     "read_demands",
     "read_graph",
     "separation_sweep",

@@ -142,9 +142,9 @@ def _cmd_extremal(args) -> int:
     else:
         lines.append("graph file:")
         lines.extend("  " + ln for ln in format_graph(g).splitlines())
-    lines.append(f"quotient matrix (block sizes {', '.join(str(b) for b in qm.block_sizes)}):")
-    width = max(len(str(x)) for row in qm.entries for x in row)
-    for row in qm.entries:
+    lines.append(f"quotient matrix (block sizes {p.s}, {p.m - p.s}, {p.r}, {p.n - p.r}):")
+    width = max(len(str(x)) for row in qm for x in row)
+    for row in qm:
         lines.append("  " + "  ".join(str(x).rjust(width) for x in row))
     lines.append(f"characteristic coefficients (ascending): {list(coeffs.coeffs)}")
     lines.append(f"largest quotient root: {format_float(q1)}")

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .errors import InputError
 from .graph_core import BipartiteGraph, complete_bipartite, join
 from .poly import PolyCoeffs, largest_real_root
-from .spectral import QuotientMatrix
 
 
 @dataclass(frozen=True)
@@ -66,37 +65,24 @@ def extremal_graph(k: int, m: int, n: int) -> BipartiteGraph:
     return build_family(ExtremalParams(k, m, n, 1))
 
 
-def family_partition(p: ExtremalParams) -> list[list[int]]:
-    """The four-block vertex partition under which Q of the family member is
-    equitable: sparse A-side, dense A-side, joined B-side, remaining B-side.
+def family_rows(p: ExtremalParams) -> tuple[int, ...]:
+    """The member's adjacency rows in closed form: s rows 2^r - 1 (the sparse
+    A-side sees the joined B-side), then m - s rows 2^n - 1."""
+    return ((1 << p.r) - 1,) * p.s + ((1 << p.n) - 1,) * (p.m - p.s)
 
-    Global indices: A-vertices are 0..m-1, B-vertices m..m+n-1, with each
-    factor's vertices first (the join keeps factor-one indices first).
-    """
+
+def family_quotient(p: ExtremalParams) -> tuple[tuple[int, ...], ...]:
+    """Closed-form 4x4 quotient matrix of Q, as int rows, over the member's
+    equitable blocks: A-vertices 0..s-1 (sparse) and s..m-1 (dense), B-vertices
+    0..r-1 (joined) and r..n-1. The test suite checks it and family_rows
+    against build_family(p) at every point of a grid."""
     m, n, s, r = p.m, p.n, p.s, p.r
-    return [
-        list(range(0, s)),
-        list(range(s, m)),
-        list(range(m, m + r)),
-        list(range(m + r, m + n)),
-    ]
-
-
-def family_quotient(p: ExtremalParams) -> QuotientMatrix:
-    """Closed-form quotient matrix of Q over the four-block partition.
-
-    Row order matches family_partition, and the entries are ints.
-    Cross-checking this closed form against
-    quotient_matrix(build_family(p), family_partition(p)) is part of the
-    verification suite.
-    """
-    m, n, s, r = p.m, p.n, p.s, p.r
-    return QuotientMatrix((
+    return (
         (r, 0, r, 0),
         (0, n, r, n - r),
         (s, m - s, m, 0),
         (0, m - s, 0, m - s),
-    ), (s, m - s, r, n - r), True)
+    )
 
 
 def family_char_coeffs(p: ExtremalParams) -> PolyCoeffs:

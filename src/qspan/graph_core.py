@@ -2,19 +2,26 @@
 
 Graphs have a part A of m vertices and a part B of n vertices, with edges
 only across the parts. Each A-vertex stores its B-neighborhood as an int
-bitmask, so unions over vertex subsets are word-parallel; the Hall-type
-checker in qspan.trees unions up to 2**m of these per call.
+bitmask, so unions over vertex subsets are word-parallel; the brute-force
+Hall checker, trees.find_violation_bruteforce, unions up to 2**m per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import index, or_
 
 from .errors import InputError
 
 PART_SIZE_CAP = 1 << 14   # per part in graph files and complete_bipartite; rows fit in 32 MiB
+
+
+def as_index(value, what: str) -> int:
+    """value as an int; a bool or a value without __index__ is an InputError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InputError(f"{what} {value!r} is not an integer")
+    return index(value)
 
 
 def iter_bits(mask: int):
@@ -80,11 +87,18 @@ class BipartiteGraph:
 
 
 def from_edge_list(m: int, n: int, edges) -> BipartiteGraph:
-    """Build a graph from (a, b) index pairs; duplicates are collapsed."""
+    """Build a graph from (a, b) index pairs; duplicates are collapsed. An edge
+    that is no pair, or a bool or non-integer index or size, is an InputError."""
+    m, n = as_index(m, "part size"), as_index(n, "part size")
     if m < 1 or n < 1:
         raise InputError(f"both parts must be nonempty, got m={m}, n={n}")
     adj = [0] * m
-    for a, b in edges:
+    for edge in edges:
+        try:
+            a, b = edge
+        except (TypeError, ValueError):
+            raise InputError(f"edge {edge!r} is not an (a, b) pair") from None
+        a, b = as_index(a, "A-index"), as_index(b, "B-index")
         if not (0 <= a < m):
             raise InputError(f"A-index {a} out of range [0, {m})")
         if not (0 <= b < n):
@@ -99,6 +113,7 @@ def to_edge_list(g: BipartiteGraph) -> list[tuple[int, int]]:
 
 
 def complete_bipartite(m: int, n: int) -> BipartiteGraph:
+    m, n = as_index(m, "part size"), as_index(n, "part size")
     if m < 1 or n < 1:
         raise InputError(f"both parts must be nonempty, got m={m}, n={n}")
     if max(m, n) > PART_SIZE_CAP:
@@ -165,7 +180,7 @@ class DegreeDemand:
 
     @classmethod
     def uniform(cls, m: int, k: int) -> "DegreeDemand":
-        if m < 1:
+        if as_index(m, "A-part size") < 1:
             raise InputError(f"need at least one A-vertex, got m={m}")
         return cls((k,) * m)
 

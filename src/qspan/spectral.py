@@ -1,17 +1,14 @@
 """Signless Laplacian assembly and spectral computations.
 
 Provides the dense signless Laplacian Q = D + A of a bipartite graph as a
-float array, the spectral radii of a stack of such arrays from one LAPACK eigh
-call with a residual check, and quotient matrices of vertex partitions (their
-exact characteristic polynomials come from qspan.poly.exact_char_poly).
+float array, and the spectral radii of a stack of such arrays from one LAPACK
+eigh call with a residual check. Exact characteristic polynomials (of the
+join family's closed-form quotient, for one) come from qspan.poly.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -19,29 +16,6 @@ from .errors import CapacityError, InputError, NumericalError
 from .graph_core import BipartiteGraph
 
 DENSE_CAP = 4096        # largest order accepted for dense spectral work
-
-
-@dataclass(frozen=True)
-class QuotientMatrix:
-    """Average block row sums of Q(G) under a vertex partition.
-
-    entries[i][j] is the average, over vertices of block i, of the row sum
-    of the (i, j) block of Q. The partition is equitable when every row in
-    each block attains that average exactly. Entries are exact (ints in family_quotient).
-    """
-
-    entries: tuple[tuple[Fraction | int, ...], ...]
-    block_sizes: tuple[int, ...]
-    equitable: bool
-
-    def __post_init__(self):
-        p = len(self.block_sizes)
-        if len(self.entries) != p or any(len(row) != p for row in self.entries):
-            raise InputError("entries shape does not match block count")
-        if any(size < 1 for size in self.block_sizes):
-            raise InputError("blocks must be nonempty")
-        if any(x < 0 for row in self.entries for x in row):
-            raise InputError("quotient entries must be nonnegative")
 
 
 def q_matrices(bits: np.ndarray) -> np.ndarray:
@@ -98,48 +72,3 @@ def spectral_radii(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nd
         best = float(value[bad[0]]), float(residual[bad[0]])
         raise NumericalError(f"eigh residual {best[1]:.3e} exceeds tol {tol:.3e}", best=best)
     return value, residual
-
-
-def _partition_blocks(g: BipartiteGraph, partition) -> list[list[int]]:
-    """Each block as a list of vertex indices, after checking that the
-    blocks are nonempty and cover 0..m+n-1 once. A bool, or a vertex
-    without __index__, is an InputError."""
-    t = g.m + g.n
-    seen = 0
-    blocks = []
-    for i, part in enumerate(partition):
-        block = []
-        for v in part:
-            if isinstance(v, bool) or not hasattr(type(v), "__index__"):
-                raise InputError(f"partition block {i}: vertex {v!r} is not an integer")
-            v = operator.index(v)
-            if not (0 <= v < t):
-                raise InputError(f"partition block {i}: vertex {v} out of range [0, {t})")
-            if seen >> v & 1:
-                raise InputError(f"partition block {i}: vertex {v} repeated")
-            seen |= 1 << v
-            block.append(v)
-        if not block:
-            raise InputError(f"partition block {i} is empty")
-        blocks.append(block)
-    if seen != (1 << t) - 1:
-        raise InputError("partition does not cover all vertices")
-    return blocks
-
-
-def quotient_matrix(g: BipartiteGraph, partition) -> QuotientMatrix:
-    """Average block row sums of Q(G) for the given partition of all m+n
-    vertices (A-vertices are global indices 0..m-1, B-vertices m..m+n-1).
-
-    The row sums are read off signless_laplacian(g), so an order above
-    DENSE_CAP is a CapacityError; they are small integers, which float64
-    holds exactly. The equitable flag records whether every block of Q has
-    constant row sums.
-    """
-    blocks = _partition_blocks(g, partition)
-    q = signless_laplacian(g)
-    sums = np.stack([q[:, block].sum(axis=1) for block in blocks], axis=1)   # [v, j]: row v over block j
-    rows = [sums[block] for block in blocks]
-    equitable = all((r == r[0]).all() for r in rows)
-    entries = tuple(tuple(Fraction(int(x), len(r)) for x in r.sum(axis=0)) for r in rows)
-    return QuotientMatrix(entries, tuple(map(len, blocks)), equitable)

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
-import operator
 
 from .errors import CapacityError, InputError, InternalError
-from .graph_core import BipartiteGraph, DegreeDemand, iter_bits, reach
+from .graph_core import BipartiteGraph, DegreeDemand, as_index, iter_bits, reach
 
 BRUTE_FORCE_CAP = 25       # 2**m subset enumeration cap
 
@@ -70,12 +69,9 @@ def is_violation(g: BipartiteGraph, f: DegreeDemand, vertices) -> bool:
     vertices = tuple(vertices)
     if not vertices:
         return False
-    mask = seen = 0
-    demand = 0
+    mask = seen = demand = 0
     for a in vertices:
-        if isinstance(a, bool) or not hasattr(type(a), "__index__"):
-            raise InputError(f"A-vertex {a!r} is not an integer")
-        a = operator.index(a)
+        a = as_index(a, "A-vertex")
         if not (0 <= a < g.m):
             raise InputError(f"A-vertex {a} out of range [0, {g.m})")
         if seen >> a & 1:

@@ -45,9 +45,9 @@ from .extremal import (
     extremal_graph,
     family_bracket,
     family_char_coeffs,
-    family_partition,
     family_quotient,
     family_root,
+    family_rows,
     lower_endpoint_quadratic,
     spectral_threshold,
     upper_endpoint_quadratic,
@@ -61,14 +61,8 @@ from .graph_core import (
     to_edge_list,
 )
 from .poly import exact_char_poly, separates_top_eigenvalues
-from .spectral import (
-    DENSE_CAP,
-    mask_bits,
-    q_matrices,
-    quotient_matrix,
-    spectral_radii,
-)
-from .trees import construct_tree, find_violation_flow
+from .spectral import DENSE_CAP, mask_bits, q_matrices, spectral_radii
+from .trees import construct_tree, is_violation
 
 CENSUS_CAP = 1 << 25      # census: at most 2**25 Q-matrix entries solved in all
 EIGEN_CHUNK = 1 << 16     # census: Q-matrix entries per batched eigvalsh
@@ -255,18 +249,19 @@ def certify_threshold(k: int, m: int, n: int) -> TheoremReport:
     Every connected labelled graph at or above qstar (decided as in scan_stats)
     must admit a qualifying spanning tree or be a relabeling of the extremal
     graph; the extremal graph itself must show up, attain the threshold, and
-    be infeasible. It attains q* exactly if its family quotient is equitable
-    with the s=1 quartic as characteristic polynomial. A point whose order
-    m + n does not fit one eigen chunk, or whose search would solve more than
-    CENSUS_CAP Q-matrix entries, raises CapacityError before any tree is built.
+    be infeasible, both read off its closed form: its rows are family_rows,
+    so its four blocks are equitable with quotient family_quotient, whose
+    characteristic polynomial must be the s=1 quartic; A-vertex 0 alone
+    violates the Hall condition. A point whose order m + n does not fit one
+    eigen chunk, or whose search would solve more than CENSUS_CAP Q-matrix
+    entries, raises CapacityError before any tree is built.
     """
     stats = scan_stats(k, m, n)
     p1 = ExtremalParams(k, m, n, 1)
     gstar = extremal_graph(k, m, n)
-    demand = DegreeDemand.uniform(m, k)
-    gstar_infeasible = find_violation_flow(gstar, demand) is not None
-    quotient = quotient_matrix(gstar, family_partition(p1))
-    gstar_attains = quotient.equitable and exact_char_poly(quotient.entries) == family_char_coeffs(p1)
+    gstar_infeasible = is_violation(gstar, DegreeDemand.uniform(m, k), (0,))
+    gstar_attains = (gstar.adj == family_rows(p1)
+                     and exact_char_poly(family_quotient(p1)) == family_char_coeffs(p1))
     counterexamples = [{"mask": mask, "edges": [list(e) for e in to_edge_list(_graph_from_mask(mask, m, n))]}
                        for mask in stats.counterexample_masks]
     extremal_found = bool(stats.extremal_copies) and gstar_infeasible and gstar_attains
@@ -297,10 +292,10 @@ def point_checks(p: ExtremalParams) -> dict:
     coincide. For s >= 2, q1 is correctly rounded, so the float above it
     exceeds the s root; separation asks that it still lie below q*, where the
     s=1 quartic is negative in its bracket. join_chain asks that the family
-    member have s rows 2^r - 1, r = (k-1)s, then m - s rows 2^n - 1. A join at
-    any r has that form, and 2^r - 1 lies in 2^r' - 1 for r <= r', so the
-    chain nests and q only rises; the one built graph ties this to the family's
-    definition. m + n > DENSE_CAP is a CapacityError.
+    member have s rows 2^r - 1, r = (k-1)s, then m - s rows 2^n - 1
+    (family_rows). A join at any r has that form, and 2^r - 1 lies in 2^r' - 1
+    for r <= r', so the chain nests and q only rises; the one built graph ties
+    this to the family's definition. m + n > DENSE_CAP is a CapacityError.
     """
     if p.m + p.n > DENSE_CAP:
         raise CapacityError(f"order {p.m + p.n} exceeds dense cap {DENSE_CAP}")
@@ -309,7 +304,7 @@ def point_checks(p: ExtremalParams) -> dict:
     fam = family_char_coeffs(p)
     checks = {}
 
-    checks["coeff_identity"] = exact_char_poly(family_quotient(p).entries).coeffs == fam.coeffs
+    checks["coeff_identity"] = exact_char_poly(family_quotient(p)).coeffs == fam.coeffs
 
     base = family_char_coeffs(ExtremalParams(k, m, n, 1))
     d0, d1, d2 = difference_factor_coeffs(p)
@@ -338,7 +333,7 @@ def point_checks(p: ExtremalParams) -> dict:
     else:
         checks["separation"] = base.evaluate(Fraction(math.nextafter(q1, math.inf))) < 0
 
-    checks["join_chain"] = build_family(p).adj == ((1 << p.r) - 1,) * s + ((1 << n) - 1,) * (m - s)
+    checks["join_chain"] = build_family(p).adj == family_rows(p)
     return checks
 
 

@@ -18,7 +18,9 @@ None of these has a caller in the package itself:
 * bisect_root: the root bisection from the caller's bracket alone, with no
   Newton seed, against which poly.largest_real_root is checked;
 * join_chain: the joins at r = 1..(k-1)s, each built from two complete
-  graphs, against which verify.point_checks's closed-form rows are checked.
+  graphs, against which verify.point_checks's closed-form rows are checked;
+* quotient: the quotient matrix of Q(G) over any vertex partition, from the
+  graph's rows, against which extremal.family_quotient is checked.
 """
 
 import itertools
@@ -170,3 +172,17 @@ def join_chain(p) -> list[BipartiteGraph]:
     from two fresh complete_bipartite graphs; the last is the family member."""
     return [join(complete_bipartite(p.s, r), complete_bipartite(p.m - p.s, p.n - r))
             for r in range(1, p.r + 1)]
+
+
+def quotient(g: BipartiteGraph, blocks) -> tuple[tuple[tuple[Fraction, ...], ...], bool]:
+    """(entries, equitable) of Q(G) = D + A over blocks of vertex indices (A
+    is 0..m-1, B is m..m+n-1): entries[i][j] is the mean over block i of the
+    row sums of Q's (i, j) block, and equitable says every such row sum equals
+    that mean. The blocks are taken as given, with no validation."""
+    blocks = [list(block) for block in blocks]
+    nbrs = [row << g.m for row in g.adj] + list(g.b_adj())   # neighbours, global indices
+    masks = [sum(1 << v for v in block) for block in blocks]
+    sums = [[[(nbrs[v] & mask).bit_count() + (mask >> v & 1) * nbrs[v].bit_count() for mask in masks]
+             for v in block] for block in blocks]
+    entries = tuple(tuple(Fraction(sum(col), len(rows)) for col in zip(*rows)) for rows in sums)
+    return entries, all(row == rows[0] for rows in sums for row in rows)

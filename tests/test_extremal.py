@@ -15,13 +15,12 @@ from qspan import (
     extremal_graph,
     family_bracket,
     family_char_coeffs,
-    family_partition,
     family_quotient,
     family_root,
+    family_rows,
     is_connected,
     join,
     lower_endpoint_quadratic,
-    quotient_matrix,
     signless_laplacian,
     spectral_radii,
     spectral_threshold,
@@ -30,7 +29,7 @@ from qspan import (
 )
 from qspan.poly import exact_char_poly
 
-from oracles import part_preserving_isomorphic
+from oracles import part_preserving_isomorphic, quotient
 
 GRID = [
     (k, m, n, s)
@@ -117,30 +116,31 @@ class TestBuildFamily:
 class TestQuotient:
     def test_printed_example_s1(self):
         qm = family_quotient(ExtremalParams(3, 3, 7, 1))
-        assert [[int(x) for x in row] for row in qm.entries] == [
-            [2, 0, 2, 0],
-            [0, 7, 2, 5],
-            [1, 2, 3, 0],
-            [0, 2, 0, 2],
-        ]
-        assert qm.block_sizes == (1, 2, 2, 5)
+        assert qm == (
+            (2, 0, 2, 0),
+            (0, 7, 2, 5),
+            (1, 2, 3, 0),
+            (0, 2, 0, 2),
+        )
+        assert all(type(x) is int for row in qm for x in row)
 
     def test_printed_example_s2(self):
         qm = family_quotient(ExtremalParams(3, 3, 7, 2))
-        assert [[int(x) for x in row] for row in qm.entries] == [
-            [4, 0, 4, 0],
-            [0, 7, 4, 3],
-            [2, 1, 3, 0],
-            [0, 1, 0, 1],
-        ]
+        assert qm == (
+            (4, 0, 4, 0),
+            (0, 7, 4, 3),
+            (2, 1, 3, 0),
+            (0, 1, 0, 1),
+        )
 
     def test_closed_form_matches_graph(self):
+        # the join's four blocks: sparse A-side, dense A-side, joined B-side, rest of B
         for k, m, n, s in GRID:
             p = ExtremalParams(k, m, n, s)
-            qm = quotient_matrix(build_family(p), family_partition(p))
-            assert qm.equitable
-            assert qm.entries == family_quotient(p).entries
-            assert qm.block_sizes == family_quotient(p).block_sizes
+            g = build_family(p)
+            blocks = [range(0, s), range(s, m), range(m, m + p.r), range(m + p.r, m + n)]
+            assert quotient(g, blocks) == (family_quotient(p), True)
+            assert g.adj == family_rows(p)
 
 
 class TestCharPoly:
@@ -157,7 +157,7 @@ class TestCharPoly:
     def test_formula_matches_determinant(self):
         for k, m, n, s in GRID:
             p = ExtremalParams(k, m, n, s)
-            assert family_char_coeffs(p).coeffs == exact_char_poly(family_quotient(p).entries).coeffs
+            assert family_char_coeffs(p).coeffs == exact_char_poly(family_quotient(p)).coeffs
 
     def test_difference_factorisation(self):
         # phi at s=1 minus phi at s equals x (s-1) psi(x), coefficientwise

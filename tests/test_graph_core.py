@@ -1,6 +1,7 @@
 """Bipartite graph container, join operation, and file round trips."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,28 @@ class TestConstruction:
             from_edge_list(2, 2, [(0, 2)])
         with pytest.raises(InputError):
             BipartiteGraph(2, 2, (1 << 2, 0))
+
+    # is_violation's rule: a bool is refused, anything else goes through
+    # operator.index; the error names the value
+    @pytest.mark.parametrize("build, bad", [
+        (lambda: from_edge_list(2, 2, [(0.0, 1)]), "A-index 0.0"),
+        (lambda: from_edge_list(2, 2, [(0, 1.0)]), "B-index 1.0"),
+        (lambda: from_edge_list(2, 2, [("0", 1)]), "A-index '0'"),
+        (lambda: from_edge_list(2, 2, [(0,)]), "edge (0,)"),
+        (lambda: from_edge_list(2, 2, [None]), "edge None"),
+        (lambda: from_edge_list(2, 2, [(True, 0)]), "A-index True"),   # once edge (1, 0)
+        (lambda: complete_bipartite(2.0, 3), "part size 2.0"),
+        (lambda: DegreeDemand.uniform(2.0, 3), "A-part size 2.0"),
+    ], ids=["float-a", "float-b", "str-a", "short-edge", "none-edge", "bool-a",
+            "complete-float", "uniform-float"])
+    def test_non_integer_input_is_an_input_error(self, build, bad):
+        with pytest.raises(InputError, match=re.escape(bad)):
+            build()
+
+    def test_numpy_indices_accepted(self):
+        g = from_edge_list(np.int64(2), 2, [(np.int64(1), np.uint8(0))])
+        assert g.adj == (0, 1) and type(g.m) is int
+        assert complete_bipartite(np.int64(2), 3) == complete_bipartite(2, 3)
 
     @pytest.mark.parametrize("row", [1.0, "1", None])
     def test_rejects_non_int_row(self, row):

@@ -1,4 +1,4 @@
-"""Spectral radius, quotient matrices, and exact characteristic polynomials.
+"""Spectral radius, the quotient oracle, and exact characteristic polynomials.
 
 numpy.linalg.eigvalsh serves here as the oracle for spectral_radii, which
 makes one LAPACK eigh call per stack of matrices; the radius of one matrix
@@ -7,7 +7,6 @@ is spectral_radii on a stack of one.
 
 import math
 import random
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -27,16 +26,15 @@ from qspan import (
     family_char_coeffs,
     family_root,
     from_edge_list,
-    quotient_matrix,
     signless_laplacian,
     spectral_radii,
 )
 from qspan import poly
-from qspan.extremal import ExtremalParams, build_family, family_bracket, family_partition, spectral_threshold
+from qspan.extremal import ExtremalParams, build_family, family_bracket, family_quotient, spectral_threshold
 from qspan.poly import CHAR_POLY_CAP, PolyCoeffs, exact_char_poly, largest_real_root
 from qspan.spectral import DENSE_CAP
 
-from oracles import bisect_root
+from oracles import bisect_root, quotient
 
 
 def oracle_radius(mtx: np.ndarray) -> float:
@@ -253,75 +251,42 @@ class TestSpectralRadii:
 
 
 class TestQuotientMatrix:
+    # the test oracle's quotient, on partitions small enough to work by hand
     def test_family_partition_is_equitable(self):
         p = ExtremalParams(3, 3, 7, 1)
-        qm = quotient_matrix(build_family(p), family_partition(p))
-        assert qm.equitable
-        assert all(x.denominator == 1 for row in qm.entries for x in row)
-        assert qm.block_sizes == (1, 2, 2, 5)
+        entries, equitable = quotient(build_family(p), [[0], [1, 2], [3, 4], range(5, 10)])
+        assert equitable
+        assert entries == family_quotient(p)
 
     def test_unbalanced_partition_not_equitable(self):
         g = from_edge_list(2, 2, [(0, 0), (0, 1), (1, 1)])
-        qm = quotient_matrix(g, [[0, 1], [2, 3]])
-        assert not qm.equitable
+        _, equitable = quotient(g, [[0, 1], [2, 3]])
+        assert not equitable
 
     def test_rows_average_within_blocks(self):
         g = complete_bipartite(2, 3)
-        qm = quotient_matrix(g, [[0, 1], [2, 3, 4]])
+        entries, equitable = quotient(g, [[0, 1], [2, 3, 4]])
         # degrees 3 and 2 on the diagonal, cross counts 3 and 2
-        assert qm.entries == (
+        assert entries == (
             (Fraction(3), Fraction(3)),
             (Fraction(2), Fraction(2)),
         )
-        assert qm.equitable
+        assert equitable
 
     def test_single_part_average(self):
         g = from_edge_list(2, 2, [(0, 0), (0, 1), (1, 1)])
-        qm = quotient_matrix(g, [range(4)])
+        entries, equitable = quotient(g, [range(4)])
         # sole entry is the average Q row sum: 4|E| / (m+n)
-        assert qm.entries == ((Fraction(4 * 3, 4),),)
-        assert not qm.equitable
+        assert entries == ((Fraction(4 * 3, 4),),)
+        assert not equitable
 
     def test_complete_a_b_partition(self):
-        qm = quotient_matrix(complete_bipartite(3, 5), [[0, 1, 2], [3, 4, 5, 6, 7]])
-        assert qm.entries == (
+        entries, equitable = quotient(complete_bipartite(3, 5), [[0, 1, 2], [3, 4, 5, 6, 7]])
+        assert entries == (
             (Fraction(5), Fraction(5)),
             (Fraction(3), Fraction(3)),
         )
-        assert qm.equitable
-
-    def test_partition_must_cover(self):
-        g = complete_bipartite(2, 2)
-        with pytest.raises(InputError):
-            quotient_matrix(g, [[0, 1], [2]])
-        with pytest.raises(InputError):
-            quotient_matrix(g, [[0, 1], [2, 3], []])
-        with pytest.raises(InputError):
-            quotient_matrix(g, [[0, 1], [2, 3, 3]])
-
-    @pytest.mark.parametrize("partition", [
-        [[0, 1, 2], [3.0]],
-        [[0, 1, 2], ["3"]],
-        [[0, 1, 2], [None]],
-        [[0, 2, 3], [True]],    # would stand for vertex 1
-        [[1, 2, 3], [False]],   # would stand for vertex 0
-    ])
-    def test_vertex_must_be_an_integer(self, partition):
-        bad = partition[1][0]
-        with pytest.raises(InputError, match=re.escape(f"partition block 1: vertex {bad!r} is not an integer")):
-            quotient_matrix(complete_bipartite(2, 2), partition)
-
-    def test_index_types_normalised(self):
-        g = from_edge_list(2, 2, [(0, 0), (0, 1), (1, 1)])
-        qm = quotient_matrix(g, [np.arange(2), [np.int64(2), 3]])
-        assert qm == quotient_matrix(g, [[0, 1], [2, 3]])
-        assert all(type(x) is Fraction for row in qm.entries for x in row)
-
-    def test_order_above_dense_cap_refused(self):
-        # the row sums are read off the dense Q(G), so its cap applies
-        g = complete_bipartite(1, DENSE_CAP)
-        with pytest.raises(CapacityError, match="exceeds dense cap"):
-            quotient_matrix(g, [[0], range(1, DENSE_CAP + 1)])
+        assert equitable
 
 
 class TestExactCharPoly:
@@ -420,10 +385,10 @@ class TestExactCharPoly:
         assert not any(remainder)
 
     def test_char_poly_requires_integral(self):
-        g = from_edge_list(2, 2, [(0, 0), (0, 1), (1, 1)])
-        qm = quotient_matrix(g, [[0, 1], [2, 3]])
+        # the A-B quotient of the path 1 - a0 - 0 - a1 averages degrees 2 and 1
+        rows = [[Fraction(3, 2), Fraction(3, 2)], [Fraction(3, 2), Fraction(3, 2)]]
         with pytest.raises(InputError, match="integers"):
-            exact_char_poly(qm.entries)
+            exact_char_poly(rows)
 
 
 class TestPolyCoeffs:

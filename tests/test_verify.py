@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 from collections import defaultdict
 from fractions import Fraction
@@ -22,14 +23,15 @@ from qspan import (
     extremal_graph,
     find_violation_bruteforce,
     is_connected,
+    is_violation,
     join,
     point_checks,
     separation_sweep,
     signless_laplacian,
     subgraph_monotonicity_fuzz,
 )
-from qspan import extremal, verify
-from qspan.extremal import ExtremalParams, family_char_coeffs, family_root, spectral_threshold
+from qspan import extremal, spectral, trees, verify
+from qspan.extremal import ExtremalParams, family_char_coeffs, family_quotient, family_root, spectral_threshold
 from qspan.poly import _positive_definite, separates_top_eigenvalues
 from qspan.spectral import q_matrices, spectral_radii
 from qspan.verify import (
@@ -159,6 +161,19 @@ class TestConnectedCount:
         assert [connected_bipartite_count(1, n) for n in range(5)] == [1, 1, 1, 1, 1]
 
 
+def moved_row_gstar(k, m, n):
+    """G* with A-vertex 0 on the last k - 1 B-vertices instead of the first:
+    still a copy of G*, but not its closed-form rows."""
+    g = extremal_graph(k, m, n)
+    return BipartiteGraph(m, n, (g.adj[0] << (n - k + 1),) + g.adj[1:])
+
+
+def quotient_off_by_one(p):
+    """family_quotient(p) with its first entry one too large."""
+    rows = family_quotient(p)
+    return ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:]
+
+
 class TestCensusEngine:
     # The census decides at q* itself, where a band of 1e-7 holds the same
     # classes. Wider bands move the threshold down to q* - band instead, so
@@ -282,15 +297,36 @@ class TestCensusEngine:
         assert len(copies) == 3
         assert sorted(scan_stats(k, m, n).extremal_copies) == copies
 
-    @pytest.mark.parametrize("partition", [
-        lambda p: [[v] for v in range(p.m + p.n)],                      # equitable, order-10 poly
-        lambda p: [list(range(p.m)), list(range(p.m, p.m + p.n))],      # not equitable
-    ], ids=["singletons", "a-b-sides"])
-    def test_attainment_needs_the_family_quotient(self, monkeypatch, partition):
+    @pytest.mark.parametrize("name, mutant", [
+        ("extremal_graph", moved_row_gstar), ("family_quotient", quotient_off_by_one),
+    ], ids=["moved-row", "off-by-one-entry"])
+    def test_attainment_needs_the_family_quotient(self, monkeypatch, name, mutant):
         assert certify_threshold(3, 3, 7).extremal_found
-        monkeypatch.setattr(verify, "family_partition", partition)
+        moved = moved_row_gstar(3, 3, 7)
+        assert part_preserving_isomorphic(moved, extremal_graph(3, 3, 7))
+        assert moved.adj != extremal.family_rows(ExtremalParams(3, 3, 7, 1))
+        monkeypatch.setattr(verify, name, mutant)
         rep = certify_threshold(3, 3, 7)
         assert not rep.extremal_found
+        assert (rep.graphs_above_bound, rep.counterexamples) == (505, [])
+
+    @pytest.mark.parametrize("k, m, n", ORACLE_POINTS)
+    def test_extremal_vertex_zero_violates(self, k, m, n):
+        # G*'s low-degree A-vertex alone breaks the Hall condition
+        assert is_violation(extremal_graph(k, m, n), DegreeDemand.uniform(m, k), (0,))
+
+    def test_gstar_checked_without_q_or_matching(self, monkeypatch):
+        # G* is checked from its closed form: no dense Q(G) and no Hall search
+        def untouched(*_):
+            raise AssertionError("G* was checked through Q(G) or a matching")
+
+        for fn in (spectral.signless_laplacian, trees.find_violation_flow):
+            for mod in [mod for key, mod in sys.modules.items() if key.split(".")[0] == "qspan"]:
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, untouched)
+        rep = certify_threshold(3, 3, 7)
+        assert rep.extremal_found
         assert (rep.graphs_above_bound, rep.counterexamples) == (505, [])
 
     def test_orbit_cap_boundary(self, monkeypatch):
@@ -322,7 +358,7 @@ class TestCensusEngine:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
         monkeypatch.setattr(verify, "construct_tree", untouched)
-        monkeypatch.setattr(verify, "find_violation_flow", untouched)
+        monkeypatch.setattr(verify, "is_violation", untouched)
         start = time.perf_counter()
         with pytest.raises(CapacityError, match="Q-matrix entries"):
             certify_threshold(3, 8, 17)
