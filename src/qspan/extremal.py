@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graph_core import BipartiteGraph, complete_bipartite, join
+from .graph_core import BipartiteGraph, as_index, complete_bipartite, join
 from .poly import PolyCoeffs, largest_real_root
 
 
@@ -32,6 +32,10 @@ class ExtremalParams:
     s: int
 
     def __post_init__(self):
+        for name in ("k", "m", "n", "s"):
+            value = getattr(self, name)
+            if type(value) is not int:   # a numpy int is stored as int
+                object.__setattr__(self, name, as_index(value, name))
         if self.k < 3:
             raise InputError(f"k must be >= 3, got {self.k}")
         if self.m < 3:

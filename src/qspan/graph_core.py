@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import index, or_
+import re
 
 from .errors import InputError
 
@@ -78,12 +79,30 @@ class BipartiteGraph:
         return bool(self.adj[a] >> b & 1)
 
     def b_adj(self) -> tuple[int, ...]:
-        """Adjacency from the B side: a bitmask of A-indices per B-vertex."""
-        rows = [0] * self.n
-        for a, mask in enumerate(self.adj):
-            for b in iter_bits(mask):
-                rows[b] |= 1 << a
-        return tuple(rows)
+        """Adjacency from the B side: a bitmask of A-indices per B-vertex.
+
+        The columns are computed at most once per graph (parse_graph's fast
+        path fills them as it reads the edges) and cached outside the
+        fields, so ==, hash and repr do not see them. A race between threads
+        at worst computes the same columns twice.
+        """
+        cols = self.__dict__.get("_cols")
+        if cols is None:
+            cols = _transpose(self.adj, self.n)
+            object.__setattr__(self, "_cols", cols)
+        return cols
+
+
+def _transpose(adj, n: int) -> tuple[int, ...]:
+    """Columns of the rows adj: a bitmask of row indices per column below n."""
+    cols = [0] * n
+    for a, mask in enumerate(adj):
+        bit = 1 << a
+        while mask:
+            low = mask & -mask
+            cols[low.bit_length() - 1] |= bit
+            mask ^= low
+    return tuple(cols)
 
 
 def from_edge_list(m: int, n: int, edges) -> BipartiteGraph:
@@ -144,13 +163,17 @@ def reach(start: int, a_rows, b_rows) -> tuple[int, int]:
     frontier_b = start
     while frontier_b:
         reached_a = 0
-        for b in iter_bits(frontier_b):
-            reached_a |= b_rows[b]
+        while frontier_b:
+            low = frontier_b & -frontier_b
+            reached_a |= b_rows[low.bit_length() - 1]
+            frontier_b ^= low
         frontier_a = reached_a & ~seen_a
         seen_a |= frontier_a
         reached_b = 0
-        for a in iter_bits(frontier_a):
-            reached_b |= a_rows[a]
+        while frontier_a:
+            low = frontier_a & -frontier_a
+            reached_b |= a_rows[low.bit_length() - 1]
+            frontier_a ^= low
         frontier_b = reached_b & ~seen_b
         seen_b |= frontier_b
     return seen_a, seen_b
@@ -174,9 +197,18 @@ class DegreeDemand:
     def __post_init__(self):
         if not self.values:
             raise InputError("demand vector is empty")
+        if all(type(v) is int for v in self.values) and min(self.values) >= 2:
+            return
+        values = []   # as_index's rule: numpy ints are stored as int, bools refused
         for a, v in enumerate(self.values):
-            if not isinstance(v, int) or v < 2:
+            try:
+                value = as_index(v, "demand")
+            except InputError:
+                value = None
+            if value is None or value < 2:
                 raise InputError(f"demand for A-vertex {a} must be an integer >= 2, got {v!r}")
+            values.append(value)
+        object.__setattr__(self, "values", tuple(values))
 
     @classmethod
     def uniform(cls, m: int, k: int) -> "DegreeDemand":
@@ -216,8 +248,45 @@ def _decimal(*fields: str) -> None:
             raise ValueError(field)
 
 
+# format_graph's output, up to edge order, duplicates and leading zeros
+_CANONICAL = re.compile(r"p bip [0-9]{1,5} [0-9]{1,5}\n(?:e [0-9]{1,5} [0-9]{1,5}\n)*")
+
+
 def parse_graph(text: str, source: str = "<string>") -> BipartiteGraph:
-    """Parse the graph file format, reporting errors as source:line: message."""
+    """Parse the graph file format, reporting errors as source:line: message.
+
+    A canonical text, one `p bip <m> <n>` header and then only `e <a> <b>`
+    lines, each field 1 to 5 ASCII digits and each line ended by a newline,
+    with every size and index in range, is read in one pass that fills the
+    rows and the cached columns (BipartiteGraph.b_adj) together. Any other
+    text (comments, blank lines, CRLF, tabs, signs, a missing final newline,
+    an error) takes the line loop, which names the line at fault.
+    """
+    return _parse_canonical(text) or _parse_lines(text, source)
+
+
+def _parse_canonical(text: str) -> BipartiteGraph | None:
+    """The graph of a canonical text, or None for the line loop to read."""
+    if not _CANONICAL.fullmatch(text):
+        return None
+    fields = text.split()
+    m, n = int(fields[2]), int(fields[3])
+    if not (1 <= m <= PART_SIZE_CAP and 1 <= n <= PART_SIZE_CAP):
+        return None
+    a_ids, b_ids = list(map(int, fields[5::3])), list(map(int, fields[6::3]))
+    if a_ids and (max(a_ids) >= m or max(b_ids) >= n):
+        return None
+    rows, cols = [0] * m, [0] * n
+    for a, b in zip(a_ids, b_ids):
+        rows[a] |= 1 << b
+        cols[b] |= 1 << a
+    g = BipartiteGraph(m, n, tuple(rows))
+    object.__setattr__(g, "_cols", tuple(cols))
+    return g
+
+
+def _parse_lines(text: str, source: str) -> BipartiteGraph:
+    """Read any graph text line by line; errors name source:line."""
     plain = text.isascii() and "+" not in text and "_" not in text   # edges need no _decimal
     m = n = None
     adj = None

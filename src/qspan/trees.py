@@ -122,7 +122,11 @@ def _augment(g: BipartiteGraph, cap: list[int], held: list[int], owner: list[int
     came = {a: None for a in range(g.m) if held[a].bit_count() < cap[a]}
     queue = list(came)
     for a in queue:
-        for b in iter_bits(g.adj[a] & ~held[a] & ~blocked):
+        out = g.adj[a] & ~held[a] & ~blocked
+        while out:
+            low = out & -out
+            out ^= low
+            b = low.bit_length() - 1
             holder = owner[b]
             if holder < 0:
                 end = b
@@ -147,15 +151,16 @@ def _max_matching(g: BipartiteGraph, cap: list[int]) -> tuple[list[int], list[in
     neighbours; augmenting paths then run until none is left.
     """
     held, owner = [0] * g.m, [-1] * g.n
-    for a in range(g.m):
-        room = cap[a]
-        for b in iter_bits(g.adj[a]):
-            if not room:
-                break
-            if owner[b] < 0:
-                held[a] |= 1 << b
-                owner[b] = a
-                room -= 1
+    taken = 0
+    for a, row in enumerate(g.adj):
+        room, free = cap[a], row & ~taken
+        while room and free:
+            low = free & -free
+            free ^= low
+            held[a] |= low
+            owner[low.bit_length() - 1] = a
+            room -= 1
+        taken |= held[a]
     while _augment(g, cap, held, owner)[0] is not None:
         pass
     return held, owner
@@ -229,7 +234,7 @@ def verify_certificate(g: BipartiteGraph, f: DegreeDemand, cert: TreeCertificate
         a, b = edge if type(edge) is tuple and len(edge) == 2 else (None, None)
         if type(a) is not int or type(b) is not int:
             return False
-        if not (0 <= a < g.m and 0 <= b < g.n) or not g.has_edge(a, b) or rows[a] >> b & 1:
+        if not (0 <= a < g.m and 0 <= b < g.n) or not g.adj[a] >> b & 1 or rows[a] >> b & 1:
             return False
         rows[a] |= 1 << b
         cols[b] |= 1 << a
@@ -261,14 +266,20 @@ def _grow_tree(g: BipartiteGraph, cap: list[int], held: list[int],
                 a = grow_a.pop()
                 kids = (held[a] | g.adj[a] & free) & ~reached_b
                 reached_b |= kids
-                for b in iter_bits(kids):
+                while kids:
+                    low = kids & -kids
+                    kids ^= low
+                    b = low.bit_length() - 1
                     edges.append((a, b))
                     grow_b.append(b)
             else:
                 b = grow_b.pop()
                 kids = b_rows[b] & ~reached_a
                 reached_a |= kids
-                for a in iter_bits(kids):
+                while kids:
+                    low = kids & -kids
+                    kids ^= low
+                    a = low.bit_length() - 1
                     edges.append((a, b))
                     grow_a.append(a)
         if reached_a == (1 << g.m) - 1 and reached_b == (1 << g.n) - 1:

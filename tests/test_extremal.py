@@ -58,6 +58,22 @@ class TestParams:
         with pytest.raises(InputError):
             ExtremalParams(3, 3, 7, 3)  # s must stay below m
 
+    @pytest.mark.parametrize("args", [(3.0, 3, 7, 1), (3, 3.0, 7, 1), (3, 3, 7.5, 1),
+                                      (3, 3, 7, True), ("3", 3, 7, 1)])
+    def test_rejects_non_integers(self, args):
+        with pytest.raises(InputError, match="is not an integer"):
+            ExtremalParams(*args)
+
+    def test_threshold_rejects_non_integers(self):
+        with pytest.raises(InputError, match="k 3.0 is not an integer"):
+            spectral_threshold(3.0, 3, 7)
+
+    def test_numpy_fields_stored_as_int(self):
+        p = ExtremalParams(np.int64(3), np.int32(3), np.uint16(7), np.int8(1))
+        assert p == ExtremalParams(3, 3, 7, 1)
+        assert all(type(v) is int for v in (p.k, p.m, p.n, p.s))
+        assert spectral_threshold(np.int64(3), 3, 7) == spectral_threshold(3, 3, 7)
+
 
 class TestBuildFamily:
     def test_structure_s1(self):

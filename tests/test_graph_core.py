@@ -1,6 +1,8 @@
 """Bipartite graph container, join operation, and file round trips."""
 
 import hashlib
+import pickle
+import random
 import re
 
 import numpy as np
@@ -13,6 +15,7 @@ from qspan import (
     DegreeDemand,
     InputError,
     complete_bipartite,
+    construct_tree,
     format_graph,
     from_edge_list,
     is_connected,
@@ -21,6 +24,7 @@ from qspan import (
     parse_graph,
     to_edge_list,
 )
+from qspan import graph_core
 from qspan.graph_core import PART_SIZE_CAP
 
 from oracles import part_preserving_isomorphic
@@ -318,6 +322,124 @@ class TestFileFormat:
         parse(f"# {field}\n" + template.format(3), "f")
 
 
+class TestCanonicalParse:
+    """parse_graph's one-pass read of canonical text against the line loop."""
+
+    @staticmethod
+    def _outcome(parse, text):
+        try:
+            g = parse(text, "f")
+            return g.m, g.n, g.adj
+        except InputError as exc:
+            return str(exc)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        line_loop = graph_core._parse_lines
+        monkeypatch.setattr(graph_core, "_parse_lines",
+                            lambda text, source: calls.append(text) or line_loop(text, source))
+        return calls
+
+    def _canonical_texts(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            m, n = rng.randint(1, 30), rng.randint(1, 30)
+            g = BipartiteGraph(m, n, tuple(rng.getrandbits(n) for _ in range(m)))
+            header, *lines = format_graph(g).splitlines()
+            lines += rng.sample(lines, len(lines) // 3)   # duplicated edges
+            rng.shuffle(lines)
+            yield "\n".join([header] + lines) + "\n"
+        yield "p bip 3 4\n"                                    # empty edge block
+        yield "p bip 1 1\ne 0 0\n"                            # single edge
+        yield "p bip 0003 04\ne 02 0003\ne 00000 1\n"        # leading zeros
+        yield f"p bip {PART_SIZE_CAP} 12345\ne 16383 12344\ne 09999 0\n"   # 5 digits
+
+    def test_canonical_matches_line_loop(self, monkeypatch):
+        texts = list(self._canonical_texts())
+        expected = [self._outcome(graph_core._parse_lines, text) for text in texts]
+        calls = self._spy(monkeypatch)
+        assert [self._outcome(parse_graph, text) for text in texts] == expected
+        assert calls == []
+
+    @pytest.mark.parametrize("text", [
+        "# comment\np bip 2 2\ne 0 1\n",
+        "p bip 2 2\n\ne 0 1\n",
+        "p bip 2 2\r\ne 0 1\r\n",
+        "p bip 2 2\ne\t0 1\n",
+        "p bip 2 2\ne 0  1\n",
+        "p bip 2 2\ne +0 1\n",
+        "p bip 2 2\ne -0 1\n",
+        "p bip 2 2\ne 1_0 1\n",
+        "p bip 2 2\ne 0 1",
+        "p bip 2 2\ne 2 1\n",
+        "p bip 2 2\ne 0 2\n",
+        "p bip 2 2\ne 000001 1\n",
+        "p bip 000002 2\ne 0 1\n",
+        "p bip 0 2\n",
+        f"p bip {PART_SIZE_CAP + 1} 2\ne 0 1\n",
+        "p bip 2 2\ne \u0661 1\n",
+        "p bip 2 2\np bip 2 2\n",
+        "",
+    ], ids=["comment", "blank", "crlf", "tab", "double-space", "plus", "minus", "underscore",
+            "no-final-newline", "a-out-of-range", "b-out-of-range", "six-digits",
+            "six-digit-header", "zero-part", "over-cap", "non-ascii-digit", "two-headers",
+            "empty"])
+    def test_fallback_is_the_line_loop(self, monkeypatch, text):
+        expected = self._outcome(graph_core._parse_lines, text)
+        calls = self._spy(monkeypatch)
+        assert self._outcome(parse_graph, text) == expected
+        assert calls == [text]
+
+
+class TestColumnCache:
+    """BipartiteGraph.b_adj: computed at most once, invisible to the fields."""
+
+    TEXT = "p bip 3 4\ne 2 3\ne 0 0\ne 1 0\ne 0 2\ne 2 1\ne 1 3\n"
+
+    @staticmethod
+    def _columns(g):
+        return tuple(sum(1 << a for a in range(g.m) if g.adj[a] >> b & 1) for b in range(g.n))
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        transpose = graph_core._transpose
+        monkeypatch.setattr(graph_core, "_transpose",
+                            lambda adj, n: calls.append(n) or transpose(adj, n))
+        return calls
+
+    @given(small_graphs(max_m=6, max_n=8))
+    @settings(max_examples=60, deadline=None)
+    def test_parsed_columns_match_transposition(self, g):
+        assert parse_graph(format_graph(g)).b_adj() == self._columns(g) == g.b_adj()
+
+    def test_cache_invisible_to_fields(self):
+        parsed = parse_graph(self.TEXT)
+        built = from_edge_list(3, 4, [(2, 3), (0, 0), (1, 0), (0, 2), (2, 1), (1, 3)])
+        assert parsed == built and hash(parsed) == hash(built)
+        assert repr(parsed) == repr(built)
+        built.b_adj()
+        assert repr(built) == repr(parsed) and hash(built) == hash(parsed)
+        for g in (parsed, built):
+            copy = pickle.loads(pickle.dumps(g))
+            assert copy == g and copy.b_adj() == g.b_adj() == self._columns(g)
+
+    def test_parsed_graph_builds_no_columns(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        g = parse_graph(self.TEXT)
+        assert construct_tree(g, DegreeDemand((2, 2, 2))).feasible
+        assert is_connected(g) and calls == []
+
+    @pytest.mark.parametrize("demand", [(2, 2, 2), (3, 3, 3)], ids=["feasible", "infeasible"])
+    def test_other_graph_builds_columns_once(self, monkeypatch, demand):
+        calls = self._spy(monkeypatch)
+        g = from_edge_list(3, 4, [(2, 3), (0, 0), (1, 0), (0, 2), (2, 1), (1, 3)])
+        construct_tree(g, DegreeDemand(demand))
+        construct_tree(g, DegreeDemand(demand))
+        assert is_connected(g) and calls == [4]
+
+
 class TestDegreeDemand:
     def test_uniform(self):
         f = DegreeDemand.uniform(3, 4)
@@ -332,6 +454,24 @@ class TestDegreeDemand:
             DegreeDemand.uniform(3, 1)
         with pytest.raises(InputError):
             DegreeDemand(())
+
+    def test_numpy_values_stored_as_int(self):
+        # as_index's rule, the one from_edge_list follows
+        f = DegreeDemand.uniform(3, np.int64(3))
+        assert f == DegreeDemand((3, 3, 3)) and hash(f) == hash(DegreeDemand((3, 3, 3)))
+        assert all(type(v) is int for v in f.values)
+        assert DegreeDemand((2, np.uint8(4))).values == (2, 4)
+
+    @pytest.mark.parametrize("values, bad", [
+        ((3, True), "A-vertex 1 must be an integer >= 2, got True"),
+        ((3.0, 3), "A-vertex 0 must be an integer >= 2, got 3.0"),
+        ((np.True_,), "A-vertex 0 must be an integer >= 2, got"),
+        ((3, np.int64(1)), "A-vertex 1 must be an integer >= 2, got"),
+        (("3",), "A-vertex 0 must be an integer >= 2, got '3'"),
+    ], ids=["bool", "float", "numpy-bool", "numpy-small", "str"])
+    def test_rejects_non_integer_values(self, values, bad):
+        with pytest.raises(InputError, match=re.escape(bad)):
+            DegreeDemand(values)
 
     def test_parse_demands(self):
         f = parse_demands("2\n# c\n3\n\n4\n", "d")
