@@ -52,17 +52,21 @@ class BipartiteGraph:
             raise InputError(f"adj has {len(self.adj)} rows, expected m={self.m}")
         full = (1 << self.n) - 1
         try:
-            if 0 <= reduce(or_, self.adj, 0) <= full:
+            union = reduce(or_, self.adj, 0)
+            if type(union) is int and 0 <= union <= full:   # no row is bad or a numpy scalar
                 return
         except (TypeError, OverflowError):   # a row that | rejects, or mixed numpy widths
             pass
-        for a, mask in enumerate(self.adj):    # some row is bad: name the first
+        rows = []   # name the first bad row, or store the rows as int (numpy lacks bit_length)
+        for a, mask in enumerate(self.adj):
             try:
                 bad = not 0 <= mask | 0 <= full
+                rows.append(index(mask))
             except TypeError:
                 raise InputError(f"neighborhood of A-vertex {a} is not an int bitmask: {mask!r}") from None
             if bad:
                 raise InputError(f"neighborhood of A-vertex {a} has bits outside [0, {self.n})")
+        object.__setattr__(self, "adj", tuple(rows))
 
     @property
     def edge_count(self) -> int:

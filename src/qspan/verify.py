@@ -9,7 +9,7 @@ Three entry points:
   strict inequality that places the family members below the threshold.
 * subgraph_monotonicity_fuzz: randomized check that the spectral radius
   never grows when edges are deleted (each a uniformly random non-bridge, by
-  one shuffle and is_connected), from one batched eigh per shape, with exact
+  one shuffle and reach), from one batched eigh per shape, with exact
   strictness spot checks (a positive-definiteness certificate in integers).
 
 The census is a breadth-first search of single-edge deletions down from
@@ -58,6 +58,7 @@ from .graph_core import (
     complete_bipartite,
     is_connected,
     iter_bits,
+    reach,
     to_edge_list,
 )
 from .poly import exact_char_poly, separates_top_eigenvalues
@@ -417,35 +418,48 @@ STRICT_CHECK_BUDGET = 400
 
 
 def _random_connected(rng: random.Random, m: int, n: int) -> BipartiteGraph:
-    full = (1 << n) - 1
+    """A random connected graph on (m, n): up to 300 draws, each with its own
+    edge probability and one rng.random() per (a, b) in row order, filling the
+    rows and columns that reach tests; K_{m,n} if none connects."""
+    spans = ((1 << m) - 1, (1 << n) - 1)
     for _ in range(300):
         p = rng.uniform(0.3, 0.9)
-        adj = tuple(
-            sum(1 << b for b in range(n) if rng.random() < p)
-            for _ in range(m)
-        )
-        g = BipartiteGraph(m, n, adj)
-        if is_connected(g):
-            return g
+        rows, cols = [0] * m, [0] * n
+        for a in range(m):
+            for b in range(n):
+                if rng.random() < p:
+                    rows[a] |= 1 << b
+                    cols[b] |= 1 << a
+        if reach(rows[0], rows, cols) == spans:
+            return BipartiteGraph(m, n, tuple(rows))
     return complete_bipartite(m, n)
 
 
 def _random_spanning_subgraph(rng: random.Random, g: BipartiteGraph) -> BipartiteGraph:
     """g less a uniform number, 0 to its cycle rank, of removals, each of a
-    uniformly random non-bridge, by one shuffle and is_connected: each edge in
-    turn is dropped if g stays connected without it. Removals only make bridges,
-    so the first non-bridge left in the order is a uniform pick among them."""
+    uniformly random non-bridge, by one shuffle and reach: each edge in turn
+    is dropped if the rows and columns without it still span g. Removals only
+    make bridges, so the first non-bridge left in the order is a uniform pick
+    among them."""
     slack = g.edge_count - (g.m + g.n - 1)
     removals = rng.randint(0, slack) if slack > 0 else 0
     edges = to_edge_list(g)
     rng.shuffle(edges)
+    if not removals:
+        return g
+    rows, cols = list(g.adj), list(g.b_adj())
+    spans = ((1 << g.m) - 1, (1 << g.n) - 1)
     for a, b in edges:
-        if not removals:
-            break
-        h = BipartiteGraph(g.m, g.n, g.adj[:a] + (g.adj[a] & ~(1 << b),) + g.adj[a + 1:])
-        if is_connected(h):
-            g, removals = h, removals - 1
-    return g
+        rows[a] ^= 1 << b
+        cols[b] ^= 1 << a
+        if reach(rows[0], rows, cols) == spans:
+            removals -= 1
+            if not removals:
+                break
+        else:
+            rows[a] |= 1 << b
+            cols[b] |= 1 << a
+    return BipartiteGraph(g.m, g.n, tuple(rows))
 
 
 def _fuzz_pairs(trials: int, seed: int):

@@ -103,6 +103,29 @@ class TestConstruction:
         # np.uint64 | (1 << 80) overflows; each row is still a valid bitmask
         assert BipartiteGraph(2, 100, (np.uint64(1), 1 << 80)).edge_count == 2
 
+    @pytest.mark.parametrize("rows, twin_rows", [
+        ((np.int64(3), np.int64(6)), (3, 6)),
+        ((np.uint8(5), 2, np.int32(7)), (5, 2, 7)),
+        ((np.uint64((1 << 64) - 1), (1 << 80) - 1), ((1 << 64) - 1, (1 << 80) - 1)),  # | overflows
+    ])
+    def test_numpy_rows_stored_as_int(self, rows, twin_rows):
+        n = max(twin_rows).bit_length()
+        g, twin = BipartiteGraph(len(rows), n, rows), BipartiteGraph(len(rows), n, twin_rows)
+        assert all(type(row) is int for row in g.adj)
+        assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+        assert is_connected(g) == is_connected(twin)
+        assert format_graph(g) == format_graph(twin)
+        f = DegreeDemand.uniform(g.m, 2)
+        assert construct_tree(g, f) == construct_tree(twin, f)
+
+    def test_int_rows_stored_as_given(self):
+        rows = (True, 3, 2)
+        assert BipartiteGraph(3, 2, rows).adj is rows
+
+    def test_numpy_bool_row_rejected(self):
+        with pytest.raises(InputError, match="A-vertex 1 is not an int bitmask"):
+            BipartiteGraph(2, 2, (1, np.True_))
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(InputError):
             BipartiteGraph(0, 2, ())

@@ -1,5 +1,6 @@
 """Census engine, sweep checks, the monotonicity fuzz and its exact strictness certificate."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -30,7 +31,7 @@ from qspan import (
     signless_laplacian,
     subgraph_monotonicity_fuzz,
 )
-from qspan import extremal, spectral, trees, verify
+from qspan import extremal, graph_core, spectral, trees, verify
 from qspan.extremal import ExtremalParams, family_char_coeffs, family_quotient, family_root, spectral_threshold
 from qspan.poly import _positive_definite, separates_top_eigenvalues
 from qspan.spectral import q_matrices, spectral_radii
@@ -703,7 +704,7 @@ class TestStrictRootComparison:
 
 class TestSpanningSubgraphDrawing:
     """The fuzz's H: a uniform number of removals, each a uniformly random
-    non-bridge, drawn by one shuffle and is_connected."""
+    non-bridge, drawn by one shuffle and reach."""
 
     GRAPHS = [complete_bipartite(2, 3), BipartiteGraph(3, 3, (0b111, 0b011, 0b110)),
               BipartiteGraph(2, 4, (0b1111, 0b1011)), BipartiteGraph(3, 2, (0b11, 0b11, 0b01))]
@@ -758,6 +759,23 @@ class TestSpanningSubgraphDrawing:
         for g, h in verify._fuzz_pairs(3000, seed=1):
             assert (h.m, h.n) == (g.m, g.n) and is_connected(h)
             assert all(y & ~x == 0 for x, y in zip(g.adj, h.adj))
+
+    def test_drawn_pairs_pinned(self):
+        # the RNG stream itself, not just the report's counts
+        digest = hashlib.sha256()
+        for seed in range(6):
+            for g, h in verify._fuzz_pairs(3000, seed):
+                digest.update(repr((g.m, g.n, g.adj, h.adj)).encode())
+        assert digest.hexdigest() == "c14d0cf61ed948253ba97aa168eda886d83dcc6f4892bef04740cc5428d75065"
+
+    def test_drawing_builds_no_graph_per_candidate(self, monkeypatch):
+        connected, transposed = [], []
+        transpose = graph_core._transpose
+        monkeypatch.setattr(verify, "is_connected", lambda g: connected.append(g))
+        monkeypatch.setattr(graph_core, "_transpose",
+                            lambda adj, n: transposed.append(n) or transpose(adj, n))
+        pairs = list(verify._fuzz_pairs(300, seed=3))
+        assert connected == [] and 0 < len(transposed) <= len(pairs) == 300
 
 
 class TestShortDyadic:
