@@ -13,6 +13,8 @@ from functools import reduce
 from operator import index, or_
 import re
 
+import numpy as np
+
 from .errors import InputError
 
 PART_SIZE_CAP = 1 << 14   # per part in graph files and complete_bipartite; rows fit in 32 MiB
@@ -261,27 +263,35 @@ def parse_graph(text: str, source: str = "<string>") -> BipartiteGraph:
 
     A canonical text, one `p bip <m> <n>` header and then only `e <a> <b>`
     lines, each field 1 to 5 ASCII digits and each line ended by a newline,
-    with every size and index in range, is read in one pass that fills the
-    rows and the cached columns (BipartiteGraph.b_adj) together. Any other
-    text (comments, blank lines, CRLF, tabs, signs, a missing final newline,
-    an error) takes the line loop, which names the line at fault.
+    with every size and index in range, has its edge block decoded by one
+    numpy call and is read in one pass that fills the rows and the cached
+    columns (BipartiteGraph.b_adj) together. Any other text (comments, blank
+    lines, CRLF, tabs, signs, a missing final newline, an error) takes the
+    line loop, which names the line at fault.
     """
     return _parse_canonical(text) or _parse_lines(text, source)
 
 
 def _parse_canonical(text: str) -> BipartiteGraph | None:
-    """The graph of a canonical text, or None for the line loop to read."""
+    """The graph of a canonical text, or None for the line loop to read.
+
+    One np.fromstring call decodes the edge block, its `e`s blanked, as
+    whitespace-separated ints; the rows and columns are filled from two int
+    lists, so no m-by-n array is built."""
     if not _CANONICAL.fullmatch(text):
         return None
-    fields = text.split()
-    m, n = int(fields[2]), int(fields[3])
+    head = text.index("\n")
+    m, n = map(int, text[:head].split()[2:])
     if not (1 <= m <= PART_SIZE_CAP and 1 <= n <= PART_SIZE_CAP):
         return None
-    a_ids, b_ids = list(map(int, fields[5::3])), list(map(int, fields[6::3]))
-    if a_ids and (max(a_ids) >= m or max(b_ids) >= n):
+    ids = np.fromstring(text[head + 1:].replace("e", " "), dtype=np.intp, sep=" ")
+    if ids.size != 2 * text.count("\n", head + 1):   # two ints per edge line, or the line loop
+        return None
+    a_ids, b_ids = ids[0::2], ids[1::2]
+    if a_ids.size and (a_ids.max() >= m or b_ids.max() >= n):
         return None
     rows, cols = [0] * m, [0] * n
-    for a, b in zip(a_ids, b_ids):
+    for a, b in zip(a_ids.tolist(), b_ids.tolist()):
         rows[a] |= 1 << b
         cols[b] |= 1 << a
     g = BipartiteGraph(m, n, tuple(rows))

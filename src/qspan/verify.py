@@ -441,12 +441,14 @@ def _random_spanning_subgraph(rng: random.Random, g: BipartiteGraph) -> Bipartit
     is dropped if the rows and columns without it still span g. Removals only
     make bridges, so the first non-bridge left in the order is a uniform pick
     among them."""
-    slack = g.edge_count - (g.m + g.n - 1)
+    edge_count = g.edge_count
+    slack = edge_count - (g.m + g.n - 1)
     removals = rng.randint(0, slack) if slack > 0 else 0
+    if not removals:
+        rng.shuffle([None] * edge_count)   # shuffle draws by length alone; keeps the stream
+        return g
     edges = to_edge_list(g)
     rng.shuffle(edges)
-    if not removals:
-        return g
     rows, cols = list(g.adj), list(g.b_adj())
     spans = ((1 << g.m) - 1, (1 << g.n) - 1)
     for a, b in edges:

@@ -4,6 +4,7 @@ import hashlib
 import pickle
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,6 +414,44 @@ class TestCanonicalParse:
         calls = self._spy(monkeypatch)
         assert self._outcome(parse_graph, text) == expected
         assert calls == [text]
+
+    def test_rows_and_columns_are_int(self):
+        for text in self._canonical_texts():
+            g = parse_graph(text)
+            assert all(type(x) is int for x in g.adj + g.b_adj())
+
+    def test_five_digit_indices_at_cap(self, monkeypatch):
+        top = PART_SIZE_CAP - 1
+        text = f"p bip {PART_SIZE_CAP} {PART_SIZE_CAP}\ne {top} {top}\ne {top} 0\ne 0 {top}\n"
+        expected = self._outcome(graph_core._parse_lines, text)
+        calls = self._spy(monkeypatch)
+        assert self._outcome(parse_graph, text) == expected
+        assert calls == []
+
+    @pytest.mark.parametrize("damage", [
+        lambda ids: ids[:-1],
+        lambda ids: np.append(ids, [0, 0]),
+        lambda ids: ids[:0],
+    ], ids=["one-short", "pair-extra", "empty"])
+    def test_off_pair_count_is_the_line_loop(self, monkeypatch, damage):
+        text = "p bip 2 3\ne 0 2\ne 1 0\ne 1 1\n"
+        expected = self._outcome(graph_core._parse_lines, text)
+        decode = np.fromstring
+        monkeypatch.setattr(graph_core.np, "fromstring", lambda *a, **k: damage(decode(*a, **k)))
+        calls = self._spy(monkeypatch)
+        assert self._outcome(parse_graph, text) == expected
+        assert calls == [text]
+
+    def test_no_m_by_n_allocation(self):
+        # a dense bool matrix at the cap would take 256 MiB, a bit-packed one 32 MiB
+        text = f"p bip {PART_SIZE_CAP} {PART_SIZE_CAP}\ne 0 0\ne {PART_SIZE_CAP - 1} 1\n"
+        tracemalloc.start()
+        try:
+            g = parse_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.adj[-1] == 2 and peak < 4 << 20
 
 
 class TestColumnCache:
