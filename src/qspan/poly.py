@@ -1,19 +1,21 @@
 """Exact arithmetic: characteristic polynomials, roots and eigenvalue bounds.
 
-Coefficient vectors are ascending (c0 first). Characteristic polynomials,
-root bisection and the positive-definiteness certificate run in plain
-integers, so roots are correctly rounded floats and every strictness claim is
-exact. A float Newton step only picks the bisection's starting bracket, and
-its signs are checked in integers first.
+Coefficient vectors are ascending (c0 first). Characteristic polynomials
+(batched over a numpy object array of Python ints), root bisection and the
+positive-definiteness certificate run in plain integers, so roots are
+correctly rounded floats and every strictness claim is exact. A float Newton
+step only picks the bisection's starting bracket, and its signs are checked
+in integers first.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import CapacityError, InputError, InternalError, NumericalError
 
@@ -77,35 +79,44 @@ class PolyCoeffs:
         return _horner(self.coeffs, x)
 
 
-def exact_char_poly(rows) -> PolyCoeffs:
-    """Exact monic characteristic polynomial of a small integer matrix.
+def exact_char_polys(stack) -> list:
+    """Exact monic characteristic polynomials of a stack of small integer
+    matrices of one order, in stack order; [] for an empty stack.
 
     Entries may be of any type that Fraction maps to an integer. Runs the
-    trace recursion (Faddeev-LeVerrier) in integers: for an integer matrix
-    every c_k = -tr(A M_k) / k is an integer, so a nonzero remainder is a
-    defect. The Cayley-Hamilton identity is checked on the final auxiliary
-    matrix, so a wrong result cannot escape silently.
+    trace recursion (Faddeev-LeVerrier) once over an (N, t, t) numpy object
+    array of Python ints, exact at any size: for an integer matrix every
+    c_k = -tr(A M_k) / k is an integer, so a nonzero remainder is a defect.
+    The Cayley-Hamilton identity is checked on every final auxiliary matrix,
+    so a wrong result cannot escape silently.
     """
-    t = len(rows)
+    stack = list(stack)
+    if not stack:
+        return []
+    t = len(stack[0])
+    if any(len(rows) != t for rows in stack):
+        raise InputError("matrices in one stack must have one order")
     if t > CHAR_POLY_CAP:
         raise CapacityError(f"order {t} exceeds exact char poly cap {CHAR_POLY_CAP}")
-    mat = _int_matrix(rows)
-
-    aux = [[int(i == j) for j in range(t)] for i in range(t)]
-    descending = [1]
+    mat = np.array([_int_matrix(rows) for rows in stack], dtype=object).reshape(len(stack), t, t)
+    diag = np.arange(t)
+    prod, descending = mat.copy(), [[1] * len(stack)]     # A M_1, as M_1 = I
     for k in range(1, t + 1):
-        cols = list(zip(*aux))
-        prod = [[sum(map(operator.mul, row, col)) for col in cols] for row in mat]
-        ck, rem = divmod(-sum(prod[i][i] for i in range(t)), k)
-        if rem:
+        prod = prod if k == 1 else np.matmul(mat, prod)
+        neg_trace = -prod[:, diag, diag].sum(axis=1)
+        ck = neg_trace // k
+        if (ck * k != neg_trace).any():
             raise InternalError("characteristic polynomial of an integer matrix must be integral")
         descending.append(ck)
-        for i in range(t):
-            prod[i][i] += ck
-        aux = prod
-    if any(any(row) for row in aux):
-        raise InternalError("Cayley-Hamilton check failed in exact_char_poly")
-    return PolyCoeffs(tuple(reversed(descending)))
+        prod[:, diag, diag] += ck[:, None]
+    if (prod != 0).any():
+        raise InternalError("Cayley-Hamilton check failed in exact_char_polys")
+    return [PolyCoeffs(tuple(reversed(coeffs))) for coeffs in zip(*descending)]
+
+
+def exact_char_poly(rows) -> PolyCoeffs:
+    """exact_char_polys on a stack of one matrix."""
+    return exact_char_polys([rows])[0]
 
 
 def _newton_bracket(coeffs, lo_num, hi_num, den, f_lo):

@@ -61,7 +61,7 @@ from .graph_core import (
     reach,
     to_edge_list,
 )
-from .poly import exact_char_poly, separates_top_eigenvalues
+from .poly import exact_char_poly, exact_char_polys, separates_top_eigenvalues
 from .spectral import DENSE_CAP, mask_bits, q_matrices, spectral_radii
 from .trees import construct_tree, is_violation
 
@@ -286,17 +286,20 @@ SWEEP_POINT_CAP = 1400    # separation_sweep: at most this many points per grid
 SWEEP_ORDER_CAP = 64      # separation_sweep: family order m + n at most this
 
 
-def point_checks(p: ExtremalParams) -> dict:
+def point_checks(p: ExtremalParams, quotient_poly=None) -> dict:
     """All identity and inequality checks for one parameter point.
 
-    Every check is exact. At s = 1 separation asks that the two quartics
-    coincide. For s >= 2, q1 is correctly rounded, so the float above it
-    exceeds the s root; separation asks that it still lie below q*, where the
-    s=1 quartic is negative in its bracket. join_chain asks that the family
-    member have s rows 2^r - 1, r = (k-1)s, then m - s rows 2^n - 1
-    (family_rows). A join at any r has that form, and 2^r - 1 lies in 2^r' - 1
-    for r <= r', so the chain nests and q only rises; the one built graph ties
-    this to the family's definition. m + n > DENSE_CAP is a CapacityError.
+    Every check is exact. coeff_identity compares the closed-form quartic
+    with quotient_poly, the characteristic polynomial of family_quotient(p),
+    computed here if not given (separation_sweep gives it from one batch). At
+    s = 1 separation asks that the two quartics coincide. For s >= 2, q1 is
+    correctly rounded, so the float above it exceeds the s root; separation
+    asks that it still lie below q*, where the s=1 quartic is negative in its
+    bracket. join_chain asks that the family member have s rows 2^r - 1,
+    r = (k-1)s, then m - s rows 2^n - 1 (family_rows). A join at any r has
+    that form, and 2^r - 1 lies in 2^r' - 1 for r <= r', so the chain nests
+    and q only rises; the one built graph ties this to the family's
+    definition. m + n > DENSE_CAP is a CapacityError.
     """
     if p.m + p.n > DENSE_CAP:
         raise CapacityError(f"order {p.m + p.n} exceeds dense cap {DENSE_CAP}")
@@ -305,7 +308,9 @@ def point_checks(p: ExtremalParams) -> dict:
     fam = family_char_coeffs(p)
     checks = {}
 
-    checks["coeff_identity"] = exact_char_poly(family_quotient(p)).coeffs == fam.coeffs
+    if quotient_poly is None:
+        quotient_poly = exact_char_poly(family_quotient(p))
+    checks["coeff_identity"] = quotient_poly.coeffs == fam.coeffs
 
     base = family_char_coeffs(ExtremalParams(k, m, n, 1))
     d0, d1, d2 = difference_factor_coeffs(p)
@@ -351,7 +356,9 @@ def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0)
     boundary where the upper endpoint quadratic must vanish exactly, recorded
     as an expected boundary rather than a failure. A grid of more than
     SWEEP_POINT_CAP points, or with a family order m + n above SWEEP_ORDER_CAP,
-    raises CapacityError before any point runs. seed is only a grid label.
+    raises CapacityError before any point runs. One exact_char_polys call over
+    every interior point's family_quotient feeds point_checks. seed is only a
+    grid label.
     """
     k_values = _grid_axis(k_values, DEFAULT_K_VALUES)
     m_values = _grid_axis(m_values, DEFAULT_M_VALUES)
@@ -374,6 +381,9 @@ def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0)
     if order > SWEEP_ORDER_CAP:
         raise CapacityError(f"grid reaches family order m + n = {order}, above {SWEEP_ORDER_CAP}")
 
+    interior = [ExtremalParams(k, m, (k - 1) * m + extra, s)
+                for k, m, extra in grid_points if extra for s in range(1, m)]
+    quotient_polys = iter(exact_char_polys([family_quotient(p) for p in interior]))
     points = []
     failures = []
     for k, m, extra in grid_points:
@@ -390,8 +400,7 @@ def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0)
                 failures.append({"k": k, "m": m, "n": n, "check": "upper_endpoint_zero"})
             continue
         for s in range(1, m):
-            p = ExtremalParams(k, m, n, s)
-            checks = point_checks(p)
+            checks = point_checks(ExtremalParams(k, m, n, s), next(quotient_polys))
             point = {
                 "k": k, "m": m, "n": n, "s": s,
                 "expected_boundary": False,

@@ -17,6 +17,8 @@ None of these has a caller in the package itself:
   graph_core.reach is checked;
 * bisect_root: the root bisection from the caller's bracket alone, with no
   Newton seed, against which poly.largest_real_root is checked;
+* per_matrix_char_poly: the trace recursion on one matrix in lists of ints,
+  against which the batched poly.exact_char_polys is checked;
 * join_chain: the joins at r = 1..(k-1)s, each built from two complete
   graphs, against which verify.point_checks's closed-form rows are checked;
 * quotient: the quotient matrix of Q(G) over any vertex partition, from the
@@ -25,14 +27,15 @@ None of these has a caller in the package itself:
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from qspan import BipartiteGraph, DegreeDemand, InputError, InternalError, NumericalError
+from qspan import BipartiteGraph, CapacityError, DegreeDemand, InputError, InternalError, NumericalError
 from qspan.graph_core import complete_bipartite, is_connected, iter_bits, join, to_edge_list
-from qspan.poly import BISECTION_CAP, _horner, _integral
+from qspan.poly import BISECTION_CAP, CHAR_POLY_CAP, PolyCoeffs, _horner, _int_matrix, _integral
 from qspan.verify import _graph_from_mask, _random_connected
 
 
@@ -165,6 +168,33 @@ def bisect_root(p, bracket) -> float:
         else:
             lo_num, hi_num = 2 * lo_num, mid
     raise InternalError(f"bisection on ({bracket[0]}, {bracket[1]}) did not settle on one float")
+
+
+def per_matrix_char_poly(rows) -> PolyCoeffs:
+    """Exact monic characteristic polynomial of a small integer matrix, one
+    matrix at a time: the trace recursion (Faddeev-LeVerrier) in lists of
+    ints, with the integrality and Cayley-Hamilton checks, as it was before
+    the batched poly.exact_char_polys."""
+    t = len(rows)
+    if t > CHAR_POLY_CAP:
+        raise CapacityError(f"order {t} exceeds exact char poly cap {CHAR_POLY_CAP}")
+    mat = _int_matrix(rows)
+
+    aux = [[int(i == j) for j in range(t)] for i in range(t)]
+    descending = [1]
+    for k in range(1, t + 1):
+        cols = list(zip(*aux))
+        prod = [[sum(map(operator.mul, row, col)) for col in cols] for row in mat]
+        ck, rem = divmod(-sum(prod[i][i] for i in range(t)), k)
+        if rem:
+            raise InternalError("characteristic polynomial of an integer matrix must be integral")
+        descending.append(ck)
+        for i in range(t):
+            prod[i][i] += ck
+        aux = prod
+    if any(any(row) for row in aux):
+        raise InternalError("Cayley-Hamilton check failed in exact_char_poly")
+    return PolyCoeffs(tuple(reversed(descending)))
 
 
 def join_chain(p) -> list[BipartiteGraph]:

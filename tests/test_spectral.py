@@ -2,9 +2,11 @@
 
 numpy.linalg.eigvalsh serves here as the oracle for spectral_radii, which
 makes one LAPACK eigh call per stack of matrices; the radius of one matrix
-is spectral_radii on a stack of one.
+is spectral_radii on a stack of one. The per-matrix trace recursion in
+oracles.per_matrix_char_poly does the same for exact_char_polys.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -31,10 +33,10 @@ from qspan import (
 )
 from qspan import poly
 from qspan.extremal import ExtremalParams, build_family, family_bracket, family_quotient, spectral_threshold
-from qspan.poly import CHAR_POLY_CAP, PolyCoeffs, exact_char_poly, largest_real_root
+from qspan.poly import CHAR_POLY_CAP, PolyCoeffs, exact_char_poly, exact_char_polys, largest_real_root
 from qspan.spectral import DENSE_CAP
 
-from oracles import bisect_root, quotient
+from oracles import bisect_root, per_matrix_char_poly, quotient
 
 
 def oracle_radius(mtx: np.ndarray) -> float:
@@ -389,6 +391,82 @@ class TestExactCharPoly:
         rows = [[Fraction(3, 2), Fraction(3, 2)], [Fraction(3, 2), Fraction(3, 2)]]
         with pytest.raises(InputError, match="integers"):
             exact_char_poly(rows)
+
+
+def grid_quotients(k_values, m_values, n_extras):
+    """family_quotient at every interior point of a proof-sweep grid, in sweep order."""
+    return [family_quotient(ExtremalParams(k, m, (k - 1) * m + extra, s))
+            for k, m, extra in itertools.product(k_values, m_values, n_extras) if extra
+            for s in range(1, m)]
+
+
+class TestExactCharPolys:
+    """exact_char_polys: one trace recursion over a stack of matrices of one
+    order, checked against the per-matrix oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(stack):
+        got = exact_char_polys(stack)
+        assert [p.coeffs for p in got] == [per_matrix_char_poly(rows).coeffs for rows in stack]
+        assert all(type(c) is int for p in got for c in p.coeffs)
+
+    @pytest.mark.parametrize("grid, size", [
+        ((range(3, 8), range(3, 9), range(0, 9)), 1080),     # the exact-fuzz workload's sweep
+        ((range(3, 5), range(3, 10), range(1, 21)), 1400),   # the largest grid proof-sweep accepts
+    ])
+    def test_sweep_grid_quotients_match_oracle(self, grid, size):
+        stack = grid_quotients(*grid)
+        assert len(stack) == size
+        self.assert_matches_oracle(stack)
+
+    @pytest.mark.parametrize("t", range(1, CHAR_POLY_CAP + 1))
+    def test_random_stacks_past_int64_match_oracle(self, t):
+        rng = random.Random(t)
+        bound = 10 ** 30
+        stack = [[[rng.randint(-bound, bound) for _ in range(t)] for _ in range(t)] for _ in range(4)]
+        stack.append([[rng.randint(-4, 4) for _ in range(t)] for _ in range(t)])
+        self.assert_matches_oracle(stack)
+        assert max(abs(c) for c in exact_char_polys(stack[:1])[0].coeffs) > 2 ** 63
+
+    def test_empty_stack(self):
+        assert exact_char_polys([]) == []
+        assert exact_char_polys(iter(())) == []
+
+    def test_mixed_orders_rejected(self):
+        with pytest.raises(InputError, match="one order"):
+            exact_char_polys([[[1, 0], [0, 1]], [[1]]])
+
+    def test_non_integral_entry_in_any_matrix_rejected(self):
+        good = [[2, 1], [1, 3]]
+        for at in range(3):
+            stack = [good] * 3
+            stack[at] = [[2, Fraction(1, 2)], [1, 3]]
+            with pytest.raises(InputError, match="entries must be integers"):
+                exact_char_polys(stack)
+
+    def test_order_over_cap(self):
+        with pytest.raises(CapacityError, match="order 12 exceeds exact char poly cap 11"):
+            exact_char_polys([[[0] * 12 for _ in range(12)]] * 2)
+
+    @pytest.mark.parametrize("call, entry, message", [
+        (1, (0, 0), "must be integral"),      # the trace at k = 2 is off by one
+        (3, (0, 1), "Cayley-Hamilton"),       # the last product, off its diagonal
+    ])
+    def test_corrupted_product_raises(self, monkeypatch, call, entry, message):
+        matmul, calls = np.matmul, []
+
+        def corrupted(a, b):
+            prod = matmul(a, b)
+            calls.append(None)
+            if len(calls) == call:
+                prod[1][entry] += 1            # the middle matrix of three
+            return prod
+
+        stack = grid_quotients((3,), (3,), (1,))[:1] * 3
+        assert len(stack[0]) == 4
+        monkeypatch.setattr(poly.np, "matmul", corrupted)
+        with pytest.raises(InternalError, match=message):
+            exact_char_polys(stack)
 
 
 class TestPolyCoeffs:

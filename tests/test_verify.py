@@ -33,7 +33,7 @@ from qspan import (
 )
 from qspan import extremal, graph_core, spectral, trees, verify
 from qspan.extremal import ExtremalParams, family_char_coeffs, family_quotient, family_root, spectral_threshold
-from qspan.poly import _positive_definite, separates_top_eigenvalues
+from qspan.poly import _positive_definite, exact_char_polys, separates_top_eigenvalues
 from qspan.spectral import q_matrices, spectral_radii
 from qspan.verify import (
     _class_size,
@@ -571,6 +571,47 @@ class TestSweep:
         assert len(rep.points) == 1400 and rep.failures == []
         rep = separation_sweep((3,), (21,), (1,))   # m + n = 21 + 43 = 64
         assert len(rep.points) == 20 and rep.failures == []
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The size of every stack the sweep sends to exact_char_polys."""
+        sizes = []
+
+        def spy(stack):
+            stack = list(stack)
+            sizes.append(len(stack))
+            return exact_char_polys(stack)
+
+        monkeypatch.setattr(verify, "exact_char_polys", spy)
+        return sizes
+
+    def test_bench_grid_makes_one_batched_call(self, batches):
+        rep = separation_sweep(range(3, 8), range(3, 9), range(0, 9))
+        assert (len(rep.points), rep.failures) == (1110, [])
+        assert batches == [1080]
+        for pt in rep.points:
+            if not pt["expected_boundary"]:
+                p = ExtremalParams(pt["k"], pt["m"], pt["n"], pt["s"])
+                assert point_checks(p) == pt["checks"], p
+        assert batches == [1080]    # point_checks alone computes its own
+
+    def test_sweep_checks_each_point_against_its_batched_poly(self, monkeypatch):
+        # swapping two results of the batch fails coeff_identity at exactly those two points
+        def swapped(stack):
+            polys = exact_char_polys(stack)
+            polys[3], polys[4] = polys[4], polys[3]
+            return polys
+
+        monkeypatch.setattr(verify, "exact_char_polys", swapped)
+        rep = separation_sweep((3,), (3, 4), (0, 1, 2))
+        interior = [pt for pt in rep.points if not pt["expected_boundary"]]
+        assert [(f["m"], f["n"], f["s"], f["check"]) for f in rep.failures] == [
+            (interior[i]["m"], interior[i]["n"], interior[i]["s"], "coeff_identity") for i in (3, 4)]
+
+    def test_boundary_only_grid_sends_no_matrix(self, batches):
+        rep = separation_sweep(None, None, (0,))
+        assert len(rep.points) == 9 and all(pt["expected_boundary"] for pt in rep.points)
+        assert rep.failures == [] and sum(batches) == 0
 
     @pytest.mark.parametrize("grid, message", [
         (((3,), range(6, 12), range(0, 32)), "1401 points, more than 1400"),   # order <= 64
