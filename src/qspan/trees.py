@@ -6,12 +6,12 @@ By the Frank-Gyarfas / Kaneko-Yoshimoto condition it does iff
 |N(S)| >= sum_{v in S} (f(v) - 1) + 1 for every nonempty S inside A. A
 b-matching giving each A-vertex v at most f(v) - 1 private B-vertices is
 built by alternating-path search (Kuhn; Hopcroft and Karp, SIAM J. Comput.
-1973). One breadth-first search from the free B-vertices, or a search per
-anchor when a cap is left unfilled, then confirms the condition or extracts
-a violating subset; when it holds, the tree grown from the matching is
-repaired. The answer always carries a checkable witness, either a spanning
-tree meeting the demands or a subset S of A with |N(S)| <= sum f(v) - |S|,
-and both witness kinds are re-verified before being returned.
+1973). One breadth-first search from the free B-vertices, or the matching's
+cut and layered phases below it when a cap is left unfilled, then confirms
+the condition or extracts a violating subset; when it holds, the tree grown
+from the matching is repaired. The answer always carries a checkable
+witness, either a spanning tree meeting the demands or a subset S of A with
+|N(S)| <= sum f(v) - |S|, and both witness kinds are re-verified.
 """
 
 from __future__ import annotations
@@ -166,52 +166,113 @@ def _max_matching(g: BipartiteGraph, cap: list[int]) -> tuple[list[int], list[in
     return held, owner
 
 
+def _lift(g: BipartiteGraph, held: list[int], owner: list[int], free: int, anchor: int,
+          need: int, cut: tuple[int, ...]) -> tuple[int, ...] | None:
+    """None iff anchor can take need more B-vertices on alternating paths that
+    avoid the A-vertices in cut, else cut and the A-vertices the last search
+    reached. The anchor takes its free neighbours; then layered phases
+    (Hopcroft and Karp) on a copy of held / owner each level the A-vertices
+    from the anchor alone up to the first level that sees a free B-vertex,
+    and shift the matching along a maximal set of those shortest paths."""
+    ends = g.adj[anchor] & free
+    if ends.bit_count() >= need:
+        return None
+    held, owner, need, free = list(held), list(owner), need - ends.bit_count(), free ^ ends
+    held[anchor] |= ends
+    for b in iter_bits(ends):
+        owner[b] = anchor
+    while True:
+        level, arcs, layer, depth = {**dict.fromkeys(cut, -1), anchor: 0}, {}, [anchor], 0
+        while layer:
+            outs = [g.adj[u] ^ held[u] for u in layer]
+            if any(out & free for out in outs):
+                break
+            below, depth = [], depth + 1
+            for u, out in zip(layer, outs):
+                arcs[u] = []
+                for b in iter_bits(out):
+                    if owner[b] not in level:
+                        level[owner[b]] = depth
+                        below.append(owner[b])
+                    if level[owner[b]] == depth:
+                        arcs[u].append(b)
+            layer = below
+        if not layer:
+            return tuple(level)
+        arcs.update(zip(layer, outs))   # the last level keeps a mask: its free B-vertices end paths
+        path, via = [anchor], []
+        while path:
+            u = path[-1]
+            b = (arcs[u] & free).bit_length() - 1 if level[u] == depth else arcs[u].pop() if arcs[u] else -1
+            if b < 0:
+                path.pop()
+                del via[-1:]
+            elif level[u] == depth:
+                given = 0
+                for u, b in zip(path, via + [b]):   # u gains b and gives up the one before
+                    held[u] ^= 1 << b | given
+                    owner[b] = u
+                    given = 1 << b
+                need -= 1
+                if not need:
+                    return None
+                free ^= given
+                path, via = [anchor], []
+            elif level.get(owner[b]) == level[u] + 1:   # else a path of this phase took b
+                path.append(owner[b])
+                via.append(b)
+
+
 def _first_violation(g: BipartiteGraph, f: DegreeDemand, cap: list[int], held: list[int],
                      owner: list[int], b_rows) -> HallViolation | None:
     """Violating set of the first anchor, in index order, that lies in one.
 
-    cap[a] = f(a) - 1 and held / owner is a maximum b-matching for it.
-    Subsets S containing the anchor all satisfy the condition iff the
-    matching can grow to target = sum cap + 1 once the anchor's cap is
-    lifted by the shortfall. So an anchor lifts its cap on a copy of the
-    matching and augments again; by Kuhn's lemma every new path starts at
-    the anchor, so at most n searches succeed whatever the shortfall. When
-    the matching falls short, the A-vertices the failed search explored
-    form a violating subset containing the anchor.
+    cap[a] = f(a) - 1 and held / owner is a maximum b-matching for it, with
+    need = sum cap + 1 - its size. Subsets S containing an anchor all satisfy
+    the condition iff the matching can grow by need once the anchor's cap is
+    lifted by need; when it cannot, the failed search explores the least set
+    containing the anchor of largest deficiency sum_S cap - |N(S)|.
 
-    When every cap is filled the shortfall is 1, and an anchor's search
-    succeeds iff it has an alternating path to a free B-vertex. One
-    breadth-first search from the free B-vertices finds those anchors (reach
-    with b_rows = g.b_adj(): a B-vertex reaches its A-neighbours, an
-    A-vertex its matched B-vertices), and only the lowest unreached anchor
-    is then searched.
+    need = 1 leaves every cap filled, so an anchor passes iff it has an
+    alternating path to a free B-vertex. One breadth-first search from the
+    free B-vertices finds those anchors (reach with b_rows = g.b_adj(): a
+    B-vertex reaches its A-neighbours, an A-vertex its matched B-vertices),
+    and only the lowest unreached anchor is then searched.
+
+    need >= 2: the search from the under-cap A-vertices fails at once with X,
+    the least set of largest deficiency (Ore); X holds N(X) and has no
+    augmenting path. Deficiency is supermodular, so X is min X's witness and
+    lies in every anchor's. Each anchor below min X is tested by layered
+    phases that never enter X (_lift); the first to fall short gets X and
+    what its last phase reached, the explored set of the full lifted search.
     """
     need = sum(cap) + 1 - sum(h.bit_count() for h in held)
-    anchors = range(g.m)
+    free = (1 << g.n) - 1 & ~sum(held)   # held sets are disjoint
     if need == 1:
-        free = (1 << g.n) - 1 & ~sum(held)   # held sets are disjoint
         unreached = (1 << g.m) - 1 & ~reach(free, held, b_rows)[0]
-        anchors = [(unreached & -unreached).bit_length() - 1] if unreached else []
-    for anchor in anchors:
+        if not unreached:
+            return None
+        anchor = (unreached & -unreached).bit_length() - 1
         lifted = list(cap)
-        lifted[anchor] += need
-        held_copy, owner_copy = list(held), list(owner)
-        for _ in range(need):
-            end, subset = _augment(g, lifted, held_copy, owner_copy)
-            if end is None:
-                if anchor not in subset or not is_violation(g, f, subset):
-                    raise InternalError("alternating search gave no genuine violating subset")
-                return HallViolation(subset)
-    return None
+        lifted[anchor] += 1
+        subset = _augment(g, lifted, list(held), list(owner))[1]
+    else:
+        cut = _augment(g, cap, held, owner)[1]
+        tested = ((a, _lift(g, held, owner, free, a, need, cut)) for a in range(cut[0]))
+        anchor, reached = next(((a, r) for a, r in tested if r), (cut[0], cut))
+        subset = tuple(sorted(reached))
+    if anchor not in subset or not is_violation(g, f, subset):
+        raise InternalError("alternating search gave no genuine violating subset")
+    return HallViolation(subset)
 
 
 def find_violation_flow(g: BipartiteGraph, f: DegreeDemand) -> HallViolation | None:
     """Polynomial-time violation search on one maximum b-matching.
 
     The matching gives each A-vertex a at most f(a)-1 B-vertices; then one
-    breadth-first search from its free B-vertices, or per anchor a few
-    augmenting paths on a copy of it, finds the anchors in violating subsets
-    (see _first_violation). The returned set is the A-part of the minimal
+    breadth-first search from its free B-vertices, or its cut and layered
+    phases below it, finds the anchors in violating subsets (see
+    _first_violation). The returned set is the A-part of the minimal
     minimum cut for the first such anchor; None when the condition holds
     everywhere.
     """
@@ -306,8 +367,8 @@ def construct_tree(g: BipartiteGraph, f: DegreeDemand) -> FeasibilityResult:
     """Decide feasibility and produce a verified witness either way.
 
     One maximum b-matching, giving each A-vertex a at most f(a)-1 private
-    B-vertices, and one breadth-first search from its free B-vertices settle
-    the verdict (see find_violation_flow). When no set violates the
+    B-vertices, settles the verdict (see find_violation_flow); a cap it
+    leaves unfilled means a violation. When no set violates the
     condition the matching fills every cap, and the condition at S = A
     leaves at least one B-vertex free. The tree is rooted at a free B-vertex
     and grown outward: a reached A-vertex takes its matched and its free

@@ -383,7 +383,7 @@ def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0)
 
     interior = [ExtremalParams(k, m, (k - 1) * m + extra, s)
                 for k, m, extra in grid_points if extra for s in range(1, m)]
-    quotient_polys = iter(exact_char_polys([family_quotient(p) for p in interior]))
+    batch = zip(interior, exact_char_polys([family_quotient(p) for p in interior]))
     points = []
     failures = []
     for k, m, extra in grid_points:
@@ -400,7 +400,7 @@ def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0)
                 failures.append({"k": k, "m": m, "n": n, "check": "upper_endpoint_zero"})
             continue
         for s in range(1, m):
-            checks = point_checks(ExtremalParams(k, m, n, s), next(quotient_polys))
+            checks = point_checks(*next(batch))
             point = {
                 "k": k, "m": m, "n": n, "s": s,
                 "expected_boundary": False,

@@ -12,6 +12,10 @@ None of these has a caller in the package itself:
   checked;
 * random_demand_instances: a deterministic corpus of (connected graph,
   demand) pairs on which the checkers and the constructor are compared;
+* per_anchor_first_violation: the Hall search as it was before the matching's
+  cut and layered phases, one lifted copy of the matching and up to need
+  augmenting searches per anchor, against which trees._first_violation is
+  checked;
 * sweep_anchor: the first A-vertex with no alternating path to a free
   B-vertex, by passes over A, against which the Hall search's anchor from
   graph_core.reach is checked;
@@ -34,7 +38,8 @@ from fractions import Fraction
 import numpy as np
 
 from qspan import BipartiteGraph, CapacityError, DegreeDemand, InputError, InternalError, NumericalError
-from qspan.graph_core import complete_bipartite, is_connected, iter_bits, join, to_edge_list
+from qspan.graph_core import complete_bipartite, is_connected, iter_bits, join, reach, to_edge_list
+from qspan.trees import HallViolation, _augment, is_violation
 from qspan.poly import BISECTION_CAP, CHAR_POLY_CAP, PolyCoeffs, _horner, _int_matrix, _integral
 from qspan.verify import _graph_from_mask, _random_connected
 
@@ -122,6 +127,45 @@ def random_demand_instances(count: int, seed: int = 0):
         g = _random_connected(rng, m, n)
         f = DegreeDemand(tuple(rng.choice((2, 3, 4)) for _ in range(m)))
         yield g, f
+
+
+def per_anchor_first_violation(g: BipartiteGraph, f: DegreeDemand, cap: list[int], held: list[int],
+                               owner: list[int], b_rows) -> HallViolation | None:
+    """Violating set of the first anchor, in index order, that lies in one.
+
+    cap[a] = f(a) - 1 and held / owner is a maximum b-matching for it.
+    Subsets S containing the anchor all satisfy the condition iff the
+    matching can grow to target = sum cap + 1 once the anchor's cap is
+    lifted by the shortfall. So an anchor lifts its cap on a copy of the
+    matching and augments again; by Kuhn's lemma every new path starts at
+    the anchor, so at most n searches succeed whatever the shortfall. When
+    the matching falls short, the A-vertices the failed search explored
+    form a violating subset containing the anchor.
+
+    When every cap is filled the shortfall is 1, and an anchor's search
+    succeeds iff it has an alternating path to a free B-vertex. One
+    breadth-first search from the free B-vertices finds those anchors (reach
+    with b_rows = g.b_adj(): a B-vertex reaches its A-neighbours, an
+    A-vertex its matched B-vertices), and only the lowest unreached anchor
+    is then searched.
+    """
+    need = sum(cap) + 1 - sum(h.bit_count() for h in held)
+    anchors = range(g.m)
+    if need == 1:
+        free = (1 << g.n) - 1 & ~sum(held)   # held sets are disjoint
+        unreached = (1 << g.m) - 1 & ~reach(free, held, b_rows)[0]
+        anchors = [(unreached & -unreached).bit_length() - 1] if unreached else []
+    for anchor in anchors:
+        lifted = list(cap)
+        lifted[anchor] += need
+        held_copy, owner_copy = list(held), list(owner)
+        for _ in range(need):
+            end, subset = _augment(g, lifted, held_copy, owner_copy)
+            if end is None:
+                if anchor not in subset or not is_violation(g, f, subset):
+                    raise InternalError("alternating search gave no genuine violating subset")
+                return HallViolation(subset)
+    return None
 
 
 def sweep_anchor(g: BipartiteGraph, held):

@@ -27,7 +27,7 @@ from qspan import (
 from qspan import trees
 from qspan.graph_core import PART_SIZE_CAP
 
-from oracles import connected_graphs, random_demand_instances, sweep_anchor
+from oracles import connected_graphs, per_anchor_first_violation, random_demand_instances, sweep_anchor
 
 
 def demand(*values):
@@ -568,6 +568,97 @@ class TestLongPath:
         start = time.perf_counter()
         assert decide(g, DegreeDemand.uniform(m, 2)) == want
         assert time.perf_counter() - start < 5
+
+
+class TestCutAndPhases:
+    def test_matches_per_anchor_search(self):
+        # on every instance that leaves a cap unfilled, the matching's cut and
+        # the layered phases pick the very set that lifting each anchor on a
+        # copy of the matching did, both when the first violating anchor is
+        # min X and when an earlier one fails
+        below = 0
+        corpora = (random_demand_instances(3000, seed=5), random_demand_instances(3000, seed=6),
+                   _tight_instances(30, seed=4))
+        for g, f in itertools.chain(*corpora):
+            cap = [f[a] - 1 for a in range(g.m)]
+            held, owner = trees._max_matching(g, cap)
+            if sum(cap) + 1 - sum(h.bit_count() for h in held) < 2:
+                continue
+            cut = trees._augment(g, cap, list(held), list(owner))[1]
+            want = per_anchor_first_violation(g, f, cap, list(held), list(owner), g.b_adj())
+            got = trees._first_violation(g, f, cap, held, owner, g.b_adj())
+            assert got == want
+            below += got.vertices[0] < cut[0]
+        assert below >= 100
+
+
+def _pool_family(k, p):
+    """k A-vertices of demand 2 on a pool of p B-vertices, then one of demand
+    p - k that sees pool vertex 0 only: the need is p - k - 1 and the
+    violating set is {k}."""
+    return (BipartiteGraph(k + 1, p, tuple([(1 << p) - 1] * k + [1])),
+            DegreeDemand((2,) * k + (p - k,)))
+
+
+def _gated_pool_family(k, p, extra=0):
+    """_pool_family with the pool reached through one layer of matched
+    A-vertices: the k anchors see p gate B-vertices, gate A-vertex j sees
+    gate j and pool vertex j, and A-vertex k, of demand p - k + extra, sees
+    pool vertex 0. Every anchor has p - k - 1 paths through the gates, so
+    with extra = 1 the first anchor falls short, with the violating set
+    0..k + 1 (the anchors, A-vertex k and the gate holding gate 0)."""
+    gates = [1 << j | 1 << p + j for j in range(p)]
+    return (BipartiteGraph(k + 1 + p, 2 * p, tuple([(1 << p) - 1] * k + [1 << p] + gates)),
+            DegreeDemand((2,) * k + (p - k + extra,) + (2,) * p))
+
+
+_POOLS = {
+    "pool": (lambda: _pool_family(200, 2000), (200,)),
+    "gated": (lambda: _gated_pool_family(50, 500), (50,)),
+    "gated-short": (lambda: _gated_pool_family(50, 500, 1), tuple(range(52))),
+}
+
+
+class TestNeedTwoPool:
+    @pytest.mark.parametrize("pool", list(_POOLS))
+    @pytest.mark.parametrize("decide", [
+        lambda g, f: construct_tree(g, f).violation,
+        find_violation_flow,
+    ], ids=["construct_tree", "find_violation_flow"])
+    def test_decides_in_time(self, pool, decide):
+        # the per-anchor search lifted each anchor and augmented up to the
+        # shortfall from scratch: 34 s on the pool family, 106 s on the
+        # gated one and 2.3 s on the gated one whose first anchor falls short
+        build, want = _POOLS[pool]
+        g, f = build()
+        start = time.perf_counter()
+        assert decide(g, f).vertices == want
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("pool, tested", [
+        ("pool", [(a, None) for a in range(200)]),
+        ("gated-short", [(0, tuple(range(52)))]),
+    ], ids=["pool", "gated-short"])
+    def test_no_search_per_anchor(self, monkeypatch, pool, tested):
+        # the cut's one failed search, at the unlifted caps, is the only
+        # alternating search; each anchor below the cut is tested once, and
+        # the first to fall short brings the witness
+        build, want = _POOLS[pool]
+        g, f = build()
+        cap = [f[a] - 1 for a in range(g.m)]
+        held, owner = trees._max_matching(g, cap)
+        searches, lifts = [], []
+        real_augment, real_lift = trees._augment, trees._lift
+
+        def lift(*args):
+            lifts.append((args[4], real_lift(*args)))
+            return lifts[-1][1]
+
+        monkeypatch.setattr(trees, "_augment", lambda *args: searches.append(list(args[1])) or real_augment(*args))
+        monkeypatch.setattr(trees, "_lift", lift)
+        assert trees._first_violation(g, f, cap, held, owner, g.b_adj()).vertices == want
+        assert searches == [cap]
+        assert [(a, None if r is None else tuple(sorted(r))) for a, r in lifts] == tested
 
 
 _WITNESS_DIGESTS = {
