@@ -39,8 +39,8 @@ import numpy as np
 
 from qspan import BipartiteGraph, CapacityError, DegreeDemand, InputError, InternalError, NumericalError
 from qspan.graph_core import complete_bipartite, is_connected, iter_bits, join, reach, to_edge_list
-from qspan.trees import HallViolation, _augment, is_violation
 from qspan.poly import BISECTION_CAP, CHAR_POLY_CAP, PolyCoeffs, _horner, _int_matrix, _integral
+from qspan.trees import HallViolation, _augment, is_violation
 from qspan.verify import _graph_from_mask, _random_connected
 
 
