@@ -258,7 +258,10 @@ def _first_violation(g: BipartiteGraph, f: DegreeDemand, cap: list[int], held: l
         subset = _augment(g, lifted, list(held), list(owner))[1]
     else:
         cut = _augment(g, cap, held, owner)[1]
-        tested = ((a, _lift(g, held, owner, free, a, need, cut)) for a in range(cut[0]))
+        first = {}   # (row, cap) -> its first anchor; the others pass with it
+        for a in range(cut[0]):
+            first.setdefault((g.adj[a], cap[a]), a)
+        tested = ((a, _lift(g, held, owner, free, a, need, cut)) for a in first.values())
         anchor, reached = next(((a, r) for a, r in tested if r), (cut[0], cut))
         subset = tuple(sorted(reached))
     if anchor not in subset or not is_violation(g, f, subset):

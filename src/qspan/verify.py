@@ -18,9 +18,13 @@ q >= q* - CENSUS_SLACK form an up-set that it finds without touching the rest.
 They are all connected: each component of a disconnected graph lies inside
 some K_{a,b} with a + b <= m + n - 1, so its q is at most m + n - 1, and q*
 exceeds that (Perron-Frobenius: G* strictly contains K_{m-1,n} plus an
-isolated vertex). It runs over B-relabelling classes (ascending tuples of n
-columns, weighted by their size n!/prod(multiplicity!)), one chunked batched
-eigvalsh per level. Classes above q* + CENSUS_SLACK are re-checked through
+isolated vertex). Under a uniform demand, relabelling A or B changes neither
+q nor feasibility, so it runs over A×B relabelling classes, one chunked
+batched eigvalsh per level. A class is its canonical form: the least
+ascending tuple of n columns over the placements of its non-full A-rows that
+keep them in degree order (full rows above), weighted by its size
+m! n! / (f! h prod(multiplicity!)), f its full rows and h the placements that
+attain the form. Classes above q* + CENSUS_SLACK are re-checked through
 construct_tree; those within CENSUS_SLACK of q* must be extremal copies (known
 by their A-degrees, at q* exactly) or InternalError.
 """
@@ -28,6 +32,7 @@ by their A-degrees, at q* exactly) or InternalError.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
@@ -65,8 +70,9 @@ from .poly import exact_char_poly, exact_char_polys, separates_top_eigenvalues
 from .spectral import DENSE_CAP, mask_bits, q_matrices, spectral_radii
 from .trees import construct_tree, is_violation
 
-CENSUS_CAP = 1 << 25      # census: at most 2**25 Q-matrix entries solved in all
-EIGEN_CHUNK = 1 << 16     # census: Q-matrix entries per batched eigvalsh
+CENSUS_CAP = 1 << 27      # census: at most 2**27 Q-matrix and relabelled-column entries in all
+EIGEN_CHUNK = 1 << 16     # census: matrix entries per batched eigvalsh or candidate chunk
+CANON_LOOP = 24           # census: forms with at most this many candidates are found in Python
 CENSUS_SLACK = 1e-9       # census: eigvalsh q this close to q* must be an extremal copy
 
 
@@ -123,10 +129,14 @@ def connected_bipartite_count(m: int, n: int) -> int:
     return c[m, n]
 
 
-def _class_size(cols: tuple) -> int:
-    """Labelled graphs in the class of an ascending column tuple: n!/prod(multiplicity!)."""
+def _class_weight(cols: tuple, deg: list, h: int) -> int:
+    """Labelled graphs in the class of a canonical tuple whose rows have
+    degrees deg: m! n! / (f! h prod(multiplicity!)), f the full rows and h
+    the candidates that attain the form (h f! is the A-stabiliser)."""
     runs = (len(list(run)) for _, run in itertools.groupby(cols))
-    return math.factorial(len(cols)) // math.prod(map(math.factorial, runs))
+    m, n = len(deg), len(cols)
+    return (math.factorial(m) * math.factorial(n)
+            // (math.factorial(deg.count(n)) * h * math.prod(map(math.factorial, runs))))
 
 
 def _class_mask(cols: tuple, m: int, n: int) -> int:
@@ -144,35 +154,119 @@ def _radii(level: list, m: int, n: int) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _blocks(deg: list, n: int) -> tuple[list, tuple]:
+    """The non-full rows in degree order (canonical positions 0, 1, ...) and
+    the sizes of its runs of equal degree; full rows take the positions above."""
+    rows = sorted((d, a) for a, d in enumerate(deg) if d < n)
+    sizes = tuple(len(list(run)) for _, run in itertools.groupby(d for d, _ in rows))
+    return [a for _, a in rows], sizes
+
+
+@functools.cache
+def _perms(size: int) -> np.ndarray:
+    """Every permutation of range(size), one per row, in lexicographic order."""
+    if not size:
+        return np.zeros((1, 0), dtype=np.int8)
+    rest = _perms(size - 1)
+    return np.concatenate([np.column_stack([np.full(len(rest), f, np.int8), rest + (rest >= f)])
+                           for f in range(size)])
+
+
+def _positions(sizes: tuple, lo: int, hi: int) -> np.ndarray:
+    """Positions of the rows under candidates lo..hi-1: the product, first
+    block slowest, of the permutations inside each block."""
+    idx, stride, start, out = np.arange(lo, hi), math.prod(map(math.factorial, sizes)), 0, []
+    for s in sizes:
+        stride //= math.factorial(s)
+        out.append(start + _perms(s)[idx // stride % math.factorial(s)].astype(np.int64))
+        start += s
+    return np.concatenate(out, axis=1)
+
+
+def _canonical(cols: tuple, rows: list, sizes: tuple, m: int) -> tuple[tuple, int]:
+    """(form, h) of a column tuple: the least ascending tuple of relabelled
+    columns over the candidates (rows, the non-full rows in degree order,
+    moved only inside blocks of equal degree), and how many attain it. Full
+    columns stay full, the largest value, so only the others are relabelled:
+    in Python up to CANON_LOOP candidates, else in numpy chunks."""
+    full = (1 << m) - 1
+    top, part = full ^ ((1 << len(rows)) - 1), [c for c in cols if c != full]
+    tail = (full,) * (len(cols) - len(part))
+    count = math.prod(map(math.factorial, sizes))
+    best, h = None, 0
+    if count <= CANON_LOOP or not part:
+        present = [[i for i, a in enumerate(rows) if c >> a & 1] for c in part]
+        starts = itertools.accumulate(sizes, initial=0)
+        blocks = [itertools.permutations(range(b, b + s)) for b, s in zip(starts, sizes)]
+        for pos in itertools.product(*blocks):
+            w = [1 << p for block in pos for p in block]
+            form = sorted(top + sum(w[i] for i in idx) for idx in present)
+            if best is None or form < best:
+                best, h = form, 1
+            elif form == best:
+                h += 1
+        return tuple(best) + tail, h
+    bits = np.array([[c >> a & 1 for c in part] for a in rows], dtype=np.int64)
+    step = max(1, EIGEN_CHUNK // len(part))
+    for lo in range(0, count, step):
+        vals = np.sort(np.left_shift(1, _positions(sizes, lo, min(count, lo + step))) @ bits, axis=1)
+        for j in range(len(part)):
+            vals = vals[vals[:, j] == vals[:, j].min()]
+            if len(vals) == 1:
+                break
+        form = (vals[0] + top).tolist()
+        if best is None or form < best:
+            best, h = form, len(vals)
+        elif form == best:
+            h += len(vals)
+    return tuple(best) + tail, h
+
+
 def _up_set(m: int, n: int, floor: float) -> list:
-    """(class, q) for every B-relabelling class (ascending tuple of n columns,
-    subsets of A) with q >= floor, by breadth-first search down from K_{m,n}.
-    q never falls when an edge is added, so deleting one edge per distinct
-    column of every member reaches them all. Connectivity is not tested: a
-    disconnected class has q <= m + n - 1, below q* at every admissible point,
-    so at the census's own floor the eigen-solve drops it. The whole search
-    solves at most CENSUS_CAP Q-matrix entries, (m + n)^2 per class: the class
-    past that raises CapacityError before its level's matrices are built."""
-    limit, solved = CENSUS_CAP // (m + n) ** 2, 1
-    level, found = [((1 << m) - 1,) * n], []
-    while level:
-        q = _radii(level, m, n).tolist()
-        members = [(cols, x) for cols, x in zip(level, q) if x >= floor]
-        found += members
-        children = {}   # the next level, in insertion order
-        for cols, _ in members:
+    """(class, weight, q) for every A×B relabelling class (canonical tuple of
+    n columns, subsets of A) with q >= floor, by breadth-first search down
+    from K_{m,n}. q never falls when an edge is added, so deleting one edge
+    per distinct column of every member reaches them all. A level's children
+    are deduplicated as column tuples and solved; each one at or above the
+    floor is then put in canonical form once. Connectivity is not tested: a
+    disconnected class has q <= m + n - 1, below q* at every admissible
+    point, so at the census's own floor the eigen-solve drops it. The whole
+    search spends at most CENSUS_CAP entries: (m + n)^2 per column tuple
+    solved and n per canonical candidate tried. The level or canonical form
+    that would pass that raises CapacityError before its matrices or its
+    candidates are built."""
+    spent, found = 0, []
+    kids = {((1 << m) - 1,) * n: [n] * m}   # column tuple -> its row degrees
+
+    def spend(entries):
+        nonlocal spent
+        spent += entries
+        if spent > CENSUS_CAP:
+            raise CapacityError(f"(m, n) = ({m}, {n}): the census would spend more than "
+                                f"{CENSUS_CAP} Q-matrix and relabelled-column entries")
+
+    while kids:
+        spend(len(kids) * (m + n) ** 2)
+        level = {}   # form -> (degrees at its positions, h, q)
+        for (cols, deg), q in zip(kids.items(), _radii(list(kids), m, n).tolist()):
+            if q < floor:
+                continue
+            rows, sizes = _blocks(deg, n)
+            spend(n * math.prod(map(math.factorial, sizes)))
+            form, h = _canonical(cols, rows, sizes, m)
+            level.setdefault(form, (sorted(deg), h, q))
+        kids = {}
+        for cols, (deg, h, q) in level.items():
+            found.append((cols, _class_weight(cols, deg, h), q))
             for i, c in enumerate(cols):
                 if i and c == cols[i - 1]:
                     continue
                 for a in iter_bits(c):
                     d = c & ~(1 << a)
                     j = bisect.bisect_right(cols, d, 0, i)
-                    children[cols[:j] + (d,) + cols[j:i] + cols[i + 1:]] = None
-                    if solved + len(children) > limit:
-                        raise CapacityError(f"(m, n) = ({m}, {n}): the census would solve more "
-                                            f"than {CENSUS_CAP} Q-matrix entries")
-        solved += len(children)
-        level = list(children)
+                    kid = cols[:j] + (d,) + cols[j:i] + cols[i + 1:]
+                    if kid not in kids:
+                        kids[kid] = deg[:a] + [deg[a] - 1] + deg[a + 1:]
     return found
 
 
@@ -188,6 +282,20 @@ def _labellings(cols: list[int], m: int, n: int) -> list[int]:
     return out
 
 
+def _b_classes(cols: tuple, m: int) -> list:
+    """The ascending column tuples of a class's A-relabellings, each once and
+    in order: every placement of its non-full rows, the full rows filling the
+    other positions in any order."""
+    common = functools.reduce(int.__and__, cols, (1 << m) - 1)
+    rows = [a for a in range(m) if not common >> a & 1]
+    out = set()
+    for pos in itertools.permutations(range(m), len(rows)):
+        rest = (1 << m) - 1 - sum(1 << p for p in pos)
+        moved = (rest | sum(1 << p for a, p in zip(rows, pos) if c >> a & 1) for c in cols)
+        out.add(tuple(sorted(moved)))
+    return sorted(out)
+
+
 @dataclass
 class ScanStats:
     qstar: float
@@ -195,7 +303,7 @@ class ScanStats:
     graphs_above_bound: int
     feasible_above: int
     counterexample_masks: list
-    extremal_copies: list    # one mask per extremal class
+    extremal_copies: list    # one mask per B-relabelling class of an extremal copy
 
 
 def _check_point(m: int, n: int) -> None:
@@ -205,14 +313,15 @@ def _check_point(m: int, n: int) -> None:
 
 
 def scan_stats(k: int, m: int, n: int) -> ScanStats:
-    """Census over the connected B-relabelling classes, in labelled counts.
+    """Census over the connected A×B relabelling classes, in labelled counts.
 
     _up_set gives the classes with q >= qstar - CENSUS_SLACK, qstar being
     spectral_threshold. A disconnected class, which can only show up when
     qstar is moved below m + n - 1 (its q bound), is skipped. A class above qstar + CENSUS_SLACK gets one
     construct_tree, which verifies the tree it returns, or the extremal-copy
-    test; a counterexample class adds its labelled masks, kept in ascending
-    order. A class within CENSUS_SLACK of qstar must be an extremal copy
+    test; a counterexample class adds the masks of all its labellings, over
+    A and B, kept in ascending order; an extremal class adds one mask per
+    B-relabelling class in it. A class within CENSUS_SLACK of qstar must be an extremal copy
     (cospectral, so exactly at qstar); any other raises InternalError. The
     copy test is exact: m-1 A-vertices that see all of B and one that sees
     k-1 of B are the extremal graph up to relabelling A and B.
@@ -222,21 +331,21 @@ def scan_stats(k: int, m: int, n: int) -> ScanStats:
     qstar = spectral_threshold(k, m, n)
     stats = ScanStats(qstar, 0, 0, 0, [], [])
     demand = DegreeDemand.uniform(m, k)
-    for cols, q in _up_set(m, n, qstar - CENSUS_SLACK):
+    for cols, weight, q in _up_set(m, n, qstar - CENSUS_SLACK):
         mask = _class_mask(cols, m, n)
         g = _graph_from_mask(mask, m, n)
         if q <= m + n - 1 + CENSUS_SLACK and not is_connected(g):
             continue
-        weight = _class_size(cols)
         stats.graphs_above_bound += weight
         above = q > qstar + CENSUS_SLACK
         result = construct_tree(g, demand) if above else None
         if above and result.feasible:
             stats.feasible_above += weight
         elif sorted(map(int.bit_count, g.adj)) == [k - 1] + [n] * (m - 1):
-            stats.extremal_copies.append(mask)
+            stats.extremal_copies += [_class_mask(b, m, n) for b in _b_classes(cols, m)]
         elif above:
-            stats.counterexample_masks.extend(_labellings(list(cols), m, n))
+            stats.counterexample_masks += [x for b in _b_classes(cols, m)
+                                           for x in _labellings(list(b), m, n)]
         else:
             raise InternalError(f"mask {mask}: within CENSUS_SLACK of q* but not an extremal copy")
     stats.counterexample_masks.sort()
@@ -254,8 +363,8 @@ def certify_threshold(k: int, m: int, n: int) -> TheoremReport:
     so its four blocks are equitable with quotient family_quotient, whose
     characteristic polynomial must be the s=1 quartic; A-vertex 0 alone
     violates the Hall condition. A point whose order m + n does not fit one
-    eigen chunk, or whose search would solve more than CENSUS_CAP Q-matrix
-    entries, raises CapacityError before any tree is built.
+    eigen chunk, or whose search would spend more than CENSUS_CAP entries
+    (see _up_set), raises CapacityError before any tree is built.
     """
     stats = scan_stats(k, m, n)
     p1 = ExtremalParams(k, m, n, 1)

@@ -26,9 +26,14 @@ None of these has a caller in the package itself:
 * join_chain: the joins at r = 1..(k-1)s, each built from two complete
   graphs, against which verify.point_checks's closed-form rows are checked;
 * quotient: the quotient matrix of Q(G) over any vertex partition, from the
-  graph's rows, against which extremal.family_quotient is checked.
+  graph's rows, against which extremal.family_quotient is checked;
+* b_class_up_set / b_class_size: the census's search as it was over
+  B-relabelling classes alone (ascending column tuples, weighted by
+  n!/prod(multiplicity!)), against which the search over A×B classes and
+  its weights are checked.
 """
 
+import bisect
 import itertools
 import math
 import operator
@@ -41,7 +46,7 @@ from qspan import BipartiteGraph, CapacityError, DegreeDemand, InputError, Inter
 from qspan.graph_core import complete_bipartite, is_connected, iter_bits, join, reach, to_edge_list
 from qspan.poly import BISECTION_CAP, CHAR_POLY_CAP, PolyCoeffs, _horner, _int_matrix, _integral
 from qspan.trees import HallViolation, _augment, is_violation
-from qspan.verify import _graph_from_mask, _random_connected
+from qspan.verify import _graph_from_mask, _radii, _random_connected
 
 
 def connected_filter(masks: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -260,3 +265,42 @@ def quotient(g: BipartiteGraph, blocks) -> tuple[tuple[tuple[Fraction, ...], ...
              for v in block] for block in blocks]
     entries = tuple(tuple(Fraction(sum(col), len(rows)) for col in zip(*rows)) for rows in sums)
     return entries, all(row == rows[0] for rows in sums for row in rows)
+
+
+B_CLASS_CAP = 1 << 25   # b_class_up_set: at most 2**25 Q-matrix entries solved in all
+
+
+def b_class_size(cols: tuple) -> int:
+    """Labelled graphs in the class of an ascending column tuple: n!/prod(multiplicity!)."""
+    runs = (len(list(run)) for _, run in itertools.groupby(cols))
+    return math.factorial(len(cols)) // math.prod(map(math.factorial, runs))
+
+
+def b_class_up_set(m: int, n: int, floor: float, cap: int = B_CLASS_CAP) -> list:
+    """(class, q) for every B-relabelling class (ascending tuple of n columns,
+    subsets of A) with q >= floor, by breadth-first search down from K_{m,n}.
+    q never falls when an edge is added, so deleting one edge per distinct
+    column of every member reaches them all. The whole search solves at most
+    cap Q-matrix entries, (m + n)^2 per class: the class past that raises
+    CapacityError before its level's matrices are built."""
+    limit, solved = cap // (m + n) ** 2, 1
+    level, found = [((1 << m) - 1,) * n], []
+    while level:
+        q = _radii(level, m, n).tolist()
+        members = [(cols, x) for cols, x in zip(level, q) if x >= floor]
+        found += members
+        children = {}   # the next level, in insertion order
+        for cols, _ in members:
+            for i, c in enumerate(cols):
+                if i and c == cols[i - 1]:
+                    continue
+                for a in iter_bits(c):
+                    d = c & ~(1 << a)
+                    j = bisect.bisect_right(cols, d, 0, i)
+                    children[cols[:j] + (d,) + cols[j:i] + cols[i + 1:]] = None
+                    if solved + len(children) > limit:
+                        raise CapacityError(f"(m, n) = ({m}, {n}): the census would solve more "
+                                            f"than {cap} Q-matrix entries")
+        solved += len(children)
+        level = list(children)
+    return found

@@ -345,11 +345,12 @@ class TestVerifyTheorem:
         assert report["counterexamples"] == [] and report["extremal_found"] is True
 
     def test_over_orbit_cap_is_input_error(self, monkeypatch, capsys):
-        # the cap on Q-matrix entries solved: (3,3,7) solves 77 classes of 10 * 10
-        monkeypatch.setattr(verify, "CENSUS_CAP", 7699)
+        # the cap on entries spent: (3,3,7) solves 36 column tuples of
+        # 10 * 10 Q-matrix entries and tries 16 canonical candidates of 7 columns
+        monkeypatch.setattr(verify, "CENSUS_CAP", 3711)
         assert main(["verify-theorem", "--k", "3", "--m", "3", "--n", "7"]) == 2
         captured = capsys.readouterr()
-        assert "more than 7699 Q-matrix entries" in captured.err
+        assert "more than 3711 Q-matrix and relabelled-column entries" in captured.err
         assert captured.out == ""
 
     def test_order_over_eigen_chunk_is_input_error(self, capsys):

@@ -36,7 +36,9 @@ from qspan.extremal import ExtremalParams, family_char_coeffs, family_quotient, 
 from qspan.poly import _positive_definite, exact_char_polys, separates_top_eigenvalues
 from qspan.spectral import q_matrices, spectral_radii
 from qspan.verify import (
-    _class_size,
+    _b_classes,
+    _blocks,
+    _canonical,
     _graph_from_mask,
     _labellings,
     _short_dyadic,
@@ -46,6 +48,8 @@ from qspan.verify import (
 )
 
 from oracles import (
+    b_class_size,
+    b_class_up_set,
     connected_filter,
     join_chain,
     non_bridges,
@@ -131,11 +135,16 @@ def _oracle_classes(m, n, floor):
 
 
 def _search_classes(m, n, floor):
-    """The same map from the up-set search."""
+    """The same map from the up-set search: each A×B class gives its
+    B-relabelling classes, whose sizes must add up to its weight."""
     classes = {}
-    for cols, q in _up_set(m, n, floor):
+    for cols, weight, q in _up_set(m, n, floor):
         assert _graph_from_mask(verify._class_mask(cols, m, n), m, n).b_adj() == cols
-        classes[cols] = (_class_size(cols), q)
+        b_classes = _b_classes(cols, m)
+        assert sum(map(b_class_size, b_classes)) == weight, cols
+        for b in b_classes:
+            assert b not in classes
+            classes[b] = (b_class_size(b), q)
     return classes
 
 
@@ -331,27 +340,30 @@ class TestCensusEngine:
         assert (rep.graphs_above_bound, rep.counterexamples) == (505, [])
 
     def test_orbit_cap_boundary(self, monkeypatch):
-        # the cap counts the Q-matrix entries of every B-relabelling class
-        # (orbit) the search solves; at (3,3,7) it solves levels of 1, 3, 9,
-        # 20, 15, 15 and 15 classes, 78 matrices of 10 * 10 entries. The 20
-        # include K_{3,6} plus an isolated B-vertex, solved at q = 9 < q*
+        # the cap counts the Q-matrix entries of every column tuple the
+        # search solves and n relabelled columns per canonical candidate it
+        # tries; at (3,3,7) it solves levels of 1, 3, 5, 12, 5, 5 and 5
+        # tuples, 36 matrices of 10 * 10 entries, and tries 16 candidates of
+        # 7 columns. The 12 include K_{3,6} plus an isolated B-vertex,
+        # solved at q = 9 < q*
         solved = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
-        monkeypatch.setattr(verify, "CENSUS_CAP", 7800)
+        monkeypatch.setattr(verify, "CENSUS_CAP", 3712)
         assert scan_stats(3, 3, 7).graphs_above_bound == 505
-        assert solved == [1, 3, 9, 20, 15, 15, 15]
-        monkeypatch.setattr(verify, "CENSUS_CAP", 7799)
+        assert solved == [1, 3, 5, 12, 5, 5, 5]
+        monkeypatch.setattr(verify, "CENSUS_CAP", 3711)
         solved.clear()
-        with pytest.raises(CapacityError, match="more than 7799 Q-matrix entries"):
+        with pytest.raises(CapacityError, match="more than 3711 Q-matrix and relabelled-column entries"):
             scan_stats(3, 3, 7)
-        assert solved == [1, 3, 9, 20, 15, 15]   # refused before the last level's matrices exist
-        with pytest.raises(CapacityError, match="more than 7799 Q-matrix entries"):
+        assert solved == [1, 3, 5, 12, 5, 5]   # refused before the last level's matrices exist
+        with pytest.raises(CapacityError, match="more than 3711 Q-matrix and relabelled-column entries"):
             certify_threshold(3, 3, 7)
 
     def test_far_point_refused_before_any_tree(self, monkeypatch):
-        # (3,8,17) lies past the cap: the search stops within CENSUS_CAP
-        # entries, 25 * 25 per class, and no tree is built for its members
+        # (3,11,23) lies past the cap: the search stops within CENSUS_CAP
+        # entries, 34 * 34 per column tuple solved, and no tree is built for
+        # its members
         def untouched(*_):
             raise AssertionError("a tree was built before the refusal")
 
@@ -361,10 +373,10 @@ class TestCensusEngine:
         monkeypatch.setattr(verify, "construct_tree", untouched)
         monkeypatch.setattr(verify, "is_violation", untouched)
         start = time.perf_counter()
-        with pytest.raises(CapacityError, match="Q-matrix entries"):
-            certify_threshold(3, 8, 17)
-        assert time.perf_counter() - start < 15   # about 1 s on a 2-vCPU Xeon
-        assert sum(solved) * 25 * 25 <= verify.CENSUS_CAP
+        with pytest.raises(CapacityError, match="relabelled-column entries"):
+            certify_threshold(3, 11, 23)
+        assert time.perf_counter() - start < 15   # 1 to 2 s on a 2-vCPU Xeon
+        assert sum(solved) * 34 * 34 <= verify.CENSUS_CAP
 
     def test_eigen_chunks_split_a_level(self, monkeypatch):
         # 10 * 10 entries per matrix, so chunks of 10 matrices
@@ -374,7 +386,7 @@ class TestCensusEngine:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
         monkeypatch.setattr(verify, "EIGEN_CHUNK", 1000)
         assert scan_stats(3, 3, 7) == want
-        assert solved == [1, 3, 9, 10, 10, 10, 5, 10, 5, 10, 5]
+        assert solved == [1, 3, 5, 10, 2, 5, 5, 5]
 
     @pytest.mark.parametrize("k, m, n", [(3, 3, 7), (5, 3, 14), (3, 6, 13)])
     def test_census_makes_no_connectivity_pass(self, k, m, n, monkeypatch):
@@ -423,6 +435,37 @@ class TestCensusEngine:
         assert sorted(_search_classes(3, 14, floor)) == sorted(want)
         assert sum(weight for weight, _ in want.values()) == 55972
 
+    @pytest.mark.parametrize("k, m, n, connected, above, limit", [
+        (3, 7, 15, 36053833622568495071798985877885, 172049578, 1),
+        (3, 8, 17, 81499460943375275601036846201485741691691, 6040578687, 10),
+        (3, 9, 19, 2883960881542677630757568589287761044635907081109501, 206917488547, 15),
+        (3, 10, 21, 1612078530580711274050771784547686240653750790412222927200402251,
+         7026107694478, 15),
+    ])
+    def test_reach_at_k_3(self, k, m, n, connected, above, limit):
+        # about 0.08, 0.25, 0.7 and 1.3 s on a 2-vCPU Xeon. The
+        # B-relabelling search took 2.5 s at (3,7,15) and refused the others
+        # at its cap; with the cap lifted it gave the same counts at (3,8,17)
+        # and (3,9,19), in 11 s and in 101 s at 1.3 GB
+        start = time.perf_counter()
+        rep = certify_threshold(k, m, n)
+        assert time.perf_counter() - start < limit
+        assert (rep.graphs_total, rep.graphs_connected, rep.graphs_above_bound) == (
+            2 ** (m * n), connected, above)
+        assert rep.counterexamples == [] and rep.extremal_found
+
+    # the search over B-relabelling classes alone, now an oracle, gives the
+    # same classes, q and sizes at these points and below the moved thresholds
+    @pytest.mark.parametrize("k, m, n, band", [(k, m, n, 0) for k, m, n in ORACLE_POINTS] + [
+        (3, 4, 9, 0), (3, 5, 11, 0), (3, 6, 13, 0), (3, 3, 7, 0.1), (3, 3, 7, 0.5)])
+    def test_weights_match_b_class_search(self, k, m, n, band):
+        floor = spectral_threshold(k, m, n) - (band or verify.CENSUS_SLACK)
+        want = {cols: (b_class_size(cols), q) for cols, q in b_class_up_set(m, n, floor)}
+        got = _search_classes(m, n, floor)
+        assert sorted(got) == sorted(want)
+        for cols, (weight, q) in got.items():
+            assert weight == want[cols][0] and q == pytest.approx(want[cols][1], abs=1e-12)
+
     @pytest.mark.parametrize("k, m, n", [(3, 3, 10**9), (3, 10**6, 2 * 10**6 + 1), (3, 3, 254)])
     def test_over_cap_refused_before_allocating(self, k, m, n, monkeypatch):
         def untouched(*_):
@@ -439,6 +482,80 @@ class TestCensusEngine:
         # (3, 3, 253) has order 256, so one Q matrix fills a 2**16-entry chunk
         assert (3 + 253) ** 2 == verify.EIGEN_CHUNK
         verify._check_point(3, 253)
+
+
+def _relabel(cols, perm):
+    """The columns with A-vertex a moved to perm[a]."""
+    return [sum(1 << perm[a] for a in range(len(perm)) if c >> a & 1) for c in cols]
+
+
+def _form(cols, m, n):
+    """(form, h) of any column list, from its row degrees."""
+    deg = [sum(c >> a & 1 for c in cols) for a in range(m)]
+    return _canonical(tuple(sorted(cols)), *_blocks(deg, n), m)
+
+
+def _random_classes(count, seed, max_m=6):
+    """count random column tuples on m <= max_m, n <= 8, most of them dense
+    (few missing edges, as near the threshold) and some with equal rows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, max_m), rng.randint(1, 8)
+        p = rng.choice([0.05, 0.2, 0.5])
+        cols = [sum(1 << a for a in range(m) if rng.random() >= p) for _ in range(n)]
+        if m > 1 and rng.random() < 0.3:   # copy row 0 onto row 1
+            cols = [c & ~2 | (c & 1) << 1 for c in cols]
+        yield m, n, cols
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("loop", [720, 0], ids=["python", "numpy"])
+    def test_invariant_under_relabelling(self, loop, monkeypatch):
+        monkeypatch.setattr(verify, "CANON_LOOP", loop)
+        monkeypatch.setattr(verify, "EIGEN_CHUNK", 64)   # several candidate chunks per form
+        rng = random.Random(11)
+        for m, n, cols in _random_classes(600, seed=7):
+            form = _form(cols, m, n)
+            perm = list(range(m))
+            rng.shuffle(perm)
+            moved = _relabel(cols, perm)
+            rng.shuffle(moved)   # relabel B as well
+            assert _form(moved, m, n) == form, (m, n, cols)
+            assert sorted(_relabel(form[0], list(range(m)))) == list(form[0])
+
+    @pytest.mark.parametrize("loop", [720, 0], ids=["python", "numpy"])
+    def test_least_over_degree_sorting_permutations(self, loop, monkeypatch):
+        # the form is the least ascending tuple over every A-permutation that
+        # puts the rows in ascending order of degree; h f! of them attain it,
+        # f the full rows, and that is the A-stabiliser of the class
+        monkeypatch.setattr(verify, "CANON_LOOP", loop)
+        for m, n, cols in _random_classes(400, seed=8):
+            deg = [sum(c >> a & 1 for c in cols) for a in range(m)]
+            form, h = _form(cols, m, n)
+            sorting, stabiliser = [], 0
+            for perm in itertools.permutations(range(m)):
+                moved = sorted(_relabel(cols, perm))
+                stabiliser += moved == sorted(cols)
+                at = [0] * m
+                for a, p in enumerate(perm):
+                    at[p] = deg[a]
+                if at == sorted(deg):
+                    sorting.append(tuple(moved))
+            assert form == min(sorting) and sorting.count(form) == h * math.factorial(deg.count(n))
+            assert stabiliser == h * math.factorial(deg.count(n)), (m, n, cols)
+
+    def test_b_classes_are_the_a_orbit(self):
+        for m, n, cols in _random_classes(300, seed=9, max_m=5):
+            want = {tuple(sorted(_relabel(cols, perm))) for perm in itertools.permutations(range(m))}
+            assert _b_classes(tuple(sorted(cols)), m) == sorted(want)
+
+    def test_candidate_positions_are_the_block_permutations(self):
+        sizes = (2, 1, 3)
+        want = sorted(a + b + c for a in itertools.permutations(range(2))
+                      for b in itertools.permutations(range(2, 3))
+                      for c in itertools.permutations(range(3, 6)))
+        got = np.concatenate([verify._positions(sizes, lo, min(12, lo + 5)) for lo in range(0, 12, 5)])
+        assert sorted(map(tuple, got.tolist())) == want
 
 
 class TestPointChecks:
