@@ -164,7 +164,8 @@ def _blocks(deg: list, n: int) -> tuple[list, tuple]:
 
 @functools.cache
 def _perms(size: int) -> np.ndarray:
-    """Every permutation of range(size), one per row, in lexicographic order."""
+    """Every permutation of range(size), one per row, in lexicographic order.
+    CENSUS_CAP keeps size <= 10 (10! rows of int8, 36 MB) at any point k >= 3."""
     if not size:
         return np.zeros((1, 0), dtype=np.int8)
     rest = _perms(size - 1)
