@@ -70,9 +70,8 @@ from .poly import exact_char_poly, exact_char_polys, separates_top_eigenvalues
 from .spectral import DENSE_CAP, mask_bits, q_matrices, spectral_radii
 from .trees import construct_tree, is_violation
 
-CENSUS_CAP = 1 << 27      # census: at most 2**27 Q-matrix and relabelled-column entries in all
-EIGEN_CHUNK = 1 << 16     # census: matrix entries per batched eigvalsh or candidate chunk
-CANON_LOOP = 24           # census: forms with at most this many candidates are found in Python
+CENSUS_CAP = 1 << 25      # census: at most 2**25 Q-matrix and relabelled-column entries in all
+EIGEN_CHUNK = 1 << 16     # census: Q-matrix entries per batched eigvalsh
 CENSUS_SLACK = 1e-9       # census: eigvalsh q this close to q* must be an extremal copy
 
 
@@ -162,65 +161,25 @@ def _blocks(deg: list, n: int) -> tuple[list, tuple]:
     return [a for _, a in rows], sizes
 
 
-@functools.cache
-def _perms(size: int) -> np.ndarray:
-    """Every permutation of range(size), one per row, in lexicographic order.
-    CENSUS_CAP keeps size <= 10 (10! rows of int8, 36 MB) at any point k >= 3."""
-    if not size:
-        return np.zeros((1, 0), dtype=np.int8)
-    rest = _perms(size - 1)
-    return np.concatenate([np.column_stack([np.full(len(rest), f, np.int8), rest + (rest >= f)])
-                           for f in range(size)])
-
-
-def _positions(sizes: tuple, lo: int, hi: int) -> np.ndarray:
-    """Positions of the rows under candidates lo..hi-1: the product, first
-    block slowest, of the permutations inside each block."""
-    idx, stride, start, out = np.arange(lo, hi), math.prod(map(math.factorial, sizes)), 0, []
-    for s in sizes:
-        stride //= math.factorial(s)
-        out.append(start + _perms(s)[idx // stride % math.factorial(s)].astype(np.int64))
-        start += s
-    return np.concatenate(out, axis=1)
-
-
 def _canonical(cols: tuple, rows: list, sizes: tuple, m: int) -> tuple[tuple, int]:
     """(form, h) of a column tuple: the least ascending tuple of relabelled
     columns over the candidates (rows, the non-full rows in degree order,
     moved only inside blocks of equal degree), and how many attain it. Full
-    columns stay full, the largest value, so only the others are relabelled:
-    in Python up to CANON_LOOP candidates, else in numpy chunks."""
+    columns stay full, the largest value, so only the others are relabelled."""
     full = (1 << m) - 1
     top, part = full ^ ((1 << len(rows)) - 1), [c for c in cols if c != full]
-    tail = (full,) * (len(cols) - len(part))
-    count = math.prod(map(math.factorial, sizes))
+    present = [[i for i, a in enumerate(rows) if c >> a & 1] for c in part]
+    starts = itertools.accumulate(sizes, initial=0)
+    blocks = [itertools.permutations(range(b, b + s)) for b, s in zip(starts, sizes)]
     best, h = None, 0
-    if count <= CANON_LOOP or not part:
-        present = [[i for i, a in enumerate(rows) if c >> a & 1] for c in part]
-        starts = itertools.accumulate(sizes, initial=0)
-        blocks = [itertools.permutations(range(b, b + s)) for b, s in zip(starts, sizes)]
-        for pos in itertools.product(*blocks):
-            w = [1 << p for block in pos for p in block]
-            form = sorted(top + sum(w[i] for i in idx) for idx in present)
-            if best is None or form < best:
-                best, h = form, 1
-            elif form == best:
-                h += 1
-        return tuple(best) + tail, h
-    bits = np.array([[c >> a & 1 for c in part] for a in rows], dtype=np.int64)
-    step = max(1, EIGEN_CHUNK // len(part))
-    for lo in range(0, count, step):
-        vals = np.sort(np.left_shift(1, _positions(sizes, lo, min(count, lo + step))) @ bits, axis=1)
-        for j in range(len(part)):
-            vals = vals[vals[:, j] == vals[:, j].min()]
-            if len(vals) == 1:
-                break
-        form = (vals[0] + top).tolist()
+    for pos in itertools.product(*blocks):
+        w = [1 << p for block in pos for p in block]
+        form = sorted(top + sum(w[i] for i in idx) for idx in present)
         if best is None or form < best:
-            best, h = form, len(vals)
+            best, h = form, 1
         elif form == best:
-            h += len(vals)
-    return tuple(best) + tail, h
+            h += 1
+    return tuple(best) + (full,) * (len(cols) - len(part)), h
 
 
 def _up_set(m: int, n: int, floor: float) -> list:
