@@ -9,6 +9,7 @@ floats with 12 significant digits in fixed notation so outputs diff cleanly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -46,29 +47,35 @@ def format_float(x: float) -> str:
     return format(d.quantize(Decimal(1).scaleb(d.adjusted() - 11)), "f")
 
 
+_encode = json.encoder.encode_basestring_ascii
+_BASES = (dict, list, tuple, bool, float, int, str)
+
+
 def _emit(value, indent: int) -> str:
+    kind = type(value)
+    if kind not in _BASES:   # a subclass takes its base's branch, as isinstance would
+        kind = next((base for base in _BASES if isinstance(value, base)), kind)
     pad = "  " * indent
-    if isinstance(value, dict):
+    if kind is dict:
         if not value:
             return "{}"
-        inner = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_emit(v, indent + 1)}' for k, v in value.items()
-        )
+        inner = ",\n".join(f'{pad}  {_encode(str(k))}: {_emit(v, indent + 1)}' for k, v in value.items())
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
+    if kind is list or kind is tuple:
+        if not value:
             return "[]"
-        if any(isinstance(v, dict) for v in items):
-            inner = ",\n".join(f"{pad}  {_emit(v, indent + 1)}" for v in items)
+        if any(isinstance(v, dict) for v in value):
+            inner = ",\n".join(f"{pad}  {_emit(v, indent + 1)}" for v in value)
             return "[\n" + inner + "\n" + pad + "]"
-        return "[" + ", ".join(_emit(v, indent) for v in items) + "]"
-    if isinstance(value, bool):
+        return "[" + ", ".join(_emit(v, indent) for v in value) + "]"
+    if kind is bool:
         return "true" if value else "false"
-    if isinstance(value, float):
+    if kind is float:
         return format_float(value)
-    if isinstance(value, int):
+    if kind is int:
         return str(value)
+    if kind is str:
+        return _encode(value)
     if value is None:
         return "null"
     return json.dumps(value)
@@ -227,7 +234,9 @@ def _cmd_proof_sweep(args) -> int:
     return 0 if not report.failures else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qspan argument parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="qspan",
         description="Certify degree-demanded spanning trees and the spectral "
@@ -275,9 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

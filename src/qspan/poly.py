@@ -1,11 +1,10 @@
-"""Exact arithmetic: characteristic polynomials, roots and eigenvalue bounds.
+"""Exact arithmetic: characteristic polynomials and their roots.
 
 Coefficient vectors are ascending (c0 first). Characteristic polynomials
-(batched over a numpy object array of Python ints), root bisection and the
-positive-definiteness certificate run in plain integers, so roots are
-correctly rounded floats and every strictness claim is exact. A float Newton
-step only picks the bisection's starting bracket, and its signs are checked
-in integers first.
+(batched over a numpy object array of Python ints) and root bisection run in
+plain integers, so roots are correctly rounded floats. A float Newton step
+only picks the bisection's starting bracket, and its signs are checked in
+integers first.
 """
 
 from __future__ import annotations
@@ -180,37 +179,3 @@ def largest_real_root(p: PolyCoeffs, bracket) -> float:
         else:
             lo_num, hi_num = 2 * lo_num, mid
     raise InternalError(f"bisection on ({bracket[0]}, {bracket[1]}) did not settle on one float")
-
-
-def _positive_definite(a) -> bool:
-    """Sylvester's criterion on a symmetric integer matrix (a list of lists,
-    overwritten). Bareiss's fraction-free elimination makes the k-th pivot
-    the k-th leading principal minor, every division exact; the first pivot
-    <= 0 decides "not positive definite"."""
-    prev = 1
-    for k, row_k in enumerate(a):
-        piv = row_k[k]
-        if piv <= 0:
-            return False
-        for row in a[k + 1:]:
-            for j in range(k + 1, len(a)):
-                row[j] = (piv * row[j] - row[k] * row_k[j]) // prev
-        prev = piv
-    return True
-
-
-def separates_top_eigenvalues(big, small, x) -> bool:
-    """Exact certificate that x separates the largest eigenvalues of two
-    symmetric integer matrices: x I - small is positive definite and
-    x I - big is not, so lambda(small) < x <= lambda(big). x is an int,
-    Fraction or float; False certifies nothing about the two eigenvalues."""
-    x = Fraction(x)
-
-    def shifted(rows):
-        mat = _int_matrix(rows)
-        if any(mat[i][j] != mat[j][i] for i in range(len(mat)) for j in range(i)):
-            raise InputError("matrix is not symmetric")
-        return [[x.numerator * (i == j) - x.denominator * v for j, v in enumerate(row)]
-                for i, row in enumerate(mat)]
-
-    return _positive_definite(shifted(small)) and not _positive_definite(shifted(big))

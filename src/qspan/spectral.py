@@ -1,9 +1,11 @@
 """Signless Laplacian assembly and spectral computations.
 
 Provides the dense signless Laplacian Q = D + A of a bipartite graph as a
-float array, and the spectral radii of a stack of such arrays from one LAPACK
-eigh call with a residual check. Exact characteristic polynomials (of the
-join family's closed-form quotient, for one) come from qspan.poly.
+float array, the spectral radii and top eigenvectors of a stack of such
+arrays from one LAPACK eigh call with a residual check, and Collatz-Wielandt
+bounds on q in integers from a graph's rows and a positive integer vector.
+Exact characteristic polynomials (of the join family's closed-form quotient,
+for one) come from qspan.poly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, InputError, NumericalError
-from .graph_core import BipartiteGraph
+from .graph_core import BipartiteGraph, iter_bits
 
 DENSE_CAP = 4096        # largest order accepted for dense spectral work
 
@@ -44,11 +46,12 @@ def signless_laplacian(g: BipartiteGraph) -> np.ndarray:
     return q_matrices(mask_bits(g.adj, g.n))
 
 
-def spectral_radii(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Largest eigenvalues and their residuals for a (k, t, t) stack of
-    symmetric nonnegative matrices, from one LAPACK eigh call. If the residual
-    ||Q v - value v|| of a top eigenvector v exceeds tol * max(1, value),
-    NumericalError is raised with the first such (value, residual) as best."""
+def top_eigenpairs(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Largest eigenvalues, their residuals and unit top eigenvectors (rows)
+    of a (k, t, t) stack of symmetric nonnegative matrices, from one LAPACK
+    eigh call. If the residual ||Q v - value v|| of a top eigenvector v
+    exceeds tol * max(1, value), NumericalError is raised with the first
+    such (value, residual) as best."""
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tolerance must be finite and > 0, got {tol!r}")
     if q.ndim != 3 or q.shape[1] != q.shape[2]:
@@ -71,4 +74,33 @@ def spectral_radii(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nd
     if bad.size:
         best = float(value[bad[0]]), float(residual[bad[0]])
         raise NumericalError(f"eigh residual {best[1]:.3e} exceeds tol {tol:.3e}", best=best)
+    return value, residual, vec[:, :, 0]
+
+
+def spectral_radii(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """The values and residuals of top_eigenpairs(q, tol)."""
+    value, residual, _ = top_eigenpairs(q, tol)
     return value, residual
+
+
+def collatz_wielandt_bounds(rows, m: int, n: int, y) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(lo, hi) with lo <= q(G) <= hi as (numerator, denominator) int pairs:
+    the least and greatest (Qy)_i / y_i over the vertices, A first, of the
+    graph with A-rows rows, for positive ints y (Collatz-Wielandt; Horn and
+    Johnson, Matrix Analysis, ch. 8). Each edge adds y_a + y_b to (Qy) at
+    both ends, its share of the degree and of the neighbour sum."""
+    if len(y) != m + n or not all(type(v) is int and v > 0 for v in y):
+        raise InputError(f"y must be {m + n} positive integers")
+    qy = [0] * (m + n)
+    for a, row in enumerate(rows):
+        for b in iter_bits(row):
+            s = y[a] + y[m + b]
+            qy[a] += s
+            qy[m + b] += s
+    lo = hi = (qy[0], y[0])
+    for num, den in zip(qy, y):
+        if num * lo[1] < lo[0] * den:
+            lo = (num, den)
+        elif num * hi[1] > hi[0] * den:
+            hi = (num, den)
+    return lo, hi

@@ -7,10 +7,11 @@ Three entry points:
   qualifying spanning tree or be the extremal graph itself.
 * separation_sweep: re-derive, per parameter point, every exact identity and
   strict inequality that places the family members below the threshold.
-* subgraph_monotonicity_fuzz: randomized check that the spectral radius
-  never grows when edges are deleted (each a uniformly random non-bridge, by
-  one shuffle and reach), from one batched eigh per shape, with exact
-  strictness spot checks (a positive-definiteness certificate in integers).
+* subgraph_monotonicity_fuzz: samples Perron-Frobenius monotonicity, q(H)
+  <= q(G) for a connected spanning subgraph H of a connected G (each removal
+  a uniformly random non-bridge, by one shuffle and reach), solving each
+  distinct matrix once per shape; strictness is spot-checked in integers by
+  Collatz-Wielandt bounds from the rounded top eigenvectors.
 
 The census is a breadth-first search of single-edge deletions down from
 K_{m,n}: adding an edge never lowers q, so the graphs with
@@ -66,8 +67,8 @@ from .graph_core import (
     reach,
     to_edge_list,
 )
-from .poly import exact_char_poly, exact_char_polys, separates_top_eigenvalues
-from .spectral import DENSE_CAP, mask_bits, q_matrices, spectral_radii
+from .poly import exact_char_poly, exact_char_polys
+from .spectral import DENSE_CAP, collatz_wielandt_bounds, mask_bits, q_matrices, top_eigenpairs
 from .trees import construct_tree, is_violation
 
 CENSUS_CAP = 1 << 25      # census: at most 2**25 Q-matrix and relabelled-column entries in all
@@ -552,58 +553,44 @@ def _fuzz_pairs(trials: int, seed: int):
         yield g, _random_spanning_subgraph(rng, g)
 
 
-def _short_dyadic(qh: float, qg: float) -> Fraction:
-    """The dyadic j / 2**t, least t >= 0 then least j, in the middle half
-    [qh + gap/4, qg - gap/4] of finite floats qh < qg, gap = qg - qh. The
-    bounds are exact, so no float overflows; t stops once 2**t > 2 / gap."""
-    lo, hi = (3 * Fraction(qh) + Fraction(qg)) / 4, (Fraction(qh) + 3 * Fraction(qg)) / 4
-    t = 0   # j = ceil(lo * 2**t)
-    while (j := -((-lo.numerator << t) // lo.denominator)) * hi.denominator > hi.numerator << t:
-        t += 1
-    return Fraction(j, 1 << t)
-
-
 def subgraph_monotonicity_fuzz(trials: int = 10000, seed: int = 0) -> MonotonicityReport:
-    """Random connected graph G, random connected spanning subgraph H:
-    q(H) must never exceed q(G) + 1e-9. The radii come from one batched eigh
-    per (m, n) shape. On the first STRICT_CHECK_BUDGET small pairs (at most
-    8 vertices) with H != G, strictness is additionally certified in exact
-    arithmetic: at x, the _short_dyadic of q(H) < q(G) (short, so the
-    integers stay small), x I - Q(H) must be positive definite, x I - Q(G) not."""
+    """Random connected G, random connected spanning subgraph H: q(H) must
+    not exceed q(G) + 1e-9. Each distinct adjacency of a shape is solved once,
+    in one batched eigh per shape with every residual checked; H = G is only
+    counted. The first STRICT_CHECK_BUDGET pairs with H != G and at most 8
+    vertices are certified strict in integers: y_i = max(1, rint(2^52 |v_i| /
+    max |v|)) from each top eigenvector v gives Collatz-Wielandt bounds, and
+    H's upper bound must lie below G's lower bound."""
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 0:
         raise InputError(f"trials must be a non-negative integer, got {trials!r}")
-    shapes = {}   # (m, n) -> (trials, adjacency rows of G then H per trial)
-    equal_pairs = 0
-    checked = set()
+    shapes = {}   # (m, n) -> {adjacency rows: position in the shape's stack}
+    pairs = []    # (trial, m, n, G's position, H's position, checked) when H != G
+    equal_pairs = checks = 0
     for trial, (g, h) in enumerate(_fuzz_pairs(trials, seed)):
-        group, rows = shapes.setdefault((g.m, g.n), ([], []))
-        group.append(trial)
-        rows += g.adj + h.adj
+        index = shapes.setdefault((g.m, g.n), {})
+        ig = index.setdefault(g.adj, len(index))
         if h.adj == g.adj:
             equal_pairs += 1
-        elif g.m + g.n <= 8 and len(checked) < STRICT_CHECK_BUDGET:
-            checked.add(trial)
-    violations = []
-    strict_failures = []
-    for (m, n), (group, rows) in shapes.items():
-        q = q_matrices(mask_bits(rows, n).reshape(-1, m, n))
-        top = spectral_radii(q)[0].tolist()
-        for j, trial in enumerate(group):
-            qg, qh = top[2 * j], top[2 * j + 1]
-            if qh > qg + 1e-9:
-                violations.append({"trial": trial, "m": m, "n": n, "qg": qg, "qh": qh})
-            # small integer entries, so the float64 matrices convert exactly
-            if trial in checked and not (qh < qg and separates_top_eigenvalues(
-                    q[2 * j].astype(int).tolist(), q[2 * j + 1].astype(int).tolist(),
-                    _short_dyadic(qh, qg))):
+            continue
+        check = g.m + g.n <= 8 and checks < STRICT_CHECK_BUDGET
+        checks += check
+        pairs.append((trial, g.m, g.n, ig, index.setdefault(h.adj, len(index)), check))
+    solved = {}   # (m, n) -> (radii, scaled top eigenvectors, adjacency rows) by position
+    for (m, n), index in shapes.items():
+        top, _, vec = top_eigenpairs(q_matrices(mask_bits([r for adj in index for r in adj], n).reshape(-1, m, n)))
+        vec = np.abs(vec)
+        y = np.maximum(1, np.rint(vec * 2.0 ** 52 / vec.max(axis=1, keepdims=True))).astype(np.int64)
+        solved[m, n] = top.tolist(), y, list(index)
+    violations, strict_failures = [], []
+    for trial, m, n, ig, ih, check in pairs:
+        top, y, adj = solved[m, n]
+        qg, qh = top[ig], top[ih]
+        if qh > qg + 1e-9:
+            violations.append({"trial": trial, "m": m, "n": n, "qg": qg, "qh": qh})
+        if check:
+            (lo, lo_den), _ = collatz_wielandt_bounds(adj[ig], m, n, y[ig].tolist())
+            _, (hi, hi_den) = collatz_wielandt_bounds(adj[ih], m, n, y[ih].tolist())
+            if hi * lo_den >= lo * hi_den:
                 strict_failures.append({"trial": trial, "m": m, "n": n})
-    violations.sort(key=lambda v: v["trial"])
-    strict_failures.sort(key=lambda f: f["trial"])
-    return MonotonicityReport(
-        trials=trials,
-        seed=seed,
-        violations=violations,
-        equal_pairs=equal_pairs,
-        strict_checks=len(checked),
-        strict_failures=strict_failures,
-    )
+    return MonotonicityReport(trials=trials, seed=seed, violations=violations, equal_pairs=equal_pairs,
+                              strict_checks=checks, strict_failures=strict_failures)

@@ -23,6 +23,11 @@ None of these has a caller in the package itself:
   Newton seed, against which poly.largest_real_root is checked;
 * per_matrix_char_poly: the trace recursion on one matrix in lists of ints,
   against which the batched poly.exact_char_polys is checked;
+* separates_top_eigenvalues (with _positive_definite and _short_dyadic): the
+  fuzz's strictness certificate as it was before the Collatz-Wielandt
+  bounds, x I - small positive definite and x I - big not (Sylvester's
+  criterion by Bareiss elimination in ints), at the shortest dyadic in the
+  middle half of the gap, against which the bounds are checked;
 * join_chain: the joins at r = 1..(k-1)s, each built from two complete
   graphs, against which verify.point_checks's closed-form rows are checked;
 * quotient: the quotient matrix of Q(G) over any vertex partition, from the
@@ -244,6 +249,51 @@ def per_matrix_char_poly(rows) -> PolyCoeffs:
     if any(any(row) for row in aux):
         raise InternalError("Cayley-Hamilton check failed in exact_char_poly")
     return PolyCoeffs(tuple(reversed(descending)))
+
+
+def _positive_definite(a) -> bool:
+    """Sylvester's criterion on a symmetric integer matrix (a list of lists,
+    overwritten). Bareiss's fraction-free elimination makes the k-th pivot
+    the k-th leading principal minor, every division exact; the first pivot
+    <= 0 decides "not positive definite"."""
+    prev = 1
+    for k, row_k in enumerate(a):
+        piv = row_k[k]
+        if piv <= 0:
+            return False
+        for row in a[k + 1:]:
+            for j in range(k + 1, len(a)):
+                row[j] = (piv * row[j] - row[k] * row_k[j]) // prev
+        prev = piv
+    return True
+
+
+def separates_top_eigenvalues(big, small, x) -> bool:
+    """Exact certificate that x separates the largest eigenvalues of two
+    symmetric integer matrices: x I - small is positive definite and
+    x I - big is not, so lambda(small) < x <= lambda(big). x is an int,
+    Fraction or float; False certifies nothing about the two eigenvalues."""
+    x = Fraction(x)
+
+    def shifted(rows):
+        mat = _int_matrix(rows)
+        if any(mat[i][j] != mat[j][i] for i in range(len(mat)) for j in range(i)):
+            raise InputError("matrix is not symmetric")
+        return [[x.numerator * (i == j) - x.denominator * v for j, v in enumerate(row)]
+                for i, row in enumerate(mat)]
+
+    return _positive_definite(shifted(small)) and not _positive_definite(shifted(big))
+
+
+def _short_dyadic(qh: float, qg: float) -> Fraction:
+    """The dyadic j / 2**t, least t >= 0 then least j, in the middle half
+    [qh + gap/4, qg - gap/4] of finite floats qh < qg, gap = qg - qh. The
+    bounds are exact, so no float overflows; t stops once 2**t > 2 / gap."""
+    lo, hi = (3 * Fraction(qh) + Fraction(qg)) / 4, (Fraction(qh) + 3 * Fraction(qg)) / 4
+    t = 0   # j = ceil(lo * 2**t)
+    while (j := -((-lo.numerator << t) // lo.denominator)) * hi.denominator > hi.numerator << t:
+        t += 1
+    return Fraction(j, 1 << t)
 
 
 def join_chain(p) -> list[BipartiteGraph]:

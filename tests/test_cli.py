@@ -1,11 +1,14 @@
 """Command line interface: JSON shape, exit codes, error mapping."""
 
+import enum
 import json
 import math
 
 import pytest
 
-from qspan import complete_bipartite, extremal_graph, verify, write_graph
+import numpy as np
+
+from qspan import cli, complete_bipartite, extremal_graph, verify, write_graph
 from qspan.cli import emit_json, format_float, main
 
 
@@ -69,6 +72,22 @@ class TestEmitJson:
 
     def test_empty_containers(self):
         assert json.loads(emit_json({"x": [], "y": {}})) == {"x": [], "y": {}}
+
+    def test_strings_as_json_dumps(self):
+        for text in ("", "plain", 'q"\\', "tab\tnew\n", "\u00e9\u2013\U0001d53c", "\x00\x1f"):
+            assert emit_json([text]) == f"[{json.dumps(text)}]"
+            assert emit_json({text: 1}) == "{\n  " + json.dumps(text) + ": 1\n}"
+        assert emit_json({3: "x"}) == '{\n  "3": "x"\n}'
+
+    def test_subclasses_take_their_base_branch(self):
+        class Small(enum.IntEnum):
+            ONE = 1
+
+        class Rows(list):
+            pass
+
+        assert emit_json([np.float64(2.5), True, None, Small.ONE, Rows([1, 2])]) == (
+            f"[2.50000000000, true, null, {Small.ONE}, [1, 2]]")
 
 
 class TestSpectral:
@@ -405,3 +424,15 @@ class TestArgparseBehaviour:
     def test_no_command(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+    def test_parser_built_once_and_reused(self, k37, capsys):
+        runs = [["check-tree", k37, "--k", "3"], ["check-tree", k37], ["bogus"],
+                ["check-tree", k37, "--k", "3"]]
+        fresh = []
+        for argv in runs:
+            cli.build_parser.cache_clear()
+            fresh.append((main(argv), *capsys.readouterr()))
+        cli.build_parser.cache_clear()
+        again = [(main(argv), *capsys.readouterr()) for argv in runs]
+        assert again == fresh and [code for code, _, _ in again] == [0, 2, 2, 0]
+        assert cli.build_parser.cache_info()[:2] == (3, 1)   # (hits, misses)

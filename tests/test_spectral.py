@@ -34,9 +34,9 @@ from qspan import (
 from qspan import poly
 from qspan.extremal import ExtremalParams, build_family, family_bracket, family_quotient, spectral_threshold
 from qspan.poly import CHAR_POLY_CAP, PolyCoeffs, exact_char_poly, exact_char_polys, largest_real_root
-from qspan.spectral import DENSE_CAP
+from qspan.spectral import DENSE_CAP, collatz_wielandt_bounds, top_eigenpairs
 
-from oracles import bisect_root, per_matrix_char_poly, quotient
+from oracles import bisect_root, connected_graphs, per_matrix_char_poly, quotient
 
 
 def oracle_radius(mtx: np.ndarray) -> float:
@@ -250,6 +250,61 @@ class TestSpectralRadii:
     def test_rejects_empty_stacks(self, shape):
         with pytest.raises(InputError, match="at least one matrix"):
             spectral_radii(np.zeros(shape))
+
+
+class TestTopEigenpairs:
+    def test_radii_are_its_first_two(self):
+        rng = random.Random(44)
+        q = TestSpectralRadii.stack(rng, 30, 3, 5)
+        values, residuals, vectors = top_eigenpairs(q)
+        got = spectral_radii(q)
+        np.testing.assert_array_equal(got[0], values)
+        np.testing.assert_array_equal(got[1], residuals)
+        assert vectors.shape == (30, 8)
+        np.testing.assert_allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.einsum("kij,kj->ki", q, vectors), values[:, None] * vectors,
+                                   atol=1e-9)
+
+    def test_same_checks(self):
+        sym = signless_laplacian(complete_bipartite(2, 3))
+        with pytest.raises(InputError, match="symmetric"):
+            top_eigenpairs(np.stack([sym, np.triu(sym)]))
+        with pytest.raises(NumericalError):
+            top_eigenpairs(signless_laplacian(from_edge_list(2, 3, [(0, 0), (0, 1), (1, 1)]))[None],
+                           tol=1e-300)
+
+
+class TestCollatzWielandt:
+    """collatz_wielandt_bounds(rows, m, n, y): the least and greatest
+    (Qy)_i / y_i, which bracket q for every positive y."""
+
+    def test_brackets_eigvalsh_on_small_connected_graphs(self):
+        rng = random.Random(45)
+        for m, n in [(1, 1), (1, 4), (2, 2), (2, 3), (3, 3), (2, 6), (4, 4), (3, 5)]:
+            graphs = list(connected_graphs(m, n))
+            for g in rng.sample(graphs, min(40, len(graphs))):
+                top = oracle_radius(signless_laplacian(g))
+                for scale in (1, 10, 1 << 52):
+                    y = [rng.randint(1, scale) for _ in range(m + n)]
+                    (lo, lo_den), (hi, hi_den) = collatz_wielandt_bounds(g.adj, m, n, y)
+                    assert lo / lo_den - 1e-9 <= top <= hi / hi_den + 1e-9
+                    assert lo * hi_den <= hi * lo_den
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (2, 3), (3, 7), (6, 2)])
+    def test_exact_perron_vector_of_complete_graph(self, m, n):
+        # Q(K_{m,n}) y = (m + n) y for y = n on A and m on B
+        g = complete_bipartite(m, n)
+        lo, hi = collatz_wielandt_bounds(g.adj, m, n, [n] * m + [m] * n)
+        assert Fraction(*lo) == Fraction(*hi) == m + n
+
+    def test_diagonal_counted(self):
+        # the path a0 - b0 - a1 at y = 1: (Qy) = (2, 2, 4), degree plus neighbours
+        assert collatz_wielandt_bounds((1, 1), 2, 1, [1, 1, 1]) == ((2, 1), (4, 1))
+
+    @pytest.mark.parametrize("y", [[1, 1], [1, 1, 1, 1], [1, 0, 1], [1, -2, 1], [1, 1.5, 1], [1, True, 1]])
+    def test_rejects_bad_vectors(self, y):
+        with pytest.raises(InputError, match="positive integers"):
+            collatz_wielandt_bounds((1, 1), 2, 1, y)
 
 
 class TestQuotientMatrix:
@@ -702,4 +757,3 @@ class TestPublicNames:
         assert qspan.PolyCoeffs is qspan.poly.PolyCoeffs
         assert qspan.largest_real_root is qspan.poly.largest_real_root
         assert qspan.verify.exact_char_poly is qspan.poly.exact_char_poly
-        assert qspan.verify.separates_top_eigenvalues is qspan.poly.separates_top_eigenvalues

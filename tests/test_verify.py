@@ -33,7 +33,7 @@ from qspan import (
 )
 from qspan import extremal, graph_core, spectral, trees, verify
 from qspan.extremal import ExtremalParams, family_char_coeffs, family_quotient, family_root, spectral_threshold
-from qspan.poly import _positive_definite, exact_char_polys, separates_top_eigenvalues
+from qspan.poly import exact_char_polys
 from qspan.spectral import q_matrices, spectral_radii
 from qspan.verify import (
     _b_classes,
@@ -41,13 +41,14 @@ from qspan.verify import (
     _canonical,
     _graph_from_mask,
     _labellings,
-    _short_dyadic,
     _up_set,
     connected_bipartite_count,
     scan_stats,
 )
 
 from oracles import (
+    _positive_definite,
+    _short_dyadic,
     b_class_size,
     b_class_up_set,
     connected_filter,
@@ -55,6 +56,7 @@ from oracles import (
     non_bridges,
     part_preserving_isomorphic,
     random_demand_instances,
+    separates_top_eigenvalues,
 )
 
 
@@ -730,8 +732,8 @@ class TestSweep:
 
 
 class TestStrictRootComparison:
-    """separates_top_eigenvalues(big, small, x): x I - small positive definite
-    and x I - big not, so lambda(small) < x <= lambda(big)."""
+    """The oracle separates_top_eigenvalues(big, small, x): x I - small
+    positive definite and x I - big not, so lambda(small) < x <= lambda(big)."""
 
     @staticmethod
     def top(rows):
@@ -922,8 +924,8 @@ class TestSpanningSubgraphDrawing:
 
 
 class TestShortDyadic:
-    """_short_dyadic(qh, qg): the dyadic with the least denominator exponent
-    t, then the least numerator, in [qh + gap/4, qg - gap/4]."""
+    """The oracle _short_dyadic(qh, qg): the dyadic with the least denominator
+    exponent t, then the least numerator, in [qh + gap/4, qg - gap/4]."""
 
     @staticmethod
     def middle_half(qh, qg):
@@ -989,23 +991,6 @@ class TestMonotonicityFuzz:
         assert (rep.equal_pairs, rep.strict_checks, rep.violations, rep.strict_failures) == (
             equal_pairs, 400, [], [])
 
-    def test_separators_are_short(self, monkeypatch):
-        # the x of every certificate at the CI pin is a dyadic of at most 2^8;
-        # the float midpoint of the two radii had 2^50
-        xs = []
-        separates = verify.separates_top_eigenvalues
-
-        def recorded(big, small, x):
-            xs.append(x)
-            return separates(big, small, x)
-
-        monkeypatch.setattr(verify, "separates_top_eigenvalues", recorded)
-        rep = subgraph_monotonicity_fuzz(trials=3000, seed=1)
-        assert (rep.equal_pairs, rep.strict_checks, rep.violations, rep.strict_failures) == (
-            1427, 400, [], [])
-        assert len(xs) == 400
-        assert all(type(x) is Fraction and x.denominator <= 1 << 8 for x in xs)
-
     def test_batched_radii_match_spectral_radius(self):
         by_shape = defaultdict(list)
         for g, h in verify._fuzz_pairs(300, seed=3):
@@ -1017,33 +1002,62 @@ class TestMonotonicityFuzz:
                 assert abs(value - alone) <= 1e-12
 
     def test_violations_reported_in_trial_order(self, monkeypatch):
-        solve = verify.spectral_radii
+        solve = verify.top_eigenpairs
 
-        def raised(q):   # every H one above its G
-            top, residual = solve(q)
-            top[1::2] = top[0::2] + 1
-            return top, residual
+        def raised(q):   # each matrix at minus its trace, so every H != G lies above its G
+            top, residual, vectors = solve(q)
+            return -np.trace(q, axis1=1, axis2=2), residual, vectors
 
-        monkeypatch.setattr(verify, "spectral_radii", raised)
+        monkeypatch.setattr(verify, "top_eigenpairs", raised)
         rep = subgraph_monotonicity_fuzz(trials=60, seed=5)
         pairs = list(verify._fuzz_pairs(60, seed=5))
         assert [(v["trial"], v["m"], v["n"]) for v in rep.violations] == [
-            (trial, g.m, g.n) for trial, (g, _) in enumerate(pairs)]
-        assert all(v["qh"] == v["qg"] + 1 for v in rep.violations)
+            (trial, g.m, g.n) for trial, (g, h) in enumerate(pairs) if h.adj != g.adj]
+        assert rep.equal_pairs + len(rep.violations) == 60 and rep.equal_pairs > 0
+        removed = [g.edge_count - h.edge_count for g, h in pairs if h.adj != g.adj]
+        assert [v["qh"] - v["qg"] for v in rep.violations] == [2 * r for r in removed]
 
     def test_unseparated_radii_are_strict_failures(self, monkeypatch):
-        solve = verify.spectral_radii
+        solve = verify.top_eigenpairs
 
-        def tied(q):   # every H at its G's radius: no violation, nothing certified
-            top, residual = solve(q)
-            top[1::2] = top[0::2]
-            return top, residual
+        def corrupted(q):   # every top vector e_0: its scaled ints do not separate
+            top, residual, vectors = solve(q)
+            return top, residual, np.eye(q.shape[1])[[0] * len(q)]
 
-        monkeypatch.setattr(verify, "spectral_radii", tied)
+        monkeypatch.setattr(verify, "top_eigenpairs", corrupted)
         rep = subgraph_monotonicity_fuzz(trials=300, seed=5)
         assert rep.violations == []
         trials = [f["trial"] for f in rep.strict_failures]
         assert len(trials) == rep.strict_checks > 0 and trials == sorted(trials)
+
+    def test_each_distinct_matrix_solved_once(self, monkeypatch):
+        solved = []
+        solve = verify.top_eigenpairs
+        monkeypatch.setattr(verify, "top_eigenpairs", lambda q: solved.append(len(q)) or solve(q))
+        rep = subgraph_monotonicity_fuzz(trials=3000, seed=1)
+        assert (rep.equal_pairs, rep.strict_checks, rep.violations, rep.strict_failures) == (
+            1427, 400, [], [])
+        shapes = {(g.m, g.n, x) for g, h in verify._fuzz_pairs(3000, seed=1) for x in (g.adj, h.adj)}
+        assert sum(solved) == len(shapes) == 3317
+
+    @pytest.mark.parametrize("seed", [1, 5, 8])
+    def test_certificates_agree_with_bareiss_oracle(self, seed, monkeypatch):
+        calls = []
+        bounds = verify.collatz_wielandt_bounds
+
+        def recorded(rows, m, n, y):
+            calls.append((m, n, rows))
+            return bounds(rows, m, n, y)
+
+        monkeypatch.setattr(verify, "collatz_wielandt_bounds", recorded)
+        rep = subgraph_monotonicity_fuzz(trials=3000, seed=seed)
+        assert (rep.strict_checks, rep.strict_failures) == (400, [])
+        small = [(g, h) for g, h in verify._fuzz_pairs(3000, seed) if h.adj != g.adj and g.m + g.n <= 8]
+        assert calls == [(g.m, g.n, x.adj) for g, h in small[:400] for x in (g, h)]
+        for g, h in small[:400]:
+            qg_rows, qh_rows = (signless_laplacian(x).astype(int).tolist() for x in (g, h))
+            qg, qh = (float(np.linalg.eigvalsh(np.array(r, dtype=float))[-1]) for r in (qg_rows, qh_rows))
+            assert separates_top_eigenvalues(qg_rows, qh_rows, _short_dyadic(qh, qg))
 
     @pytest.mark.parametrize("trials", [-3, -1, 2.5, 3.0, "10", None, True])
     def test_bad_trials_rejected(self, trials):
