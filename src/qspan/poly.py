@@ -2,9 +2,7 @@
 
 Coefficient vectors are ascending (c0 first). Characteristic polynomials
 (batched over a numpy object array of Python ints) and root bisection run in
-plain integers, so roots are correctly rounded floats. A float Newton step
-only picks the bisection's starting bracket, and its signs are checked in
-integers first.
+plain integers, so roots are correctly rounded floats.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ from .errors import CapacityError, InputError, InternalError, NumericalError
 
 CHAR_POLY_CAP = 11      # exact characteristic polynomial cap (quotients here have order 4)
 BISECTION_CAP = 4096    # root halvings; a float bracket shrinks below a subnormal in ~2,100
-NEWTON_CAP = 64         # float Newton steps that seed the root bisection
-SEED_ULPS = 4           # half-width of the seeded bracket, in ulps of the Newton iterate
 
 
 def _integral(coeffs):
@@ -118,39 +114,14 @@ def exact_char_poly(rows) -> PolyCoeffs:
     return exact_char_polys([rows])[0]
 
 
-def _newton_bracket(coeffs, lo_num, hi_num, den, f_lo):
-    """x -/+ SEED_ULPS ulp(x) as (lo_num, hi_num, den), x the float Newton
-    iterate from hi_num / den once its step stops shrinking, if it lies
-    strictly inside (lo_num / den, hi_num / den) and its exact signs change
-    as there (f_lo is the value at lo); else None. Never raises."""
-    try:
-        fc, x, last = [float(c) for c in coeffs], hi_num / den, math.inf
-        for _ in range(NEWTON_CAP):
-            fx, dx = fc[-1], 0.0
-            for c in reversed(fc[:-1]):
-                fx, dx = fx * x + c, dx * x + fx
-            if not abs(step := fx / dx) < last:     # NaN included
-                break
-            x, last = x - step, abs(step)
-        num, x_den = x.as_integer_ratio()   # OverflowError once x is infinite
-    except (OverflowError, ZeroDivisionError):
-        return None
-    unit, seed_den = math.ulp(x).as_integer_ratio()
-    mid = num * seed_den // x_den           # x is a whole number of ulps
-    seed_lo, seed_hi = mid - SEED_ULPS * unit, mid + SEED_ULPS * unit
-    if not (lo_num * seed_den < seed_lo * den and seed_hi * den < hi_num * seed_den):
-        return None
-    at_lo, at_hi = _horner(coeffs, seed_lo, seed_den), _horner(coeffs, seed_hi, seed_den)
-    return (seed_lo, seed_hi, seed_den) if at_lo * f_lo > 0 > at_hi * f_lo else None
-
-
 def largest_real_root(p: PolyCoeffs, bracket) -> float:
     """Correctly rounded root of p in a bracket that changes sign and isolates
     the largest real root, its ends ints, Fractions or floats within the float
-    range. Bisection on integer numerators over a doubling denominator, from
-    _newton_bracket's bracket if it gives one, else the caller's, stops once
-    both ends round to one float; int true division rounds correctly, so that
-    is the root."""
+    range. Bisection on integer numerators over a doubling denominator stops
+    once both ends round to one float, which is then the root, as int true
+    division rounds correctly. Once they round to adjacent floats a < b, p's
+    exact sign at (a + b) / 2 decides: the root is a or b by its side, or that
+    midpoint rounded half-even if p vanishes there."""
     for end in bracket[:2]:
         if type(end) is bool or not isinstance(end, (int, Fraction, float)) or not abs(end) <= sys.float_info.max:
             raise InputError(f"bracket ends must be ints, Fractions or floats, finite and within the float range, got {end!r}")
@@ -165,11 +136,14 @@ def largest_real_root(p: PolyCoeffs, bracket) -> float:
         raise NumericalError(f"no sign change on bracket ({bracket[0]}, {bracket[1]})")
     if f_lo * f_hi == 0:   # a root at an end
         lo_num = hi_num = lo_num if f_lo == 0 else hi_num
-    else:
-        lo_num, hi_num, den = _newton_bracket(coeffs, lo_num, hi_num, den, f_lo) or (lo_num, hi_num, den)
     for _ in range(BISECTION_CAP):
-        if lo_num / den == hi_num / den:
-            return lo_num / den
+        a, b = lo_num / den, hi_num / den
+        if a == b:
+            return a
+        if math.nextafter(a, math.inf) == b:
+            mid = (Fraction(a) + Fraction(b)) / 2
+            value = _horner(coeffs, mid.numerator, mid.denominator)
+            return float(mid) if value == 0 else b if (value > 0) == (f_lo > 0) else a
         mid, den = lo_num + hi_num, 2 * den
         value = _horner(coeffs, mid, den)
         if value == 0:

@@ -37,7 +37,6 @@ import functools
 import itertools
 import math
 import random
-from fractions import Fraction
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,6 @@ from .extremal import (
     family_bracket,
     family_char_coeffs,
     family_quotient,
-    family_root,
     family_rows,
     lower_endpoint_quadratic,
     spectral_threshold,
@@ -359,17 +357,19 @@ SWEEP_ORDER_CAP = 64      # separation_sweep: family order m + n at most this
 def point_checks(p: ExtremalParams, quotient_poly=None) -> dict:
     """All identity and inequality checks for one parameter point.
 
-    Every check is exact. coeff_identity compares the closed-form quartic
-    with quotient_poly, the characteristic polynomial of family_quotient(p),
-    computed here if not given (separation_sweep gives it from one batch). At
-    s = 1 separation asks that the two quartics coincide. For s >= 2, q1 is
-    correctly rounded, so the float above it exceeds the s root; separation
-    asks that it still lie below q*, where the s=1 quartic is negative in its
-    bracket. join_chain asks that the family member have s rows 2^r - 1,
-    r = (k-1)s, then m - s rows 2^n - 1 (family_rows). A join at any r has
-    that form, and 2^r - 1 lies in 2^r' - 1 for r <= r', so the chain nests
-    and q only rises; the one built graph ties this to the family's
-    definition. m + n > DENSE_CAP is a CapacityError.
+    Every check is an exact sign or identity; no root is computed.
+    coeff_identity compares the closed-form quartic p_s with quotient_poly,
+    the characteristic polynomial of family_quotient(p), computed here if not
+    given (separation_sweep gives it from one batch). ordering asks that p_s
+    change sign on the bracket (lo, hi), which holds its root q_s. At s = 1
+    separation asks that the two quartics coincide; for s >= 2 it asks for
+    the paper's premises p_1 - p_s = x (s - 1) psi(x), d2 >= 0 and psi(lo),
+    psi(hi) < 0, so psi < 0 on the bracket and p_1(q_s) < 0, i.e. q_s < q*.
+    join_chain asks that the family member have s rows 2^r - 1, r = (k-1)s,
+    then m - s rows 2^n - 1 (family_rows). A join at any r has that form, and
+    2^r - 1 lies in 2^r' - 1 for r <= r', so the chain nests and q only rises;
+    the one built graph ties this to the family's definition. m + n >
+    DENSE_CAP is a CapacityError.
     """
     if p.m + p.n > DENSE_CAP:
         raise CapacityError(f"order {p.m + p.n} exceeds dense cap {DENSE_CAP}")
@@ -401,13 +401,12 @@ def point_checks(p: ExtremalParams, quotient_poly=None) -> dict:
         and lower_endpoint_quadratic(m - 1, k, m, n) < 0
     )
 
-    q1 = family_root(p)
-    checks["ordering"] = fam.evaluate(lo) < 0 and fam.evaluate(hi) > 0 and lo < q1 < hi
+    checks["ordering"] = fam.evaluate(lo) < 0 < fam.evaluate(hi)
 
     if s == 1:
         checks["separation"] = fam == base
     else:
-        checks["separation"] = base.evaluate(Fraction(math.nextafter(q1, math.inf))) < 0
+        checks["separation"] = diff == expected and d2 >= 0 and psi_lo < 0 and psi_hi < 0
 
     checks["join_chain"] = build_family(p).adj == family_rows(p)
     return checks
@@ -567,11 +566,11 @@ def subgraph_monotonicity_fuzz(trials: int = 10000, seed: int = 0) -> Monotonici
     pairs = []    # (trial, m, n, G's position, H's position, checked) when H != G
     equal_pairs = checks = 0
     for trial, (g, h) in enumerate(_fuzz_pairs(trials, seed)):
-        index = shapes.setdefault((g.m, g.n), {})
-        ig = index.setdefault(g.adj, len(index))
         if h.adj == g.adj:
             equal_pairs += 1
             continue
+        index = shapes.setdefault((g.m, g.n), {})
+        ig = index.setdefault(g.adj, len(index))
         check = g.m + g.n <= 8 and checks < STRICT_CHECK_BUDGET
         checks += check
         pairs.append((trial, g.m, g.n, ig, index.setdefault(h.adj, len(index)), check))

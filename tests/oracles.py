@@ -19,8 +19,9 @@ None of these has a caller in the package itself:
 * sweep_anchor: the first A-vertex with no alternating path to a free
   B-vertex, by passes over A, against which the Hall search's anchor from
   graph_core.reach is checked;
-* bisect_root: the root bisection from the caller's bracket alone, with no
-  Newton seed, against which poly.largest_real_root is checked;
+* bisect_root: the root bisection from the caller's bracket to one float,
+  with no midpoint sign rule, against which poly.largest_real_root is
+  checked;
 * per_matrix_char_poly: the trace recursion on one matrix in lists of ints,
   against which the batched poly.exact_char_polys is checked;
 * separates_top_eigenvalues (with _positive_definite and _short_dyadic): the
@@ -198,7 +199,9 @@ def sweep_anchor(g: BipartiteGraph, held):
 def bisect_root(p, bracket) -> float:
     """Correctly rounded root of p in a bracket that changes sign, by
     bisection on integer numerators over a doubling denominator, from the
-    caller's bracket: the root bisection as it was before the Newton seed."""
+    caller's bracket until both ends round to one float. Unlike
+    poly.largest_real_root it never tests the midpoint of two adjacent
+    floats, so a root exactly there is hit only by a dyadic bracket."""
     lo, hi = Fraction(bracket[0]), Fraction(bracket[1])
     if not lo < hi:
         raise InputError(f"invalid bracket ({bracket[0]}, {bracket[1]})")

@@ -663,15 +663,12 @@ class TestExactRoot:
         root = largest_real_root(p, (0, 1))
         assert correctly_rounded(p, root)
 
-    def test_root_on_a_rounding_midpoint(self, monkeypatch):
+    def test_root_on_a_rounding_midpoint(self):
         # 1 + 2**-53 lies halfway between 1 and the next float up
         p = PolyCoeffs((-Fraction(2 ** 53 + 1, 2 ** 53), 1))
         assert largest_real_root(p, (0, 2)) == 1.0     # hit exactly, ties to even
-        # the seeded bracket 1 -/+ 4 ulp is dyadic, so bisection hits the tie
+        # 7 * j / 2**t never hits the tie; the sign at the ends' midpoint finds it
         assert largest_real_root(p, (0, 7)) == 1.0
-        monkeypatch.setattr(poly, "_newton_bracket", lambda *args: None)
-        with pytest.raises(InternalError):             # 7 * j / 2**t never hits it
-            largest_real_root(p, (0, 7))
 
     def test_invalid_bracket(self):
         with pytest.raises(InputError):
@@ -693,9 +690,8 @@ class TestExactRoot:
 
 
 class TestSeededRoot:
-    """largest_real_root starts its bisection from a few-ulp bracket around a
-    float Newton iterate once exact signs confirm it; the root it returns is
-    the one that bisection from the caller's bracket alone returns."""
+    """largest_real_root returns the root that bisection from the caller's
+    bracket alone returns (tests/oracles.bisect_root)."""
 
     def test_random_polynomials_match_plain_bisection(self):
         for p, bracket, _ in isolated_largest_roots(200, seed=3):
@@ -710,42 +706,14 @@ class TestSeededRoot:
             p = ExtremalParams(k, m, n, 1)
             assert spectral_threshold(k, m, n) == bisect_root(family_char_coeffs(p), family_bracket(p))
 
-    def test_few_exact_evaluations_per_root(self, monkeypatch):
-        calls = []
-        horner = poly._horner
-
-        def counted(*args):
-            calls.append(None)
-            return horner(*args)
-
-        monkeypatch.setattr(poly, "_horner", counted)
-        for p in SWEEP_POINTS:
-            family_root(p)
-        # bisection from the caller's bracket alone takes 55.4 per root
-        assert len(calls) <= 12 * len(SWEEP_POINTS)
-
     @pytest.mark.parametrize("coeffs, bracket", [
-        ((-(10 ** 400), 0, 1), (0, 10 ** 201)),         # float(coefficient) overflows
+        ((-(10 ** 400), 0, 1), (0, 10 ** 201)),         # a coefficient past the float range
         ((-10, 16, -7, 1), (0, 2)),                     # f'(2) = 0: (x - 1)(x^2 - 6x + 10)
-        ((1, 0, -(10 ** 200), 0, 1), (1, 10 ** 101)),   # Newton's values overflow to inf
+        ((1, 0, -(10 ** 200), 0, 1), (1, 10 ** 101)),   # values past the float range
     ])
     def test_seed_never_raises(self, coeffs, bracket):
         p = PolyCoeffs(coeffs)
         assert largest_real_root(p, bracket) == bisect_root(p, bracket)
-
-    def test_seed_from_an_end_past_the_floats(self):
-        # hi = 10**400 / 3 overflows a float; bisection from there would too, so
-        # only the seed is asked
-        assert poly._newton_bracket([-2, 0, 1], 0, 10 ** 400, 3, -18) is None
-
-    def test_seed_strictly_inside_the_bracket(self):
-        # the root 1 sits 1 ulp above the bracket's lower end, so the
-        # seeded bracket would leave the caller's and is not used
-        lo = math.nextafter(1.0, 0.0)
-        lo_num, den = lo.as_integer_ratio()
-        p = PolyCoeffs((-1, 1))
-        assert poly._newton_bracket([-1, 1], lo_num, 2 * den, den, lo_num - den) is None
-        assert largest_real_root(p, (lo, 2.0)) == 1.0
 
 
 class TestPublicNames:

@@ -32,7 +32,14 @@ from qspan import (
     subgraph_monotonicity_fuzz,
 )
 from qspan import extremal, graph_core, spectral, trees, verify
-from qspan.extremal import ExtremalParams, family_char_coeffs, family_quotient, family_root, spectral_threshold
+from qspan.extremal import (
+    ExtremalParams,
+    family_bracket,
+    family_char_coeffs,
+    family_quotient,
+    family_root,
+    spectral_threshold,
+)
 from qspan.poly import exact_char_polys
 from qspan.spectral import q_matrices, spectral_radii
 from qspan.verify import (
@@ -565,12 +572,30 @@ class TestPointChecks:
         ]
 
     @pytest.mark.parametrize("k, m, n, s", [(3, 3, 7, 2), (4, 5, 17, 4), (7, 8, 50, 7)])
-    def test_separation_fails_when_root_reaches_qstar(self, monkeypatch, k, m, n, s):
+    def test_separation_fails_on_a_concave_difference_factor(self, monkeypatch, k, m, n, s):
         p = ExtremalParams(k, m, n, s)
         assert point_checks(p)["separation"]
-        qstar = spectral_threshold(k, m, n)
-        monkeypatch.setattr(verify, "family_root", lambda _: qstar)
+        coeffs = verify.difference_factor_coeffs
+        monkeypatch.setattr(verify, "difference_factor_coeffs", lambda q: coeffs(q)[:2] + (-1,))
         assert point_checks(p)["separation"] is False
+
+    @pytest.mark.parametrize("k, m, n, s", [(3, 3, 7, 2), (4, 5, 17, 4), (7, 8, 50, 7)])
+    def test_separation_fails_on_a_zero_at_the_upper_end(self, monkeypatch, k, m, n, s):
+        p = ExtremalParams(k, m, n, s)
+        assert point_checks(p)["separation"]
+        factor, hi = verify.difference_factor, family_bracket(p)[1]
+        monkeypatch.setattr(verify, "difference_factor", lambda x, q: 0 if x == hi else factor(x, q))
+        assert point_checks(p)["separation"] is False
+
+    def test_sweep_computes_no_root(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a root was computed")
+
+        monkeypatch.setattr(extremal, "largest_real_root", refused)
+        with pytest.raises(AssertionError):
+            extremal.family_root(ExtremalParams(3, 3, 7, 2))
+        rep = separation_sweep()
+        assert len(rep.points) == 135 and rep.failures == []
 
     @pytest.mark.parametrize("k, m, n, s", [(3, 3, 7, 1), (3, 3, 7, 2), (5, 4, 20, 3)])
     def test_join_chain_fails_on_a_wrong_edge(self, monkeypatch, k, m, n, s):
@@ -1037,8 +1062,12 @@ class TestMonotonicityFuzz:
         rep = subgraph_monotonicity_fuzz(trials=3000, seed=1)
         assert (rep.equal_pairs, rep.strict_checks, rep.violations, rep.strict_failures) == (
             1427, 400, [], [])
-        shapes = {(g.m, g.n, x) for g, h in verify._fuzz_pairs(3000, seed=1) for x in (g.adj, h.adj)}
-        assert sum(solved) == len(shapes) == 3317
+        # only the pairs with H != G are compared, so only they are solved;
+        # 13 shapes at seed 1, every (1, n) and (m, 1), have no such pair
+        shapes = {(g.m, g.n, x) for g, h in verify._fuzz_pairs(3000, seed=1) if h.adj != g.adj
+                  for x in (g.adj, h.adj)}
+        assert sum(solved) == len(shapes) == 2907
+        assert len(solved) == 48 - 13 and min(solved) > 0
 
     @pytest.mark.parametrize("seed", [1, 5, 8])
     def test_certificates_agree_with_bareiss_oracle(self, seed, monkeypatch):
