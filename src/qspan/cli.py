@@ -27,6 +27,7 @@ from .extremal import (
 )
 from .graph_core import (
     DegreeDemand,
+    _decimal,
     format_graph,
     read_demands,
     read_graph,
@@ -85,6 +86,13 @@ def emit_json(report: dict) -> str:
     return _emit(report, 0)
 
 
+def integer(text: str) -> int:
+    """An option's integer, ASCII -?[0-9]+ as in the input files: int() alone
+    would also read 1_0, +3, ' 3 ' and non-ASCII digits."""
+    _decimal(text)
+    return int(text)
+
+
 def _load_demand(args, m: int) -> DegreeDemand:
     if args.k is not None:
         return DegreeDemand.uniform(m, args.k)
@@ -133,9 +141,10 @@ def _cmd_check_tree(args) -> int:
 def _cmd_extremal(args) -> int:
     p = ExtremalParams(args.k, args.m, args.n, args.s)
     g = build_family(p)
-    qm = family_quotient(p)
-    coeffs = family_char_coeffs(p)
-    q1 = family_root(p)
+    mnsr = (p.m, p.n, p.s, p.r)
+    qm = family_quotient(*mnsr)
+    coeffs = family_char_coeffs(*mnsr)
+    q1 = family_root(*mnsr)
     qstar = spectral_threshold(p.k, p.m, p.n)
     checks = verify.point_checks(p)
 
@@ -194,12 +203,9 @@ def _cmd_verify_theorem(args) -> int:
 def _parse_range(text: str, name: str) -> tuple[int, int]:
     parts = text.split("..")
     try:
-        if len(parts) == 1:
-            lo = hi = int(parts[0])
-        elif len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-        else:
+        if len(parts) > 2:
             raise ValueError
+        lo, hi = integer(parts[0]), integer(parts[-1])
     except ValueError:
         raise InputError(f"{name}: expected A..B or a single integer, got {text!r}") from None
     if lo > hi:
@@ -252,23 +258,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-tree", help="decide demanded spanning tree feasibility")
     p.add_argument("graph", help="graph file")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--k", type=int, help="uniform demand for every A-vertex")
+    group.add_argument("--k", type=integer, help="uniform demand for every A-vertex")
     group.add_argument("--f", help="demand file, one integer >= 2 per line, m lines")
     p.set_defaults(func=_cmd_check_tree)
 
     p = sub.add_parser("extremal", help="build a family member and report its data")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--k", type=integer, required=True)
+    p.add_argument("--m", type=integer, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--s", type=integer, required=True)
     p.add_argument("--out", help="write the graph file here instead of inlining it")
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("verify-theorem", help="exhaustive threshold census at one point")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--k", type=integer, required=True)
+    p.add_argument("--m", type=integer, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--jobs", type=integer, default=None,
                    help="accepted for compatibility and ignored; must be >= 1")
     p.set_defaults(func=_cmd_verify_theorem)
 
@@ -277,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-range", default="3..5", help="A..B inclusive (default 3..5)")
     p.add_argument("--n-extra", default="1..5",
                    help="offsets added to (k-1)*m; 0 is the expected boundary (default 1..5)")
-    p.add_argument("--seed", type=int, default=0, help="only echoed in the report's grid")
+    p.add_argument("--seed", type=integer, default=0, help="only echoed in the report's grid")
     p.set_defaults(func=_cmd_proof_sweep)
 
     return parser

@@ -7,10 +7,12 @@ unique bound-attaining graph: it has spectral radius equal to the threshold
 yet no spanning tree with all A-degrees >= k, because its single low-degree
 A-vertex has only k-1 neighbors.
 
-All polynomial data (quotient matrix, characteristic coefficients, the
-difference factor and its endpoint quadratics) is produced in exact integer
-arithmetic so the verification module can assert identities with zero
-tolerance; the threshold is the correctly rounded root of the s=1 quartic.
+ExtremalParams validates (k, m, n, s) and alone computes r = (k-1)s. The
+member's rows, quotient, quartic, bracket and root take plain (m, n, s, r), so
+any join(K_{s,r}, K_{m-s,n-r}) can be named, the runner-up (m, n, 1, k-2) too;
+the separation data takes (k, m, n, s). Every closed form uses only +, - and *:
+exact on ints, and checked on symbols as polynomial identities. The threshold
+is the correctly rounded root of the s=1 quartic.
 """
 
 from __future__ import annotations
@@ -69,18 +71,17 @@ def extremal_graph(k: int, m: int, n: int) -> BipartiteGraph:
     return build_family(ExtremalParams(k, m, n, 1))
 
 
-def family_rows(p: ExtremalParams) -> tuple[int, ...]:
-    """The member's adjacency rows in closed form: s rows 2^r - 1 (the sparse
-    A-side sees the joined B-side), then m - s rows 2^n - 1."""
-    return ((1 << p.r) - 1,) * p.s + ((1 << p.n) - 1,) * (p.m - p.s)
+def family_rows(m: int, n: int, s: int, r: int) -> tuple[int, ...]:
+    """The adjacency rows of join(K_{s,r}, K_{m-s,n-r}) in closed form: s rows
+    2^r - 1 (the sparse A-side sees the joined B-side), then m - s rows 2^n - 1."""
+    return ((1 << r) - 1,) * s + ((1 << n) - 1,) * (m - s)
 
 
-def family_quotient(p: ExtremalParams) -> tuple[tuple[int, ...], ...]:
-    """Closed-form 4x4 quotient matrix of Q, as int rows, over the member's
-    equitable blocks: A-vertices 0..s-1 (sparse) and s..m-1 (dense), B-vertices
-    0..r-1 (joined) and r..n-1. The test suite checks it and family_rows
-    against build_family(p) at every point of a grid."""
-    m, n, s, r = p.m, p.n, p.s, p.r
+def family_quotient(m: int, n: int, s: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """Closed-form 4x4 quotient matrix of Q over the blocks of
+    join(K_{s,r}, K_{m-s,n-r}): A-vertices 0..s-1 (sparse) and s..m-1 (dense),
+    B-vertices 0..r-1 (joined) and r..n-1. The test suite checks it and
+    family_rows against the built graph at every point of a grid."""
     return (
         (r, 0, r, 0),
         (0, n, r, n - r),
@@ -89,25 +90,18 @@ def family_quotient(p: ExtremalParams) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def family_char_coeffs(p: ExtremalParams) -> PolyCoeffs:
+def family_char_coeffs(m: int, n: int, s: int, r: int) -> PolyCoeffs:
     """Exact characteristic polynomial of the family quotient, ascending.
 
     Degree four, monic, zero constant term (the quotient is singular).
     """
-    k, m, n, s = p.k, p.m, p.n, p.s
-    c3 = -(2 * m + n + k * s - 2 * s)
-    c2 = (
-        m * m + m * n + 2 * k * m * s + k * n * s
-        - 3 * m * s - n * s - 2 * k * s * s + 2 * s * s
-    )
-    c1 = (
-        k * m * s * s - m * s * s + k * n * s * s - n * s * s
-        - k * m * m * s + m * m * s - k * m * n * s + m * n * s
-    )
+    c3 = -(2 * m + n + r - s)
+    c2 = m * m + m * n + 2 * m * r - m * s + n * r - 2 * r * s
+    c1 = -r * (m - s) * (m + n)
     return PolyCoeffs((0, c1, c2, c3, 1))
 
 
-def difference_factor_coeffs(p: ExtremalParams) -> tuple[int, int, int]:
+def difference_factor_coeffs(k: int, m: int, n: int, s: int) -> tuple[int, int, int]:
     """Ascending coefficients (d0, d1, d2) of the quadratic factor in
 
         charpoly(s=1)(x) - charpoly(s)(x) = x * (s - 1) * (d2*x**2 + d1*x + d0).
@@ -115,51 +109,46 @@ def difference_factor_coeffs(p: ExtremalParams) -> tuple[int, int, int]:
     Its sign at the root bracket endpoints is what separates every s >= 2
     member strictly below the threshold.
     """
-    k, m, n, s = p.k, p.m, p.n, p.s
-    d2 = k - 2
-    d1 = -(2 * k * m + k * n - 3 * m - n - 2 * k * s - 2 * k + 2 * s + 2)
-    d0 = (
-        -k * m * s - k * m + m * s + m
-        - k * n * s - k * n + n * s + n
-        + k * m * m - m * m + k * m * n - m * n
-    )
-    return (d0, d1, d2)
+    d0 = (k - 1) * (m + n) * (m - s - 1)
+    d1 = m - (k - 1) * (2 * m + n - 2 * s - 2)
+    return (d0, d1, k - 2)
 
 
-def difference_factor(x, p: ExtremalParams):
+def difference_factor(x, k: int, m: int, n: int, s: int):
     """Evaluate the separation quadratic at x; exact for exact x."""
-    d0, d1, d2 = difference_factor_coeffs(p)
+    d0, d1, d2 = difference_factor_coeffs(k, m, n, s)
     return (d2 * x + d1) * x + d0
 
 
-def lower_endpoint_quadratic(s: int, k: int, m: int, n: int) -> int:
+def lower_endpoint_quadratic(k: int, m: int, n: int, s: int) -> int:
     """Quadratic in s controlling the separation sign at the lower bracket
     endpoint x = m + (k-1)s: the difference factor there equals (k-1) times
     this value."""
     return k * (k - 1) * s * s - (k * n - 2 * k + 2) * s + m - n
 
 
-def upper_endpoint_quadratic(n: int, k: int, m: int) -> int:
+def upper_endpoint_quadratic(k: int, m: int, n: int) -> int:
     """Quadratic in n bounding the difference factor at the upper bracket
-    endpoint x = m + n from above; it vanishes at n = (k-1)m and is negative
-    beyond, which is exactly the parameter hypothesis."""
-    return -n * n + (k * m - 2 * m) * n + k * m * m - m * m
+    endpoint x = m + n from above, by (k-1)(m+n)(m-s-1) >= 0; it vanishes at
+    n = (k-1)m and is negative beyond, which is exactly the parameter
+    hypothesis."""
+    return (m + n) * ((k - 1) * m - n)
 
 
-def family_bracket(p: ExtremalParams) -> tuple[int, int]:
-    """Integer interval (m + (k-1)s, m + n) isolating the largest quotient root.
+def family_bracket(m: int, n: int, s: int, r: int) -> tuple[int, int]:
+    """Integer interval (m + r, m + n) isolating the largest quotient root.
 
     The lower endpoint is the spectral radius of the sparse factor's
     complete graph, the upper the spectral radius of K_{m,n}; both bound the
     family member strictly.
     """
-    return (p.m + p.r, p.m + p.n)
+    return (m + r, m + n)
 
 
-def family_root(p: ExtremalParams) -> float:
+def family_root(m: int, n: int, s: int, r: int) -> float:
     """Largest root of the family's quotient polynomial, correctly rounded:
     the member's signless Laplacian spectral radius."""
-    return largest_real_root(family_char_coeffs(p), family_bracket(p))
+    return largest_real_root(family_char_coeffs(m, n, s, r), family_bracket(m, n, s, r))
 
 
 def spectral_threshold(k: int, m: int, n: int) -> float:
@@ -169,4 +158,5 @@ def spectral_threshold(k: int, m: int, n: int) -> float:
     spectral radius reaches this value has a spanning tree with every
     A-degree >= k, except the extremal graph itself.
     """
-    return family_root(ExtremalParams(k, m, n, 1))
+    p = ExtremalParams(k, m, n, 1)
+    return family_root(p.m, p.n, p.s, p.r)

@@ -327,10 +327,11 @@ def certify_threshold(k: int, m: int, n: int) -> TheoremReport:
     """
     stats = scan_stats(k, m, n)
     p1 = ExtremalParams(k, m, n, 1)
+    star = (p1.m, p1.n, p1.s, p1.r)
     gstar = extremal_graph(k, m, n)
     gstar_infeasible = is_violation(gstar, DegreeDemand.uniform(m, k), (0,))
-    gstar_attains = (gstar.adj == family_rows(p1)
-                     and exact_char_poly(family_quotient(p1)) == family_char_coeffs(p1))
+    gstar_attains = (gstar.adj == family_rows(*star)
+                     and exact_char_poly(family_quotient(*star)) == family_char_coeffs(*star))
     counterexamples = [{"mask": mask, "edges": [list(e) for e in to_edge_list(_graph_from_mask(mask, m, n))]}
                        for mask in stats.counterexample_masks]
     extremal_found = bool(stats.extremal_copies) and gstar_infeasible and gstar_attains
@@ -357,9 +358,10 @@ SWEEP_ORDER_CAP = 64      # separation_sweep: family order m + n at most this
 def point_checks(p: ExtremalParams, quotient_poly=None) -> dict:
     """All identity and inequality checks for one parameter point.
 
-    Every check is an exact sign or identity; no root is computed.
+    Every check is an exact sign or identity; no root is computed. The
+    closed forms get p's (m, n, s, r), and p_1 is the quartic at (m, n, 1, k-1).
     coeff_identity compares the closed-form quartic p_s with quotient_poly,
-    the characteristic polynomial of family_quotient(p), computed here if not
+    the characteristic polynomial of family_quotient, computed here if not
     given (separation_sweep gives it from one batch). ordering asks that p_s
     change sign on the bracket (lo, hi), which holds its root q_s. At s = 1
     separation asks that the two quartics coincide; for s >= 2 it asks for
@@ -373,32 +375,32 @@ def point_checks(p: ExtremalParams, quotient_poly=None) -> dict:
     """
     if p.m + p.n > DENSE_CAP:
         raise CapacityError(f"order {p.m + p.n} exceeds dense cap {DENSE_CAP}")
-    k, m, n, s = p.k, p.m, p.n, p.s
-    lo, hi = family_bracket(p)
-    fam = family_char_coeffs(p)
+    k, m, n, s, r = p.k, p.m, p.n, p.s, p.r
+    lo, hi = family_bracket(m, n, s, r)
+    fam = family_char_coeffs(m, n, s, r)
     checks = {}
 
     if quotient_poly is None:
-        quotient_poly = exact_char_poly(family_quotient(p))
+        quotient_poly = exact_char_poly(family_quotient(m, n, s, r))
     checks["coeff_identity"] = quotient_poly.coeffs == fam.coeffs
 
-    base = family_char_coeffs(ExtremalParams(k, m, n, 1))
-    d0, d1, d2 = difference_factor_coeffs(p)
+    base = family_char_coeffs(m, n, 1, k - 1)
+    d0, d1, d2 = difference_factor_coeffs(k, m, n, s)
     expected = (0, (s - 1) * d0, (s - 1) * d1, (s - 1) * d2, 0)
     diff = tuple(bc - fc for bc, fc in zip(base.coeffs, fam.coeffs))
     checks["difference_identity"] = diff == expected
 
-    psi_hi = difference_factor(hi, p)
-    fn = upper_endpoint_quadratic(n, k, m)
+    psi_hi = difference_factor(hi, k, m, n, s)
+    fn = upper_endpoint_quadratic(k, m, n)
     checks["upper_endpoint_negative"] = psi_hi <= fn < 0
 
-    psi_lo = difference_factor(lo, p)
-    hs = lower_endpoint_quadratic(s, k, m, n)
+    psi_lo = difference_factor(lo, k, m, n, s)
+    hs = lower_endpoint_quadratic(k, m, n, s)
     checks["lower_endpoint_identity"] = psi_lo == (k - 1) * hs
     checks["lower_endpoint_negative"] = (
         psi_lo < 0
-        and lower_endpoint_quadratic(2, k, m, n) < 0
-        and lower_endpoint_quadratic(m - 1, k, m, n) < 0
+        and lower_endpoint_quadratic(k, m, n, 2) < 0
+        and lower_endpoint_quadratic(k, m, n, m - 1) < 0
     )
 
     checks["ordering"] = fam.evaluate(lo) < 0 < fam.evaluate(hi)
@@ -408,7 +410,7 @@ def point_checks(p: ExtremalParams, quotient_poly=None) -> dict:
     else:
         checks["separation"] = diff == expected and d2 >= 0 and psi_lo < 0 and psi_hi < 0
 
-    checks["join_chain"] = build_family(p).adj == family_rows(p)
+    checks["join_chain"] = build_family(p).adj == family_rows(m, n, s, r)
     return checks
 
 
@@ -452,13 +454,13 @@ def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0)
 
     interior = [ExtremalParams(k, m, (k - 1) * m + extra, s)
                 for k, m, extra in grid_points if extra for s in range(1, m)]
-    batch = zip(interior, exact_char_polys([family_quotient(p) for p in interior]))
+    batch = zip(interior, exact_char_polys([family_quotient(p.m, p.n, p.s, p.r) for p in interior]))
     points = []
     failures = []
     for k, m, extra in grid_points:
         n = (k - 1) * m + extra
         if extra == 0:
-            ok = upper_endpoint_quadratic(n, k, m) == 0
+            ok = upper_endpoint_quadratic(k, m, n) == 0
             point = {
                 "k": k, "m": m, "n": n,
                 "expected_boundary": True,

@@ -68,7 +68,7 @@ def test_criterion_2_quotient_matches_eigensolve():
     worst = 0.0
     for k, m, n, s in GRID:
         p = ExtremalParams(k, m, n, s)
-        root = family_root(p)
+        root = family_root(m, n, s, p.r)
         (value,), _ = spectral_radii(signless_laplacian(build_family(p))[None])
         worst = max(worst, abs(root - value))
     elapsed = time.time() - t0
@@ -79,22 +79,21 @@ def test_criterion_2_quotient_matches_eigensolve():
 def test_criterion_3_exact_coefficient_identity():
     bad = 0
     for k, m, n, s in GRID:
-        p = ExtremalParams(k, m, n, s)
-        formula = family_char_coeffs(p).coeffs
-        determinant = exact_char_poly(family_quotient(p)).coeffs
+        r = ExtremalParams(k, m, n, s).r
+        formula = family_char_coeffs(m, n, s, r).coeffs
+        determinant = exact_char_poly(family_quotient(m, n, s, r)).coeffs
         if formula != determinant:
             bad += 1
             continue
-        p1 = ExtremalParams(k, m, n, 1)
         diff = [
             a - b
-            for a, b in zip(family_char_coeffs(p1).coeffs, formula)
+            for a, b in zip(family_char_coeffs(m, n, 1, k - 1).coeffs, formula)
         ]
-        d0, d1, d2 = difference_factor_coeffs(p)
+        d0, d1, d2 = difference_factor_coeffs(k, m, n, s)
         want = [Fraction(0), (s - 1) * d0, (s - 1) * d1, (s - 1) * d2, Fraction(0)]
         if diff != want:
             bad += 1
-    printed = family_char_coeffs(ExtremalParams(3, 3, 7, 1)).coeffs
+    printed = family_char_coeffs(3, 7, 1, 2).coeffs
     expected = (Fraction(0), Fraction(-40), Fraction(49), Fraction(-14), Fraction(1))
     ok = bad == 0 and printed == expected
     report(3, ok, f"{len(GRID)} points exact, {bad} mismatches, s=1 printout matches")
@@ -104,20 +103,19 @@ def test_criterion_4_proof_inequalities_exact():
     bad = []
     for k in (3, 4, 5):
         for m in (3, 4, 5):
-            if upper_endpoint_quadratic((k - 1) * m, k, m) != 0:
+            if upper_endpoint_quadratic(k, m, (k - 1) * m) != 0:
                 bad.append(("f-zero", k, m))
     for k, m, n, s in GRID:
-        p = ExtremalParams(k, m, n, s)
-        if not upper_endpoint_quadratic(n, k, m) < 0:
+        if not upper_endpoint_quadratic(k, m, n) < 0:
             bad.append(("f-neg", k, m, n))
-        if not lower_endpoint_quadratic(2, k, m, n) < 0:
+        if not lower_endpoint_quadratic(k, m, n, 2) < 0:
             bad.append(("h2", k, m, n))
-        if not lower_endpoint_quadratic(m - 1, k, m, n) < 0:
+        if not lower_endpoint_quadratic(k, m, n, m - 1) < 0:
             bad.append(("hm1", k, m, n))
-        if not difference_factor(Fraction(m + n), p) < 0:
+        if not difference_factor(Fraction(m + n), k, m, n, s) < 0:
             bad.append(("psi-top", k, m, n, s))
-        at_lower = difference_factor(Fraction(m + (k - 1) * s), p)
-        if at_lower != (k - 1) * lower_endpoint_quadratic(s, k, m, n):
+        at_lower = difference_factor(Fraction(m + (k - 1) * s), k, m, n, s)
+        if at_lower != (k - 1) * lower_endpoint_quadratic(k, m, n, s):
             bad.append(("psi-h-identity", k, m, n, s))
         if not at_lower < 0:
             bad.append(("psi-lower", k, m, n, s))
@@ -128,12 +126,12 @@ def test_criterion_5_ordering_and_separation():
     bad = []
     for k, m, n, s in GRID:
         p = ExtremalParams(k, m, n, s)
-        phi = family_char_coeffs(p)
+        phi = family_char_coeffs(m, n, s, p.r)
         lo, hi = m + (k - 1) * s, m + n
         # exact signs bracket the root strictly between the endpoints
         if not (phi.evaluate(Fraction(lo)) < 0 and phi.evaluate(Fraction(hi)) > 0):
             bad.append(("bracket-sign", k, m, n, s))
-        q1 = family_root(p)
+        q1 = family_root(m, n, s, p.r)
         if not (lo < q1 < hi):
             bad.append(("root-window", k, m, n, s))
         qstar = spectral_threshold(k, m, n)

@@ -425,6 +425,23 @@ class TestArgparseBehaviour:
         assert main([]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, option", [
+        (["proof-sweep", "--k-range", "1_0..10", "--m-range", "3", "--n-extra", "1"], "--k-range"),
+        (["proof-sweep", "--m-range", "+3"], "--m-range"),
+        (["proof-sweep", "--n-extra", "1.. 2"], "--n-extra"),
+        (["proof-sweep", "--seed", " 3 "], "--seed"),
+        (["extremal", "--k", "٣", "--m", "3", "--n", "7", "--s", "1"], "--k"),   # Arabic-Indic 3
+        (["extremal", "--k", "3", "--m", "3", "--n", "7", "--s", "1_0"], "--s"),
+        (["verify-theorem", "--k", "3", "--m", "+3", "--n", "7"], "--m"),
+        (["verify-theorem", "--k", "3", "--m", "3", "--n", "7", "--jobs", "1_0"], "--jobs"),
+        (["check-tree", "K37", "--k", "３"], "--k"),   # fullwidth 3
+    ])
+    def test_integers_are_ascii_decimals(self, argv, option, k37, capsys):
+        # int() reads all of these; options take only ASCII -?[0-9]+, as the input files do
+        assert main([k37 if a == "K37" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert f"{option}:" in captured.err and captured.out == ""
+
     def test_parser_built_once_and_reused(self, k37, capsys):
         runs = [["check-tree", k37, "--k", "3"], ["check-tree", k37], ["bogus"],
                 ["check-tree", k37, "--k", "3"]]

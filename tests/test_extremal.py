@@ -131,7 +131,7 @@ class TestBuildFamily:
 
 class TestQuotient:
     def test_printed_example_s1(self):
-        qm = family_quotient(ExtremalParams(3, 3, 7, 1))
+        qm = family_quotient(3, 7, 1, 2)
         assert qm == (
             (2, 0, 2, 0),
             (0, 7, 2, 5),
@@ -141,7 +141,7 @@ class TestQuotient:
         assert all(type(x) is int for row in qm for x in row)
 
     def test_printed_example_s2(self):
-        qm = family_quotient(ExtremalParams(3, 3, 7, 2))
+        qm = family_quotient(3, 7, 2, 4)
         assert qm == (
             (4, 0, 4, 0),
             (0, 7, 4, 3),
@@ -155,13 +155,13 @@ class TestQuotient:
             p = ExtremalParams(k, m, n, s)
             g = build_family(p)
             blocks = [range(0, s), range(s, m), range(m, m + p.r), range(m + p.r, m + n)]
-            assert quotient(g, blocks) == (family_quotient(p), True)
-            assert g.adj == family_rows(p)
+            assert quotient(g, blocks) == (family_quotient(m, n, s, p.r), True)
+            assert g.adj == family_rows(m, n, s, p.r)
 
 
 class TestCharPoly:
     def test_printed_example(self):
-        c = family_char_coeffs(ExtremalParams(3, 3, 7, 1))
+        c = family_char_coeffs(3, 7, 1, 2)
         assert c.coeffs == (
             Fraction(0),
             Fraction(-40),
@@ -172,21 +172,19 @@ class TestCharPoly:
 
     def test_formula_matches_determinant(self):
         for k, m, n, s in GRID:
-            p = ExtremalParams(k, m, n, s)
-            assert family_char_coeffs(p).coeffs == exact_char_poly(family_quotient(p)).coeffs
+            r = ExtremalParams(k, m, n, s).r
+            assert family_char_coeffs(m, n, s, r).coeffs == exact_char_poly(family_quotient(m, n, s, r)).coeffs
 
     def test_difference_factorisation(self):
         # phi at s=1 minus phi at s equals x (s-1) psi(x), coefficientwise
         for k, m, n, s in GRID:
-            p = ExtremalParams(k, m, n, s)
-            p1 = ExtremalParams(k, m, n, 1)
             lhs = [
                 a - b
                 for a, b in zip(
-                    family_char_coeffs(p1).coeffs, family_char_coeffs(p).coeffs
+                    family_char_coeffs(m, n, 1, k - 1).coeffs, family_char_coeffs(m, n, s, (k - 1) * s).coeffs
                 )
             ]
-            d0, d1, d2 = difference_factor_coeffs(p)
+            d0, d1, d2 = difference_factor_coeffs(k, m, n, s)
             rhs = [
                 Fraction(0),
                 (s - 1) * d0,
@@ -197,64 +195,60 @@ class TestCharPoly:
             assert lhs == rhs
 
     def test_difference_factor_evaluates(self):
-        p = ExtremalParams(3, 4, 9, 2)
-        d0, d1, d2 = difference_factor_coeffs(p)
+        d0, d1, d2 = difference_factor_coeffs(3, 4, 9, 2)
         x = Fraction(7, 2)
-        assert difference_factor(x, p) == d0 + d1 * x + d2 * x * x
+        assert difference_factor(x, 3, 4, 9, 2) == d0 + d1 * x + d2 * x * x
 
     def test_difference_identity_at_random_points(self):
         import random
 
         rng = random.Random(17)
         for k, m, n, s in [(3, 3, 7, 2), (4, 4, 14, 3), (5, 5, 22, 4)]:
-            p = ExtremalParams(k, m, n, s)
-            phi1 = family_char_coeffs(ExtremalParams(k, m, n, 1))
-            phis = family_char_coeffs(p)
+            phi1 = family_char_coeffs(m, n, 1, k - 1)
+            phis = family_char_coeffs(m, n, s, (k - 1) * s)
             for _ in range(20):
                 x = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
                 lhs = phi1.evaluate(x) - phis.evaluate(x)
-                assert lhs == x * (s - 1) * difference_factor(x, p)
+                assert lhs == x * (s - 1) * difference_factor(x, k, m, n, s)
 
     def test_factor_negative_at_root_for_s2(self):
         # the factored term is negative at the family root whenever s >= 2
         for k, m, n, s in GRID:
             if s < 2:
                 continue
-            p = ExtremalParams(k, m, n, s)
-            assert difference_factor(family_root(p), p) < 0
+            assert difference_factor(family_root(m, n, s, (k - 1) * s), k, m, n, s) < 0
 
 
 class TestEndpointQuadratics:
     def test_upper_zero_at_boundary(self):
         for k in (3, 4, 5):
             for m in (3, 4, 5):
-                assert upper_endpoint_quadratic((k - 1) * m, k, m) == 0
+                assert upper_endpoint_quadratic(k, m, (k - 1) * m) == 0
 
     def test_upper_negative_beyond(self):
         for k, m, n, _ in GRID:
-            assert upper_endpoint_quadratic(n, k, m) < 0
+            assert upper_endpoint_quadratic(k, m, n) < 0
 
     def test_lower_hand_value(self):
         # k=3, m=3, n=7, s=2: h(s) = k(k-1)s^2 - (kn-2k+2)s + m - n
-        assert lower_endpoint_quadratic(2, 3, 3, 7) == 6 * 4 - 17 * 2 + 3 - 7
-        assert lower_endpoint_quadratic(1, 3, 3, 7) == 6 - 17 - 4
+        assert lower_endpoint_quadratic(3, 3, 7, 2) == 6 * 4 - 17 * 2 + 3 - 7
+        assert lower_endpoint_quadratic(3, 3, 7, 1) == 6 - 17 - 4
 
     def test_lower_negative_on_grid(self):
         for k, m, n, s in GRID:
-            assert lower_endpoint_quadratic(s, k, m, n) < 0
+            assert lower_endpoint_quadratic(k, m, n, s) < 0
 
 
 class TestRoots:
     def test_root_in_printed_interval(self):
-        root = family_root(ExtremalParams(3, 3, 7, 1))
+        root = family_root(3, 7, 1, 2)
         assert 9.0 < root < 9.2
         assert root == pytest.approx(9.09692409559706, abs=1e-10)
 
     def test_bracket_contains_root(self):
         for k, m, n, s in GRID:
-            p = ExtremalParams(k, m, n, s)
-            lo, hi = family_bracket(p)
-            root = family_root(p)
+            lo, hi = family_bracket(m, n, s, (k - 1) * s)
+            root = family_root(m, n, s, (k - 1) * s)
             assert lo < root < hi
             assert m + (k - 1) * s - 1e-6 < root < m + n + 1e-6
 
@@ -262,19 +256,17 @@ class TestRoots:
         for k, m, n, s in [(3, 3, 7, 1), (3, 3, 7, 2), (4, 4, 13, 3), (5, 5, 21, 1)]:
             p = ExtremalParams(k, m, n, s)
             (value,), _ = spectral_radii(signless_laplacian(build_family(p))[None])
-            assert family_root(p) == pytest.approx(value, abs=1e-8)
+            assert family_root(m, n, s, p.r) == pytest.approx(value, abs=1e-8)
 
     def test_threshold_is_s1_root(self):
         for k, m, n in [(3, 3, 7), (4, 5, 18), (5, 4, 20)]:
-            assert spectral_threshold(k, m, n) == family_root(
-                ExtremalParams(k, m, n, 1)
-            )
+            assert spectral_threshold(k, m, n) == family_root(m, n, 1, k - 1)
 
     def test_root_against_eig_oracle(self):
         p = ExtremalParams(4, 5, 17, 2)
         mtx = signless_laplacian(build_family(p))
         oracle = float(np.linalg.eigvalsh(mtx)[-1])
-        assert family_root(p) == pytest.approx(oracle, abs=1e-8)
+        assert family_root(5, 17, 2, 6) == pytest.approx(oracle, abs=1e-8)
 
 
 class TestExtremalCopies:
@@ -291,3 +283,55 @@ class TestExtremalCopies:
         g1 = build_family(ExtremalParams(3, 3, 7, 1))
         g2 = build_family(ExtremalParams(3, 3, 7, 2))
         assert not part_preserving_isomorphic(g1, g2)
+
+
+class TestRunnerUp:
+    """The member (m, n, 1, k-2): G* less one edge of its sparse A-vertex,
+    join(K_{1,k-2}, K_{m-1,n-k+2}). No admissible (k, m, n, s) names it."""
+
+    def test_closed_forms_match_the_built_graph(self):
+        points = {(k, m, n) for k, m, n, _ in GRID}
+        for k, m, n in sorted(points):
+            g = join(complete_bipartite(1, k - 2), complete_bipartite(m - 1, n - k + 2))
+            entries, equitable = quotient(g, [range(1), range(1, m), range(m, m + k - 2), range(m + k - 2, m + n)])
+            assert g.adj == family_rows(m, n, 1, k - 2)
+            assert (entries, equitable) == (family_quotient(m, n, 1, k - 2), True)
+            assert exact_char_poly(entries) == family_char_coeffs(m, n, 1, k - 2)
+        assert len(points) == 45
+
+
+class TestSymbolic:
+    """The closed forms as polynomial identities: each uses only +, - and *,
+    so it runs on sympy symbols unchanged."""
+
+    @pytest.fixture(scope="class")
+    def sym(self):
+        sympy = pytest.importorskip("sympy")
+        return sympy, sympy.symbols("x k m n s r")
+
+    def test_quartic_is_the_quotient_char_poly(self, sym):
+        sympy, (x, _, m, n, s, r) = sym
+        det = sympy.Matrix(family_quotient(m, n, s, r)).charpoly(x).as_expr()
+        assert sympy.expand(family_char_coeffs(m, n, s, r).evaluate(x) - det) == 0
+
+    def test_separation_identities(self, sym):
+        sympy, (x, k, m, n, s, _) = sym
+        p1 = family_char_coeffs(m, n, 1, k - 1).evaluate(x)
+        ps = family_char_coeffs(m, n, s, (k - 1) * s).evaluate(x)
+        psi = difference_factor(x, k, m, n, s)
+        upper = upper_endpoint_quadratic(k, m, n)
+        for zero in (
+            p1 - ps - x * (s - 1) * psi,
+            psi.subs(x, m + (k - 1) * s) - (k - 1) * lower_endpoint_quadratic(k, m, n, s),
+            psi.subs(x, m + n) - upper - (k - 1) * (m + n) * (s + 1 - m),
+            upper - (m + n) * ((k - 1) * m - n),
+            upper - (-n * n + (k - 2) * m * n + (k - 1) * m * m),
+        ):
+            assert sympy.expand(zero) == 0, zero
+
+    def test_runner_up_difference(self, sym):
+        # p_{1,k-1} - p_{1,k-2} = -x phi(x): k cancels
+        sympy, (x, k, m, n, _, _) = sym
+        phi = x * x - (2 * m + n - 2) * x + (m - 1) * (m + n)
+        diff = family_char_coeffs(m, n, 1, k - 1).evaluate(x) - family_char_coeffs(m, n, 1, k - 2).evaluate(x)
+        assert sympy.expand(diff + x * phi) == 0

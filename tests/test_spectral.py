@@ -313,7 +313,7 @@ class TestQuotientMatrix:
         p = ExtremalParams(3, 3, 7, 1)
         entries, equitable = quotient(build_family(p), [[0], [1, 2], [3, 4], range(5, 10)])
         assert equitable
-        assert entries == family_quotient(p)
+        assert entries == family_quotient(3, 7, 1, 2)
 
     def test_unbalanced_partition_not_equitable(self):
         g = from_edge_list(2, 2, [(0, 0), (0, 1), (1, 1)])
@@ -436,7 +436,7 @@ class TestExactCharPoly:
         # divides the order-10 characteristic polynomial with no remainder
         rows = signless_laplacian(extremal_graph(3, 3, 7)).tolist()
         full = exact_char_poly(rows).coeffs
-        quartic = family_char_coeffs(ExtremalParams(3, 3, 7, 1)).coeffs
+        quartic = family_char_coeffs(3, 7, 1, 2).coeffs
         quotient, remainder = monic_divmod(full, quartic)
         assert len(quotient) == 7
         assert not any(remainder)
@@ -450,7 +450,7 @@ class TestExactCharPoly:
 
 def grid_quotients(k_values, m_values, n_extras):
     """family_quotient at every interior point of a proof-sweep grid, in sweep order."""
-    return [family_quotient(ExtremalParams(k, m, (k - 1) * m + extra, s))
+    return [family_quotient(m, (k - 1) * m + extra, s, (k - 1) * s)
             for k, m, extra in itertools.product(k_values, m_values, n_extras) if extra
             for s in range(1, m)]
 
@@ -615,7 +615,7 @@ def isolated_largest_roots(count, seed):
 
 # the points of the benchmark's proof sweep (k 3..7, m 3..8, n offsets 1..8)
 # that have a root; offset 0 is the boundary, with no root
-SWEEP_POINTS = [ExtremalParams(k, m, (k - 1) * m + extra, s)
+SWEEP_POINTS = [(m, (k - 1) * m + extra, s, (k - 1) * s)
                 for k in range(3, 8) for m in range(3, 9)
                 for extra in range(1, 9) for s in range(1, m)]
 
@@ -629,7 +629,7 @@ class TestExactRoot:
     def test_benchmark_grid_roots_correctly_rounded(self):
         assert len(SWEEP_POINTS) == 1080
         for p in SWEEP_POINTS:
-            assert correctly_rounded(family_char_coeffs(p), family_root(p)), p
+            assert correctly_rounded(family_char_coeffs(*p), family_root(*p)), p
 
     def test_random_polynomials_correctly_rounded(self):
         cases = isolated_largest_roots(200, seed=3)
@@ -699,12 +699,12 @@ class TestSeededRoot:
 
     def test_sweep_roots_match_plain_bisection(self):
         for p in SWEEP_POINTS:
-            assert family_root(p) == bisect_root(family_char_coeffs(p), family_bracket(p)), p
+            assert family_root(*p) == bisect_root(family_char_coeffs(*p), family_bracket(*p)), p
 
     def test_census_thresholds_match_plain_bisection(self):
         for k, m, n in CENSUS_POINTS:
-            p = ExtremalParams(k, m, n, 1)
-            assert spectral_threshold(k, m, n) == bisect_root(family_char_coeffs(p), family_bracket(p))
+            star = (m, n, 1, k - 1)
+            assert spectral_threshold(k, m, n) == bisect_root(family_char_coeffs(*star), family_bracket(*star))
 
     @pytest.mark.parametrize("coeffs, bracket", [
         ((-(10 ** 400), 0, 1), (0, 10 ** 201)),         # a coefficient past the float range

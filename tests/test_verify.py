@@ -187,9 +187,9 @@ def moved_row_gstar(k, m, n):
     return BipartiteGraph(m, n, (g.adj[0] << (n - k + 1),) + g.adj[1:])
 
 
-def quotient_off_by_one(p):
-    """family_quotient(p) with its first entry one too large."""
-    rows = family_quotient(p)
+def quotient_off_by_one(*mnsr):
+    """family_quotient(*mnsr) with its first entry one too large."""
+    rows = family_quotient(*mnsr)
     return ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:]
 
 
@@ -323,7 +323,7 @@ class TestCensusEngine:
         assert certify_threshold(3, 3, 7).extremal_found
         moved = moved_row_gstar(3, 3, 7)
         assert part_preserving_isomorphic(moved, extremal_graph(3, 3, 7))
-        assert moved.adj != extremal.family_rows(ExtremalParams(3, 3, 7, 1))
+        assert moved.adj != extremal.family_rows(3, 7, 1, 2)
         monkeypatch.setattr(verify, name, mutant)
         rep = certify_threshold(3, 3, 7)
         assert not rep.extremal_found
@@ -413,7 +413,7 @@ class TestCensusEngine:
         for m in range(3, 256):
             for k in range(3, 255 // m + 1):
                 for n in range((k - 1) * m + 1, 257 - m):
-                    p1 = family_char_coeffs(ExtremalParams(k, m, n, 1))
+                    p1 = family_char_coeffs(m, n, 1, k - 1)
                     assert p1.evaluate(m + n - 1) < 0, (k, m, n)
                     points += 1
         assert points == 73667
@@ -576,15 +576,15 @@ class TestPointChecks:
         p = ExtremalParams(k, m, n, s)
         assert point_checks(p)["separation"]
         coeffs = verify.difference_factor_coeffs
-        monkeypatch.setattr(verify, "difference_factor_coeffs", lambda q: coeffs(q)[:2] + (-1,))
+        monkeypatch.setattr(verify, "difference_factor_coeffs", lambda *q: coeffs(*q)[:2] + (-1,))
         assert point_checks(p)["separation"] is False
 
     @pytest.mark.parametrize("k, m, n, s", [(3, 3, 7, 2), (4, 5, 17, 4), (7, 8, 50, 7)])
     def test_separation_fails_on_a_zero_at_the_upper_end(self, monkeypatch, k, m, n, s):
         p = ExtremalParams(k, m, n, s)
         assert point_checks(p)["separation"]
-        factor, hi = verify.difference_factor, family_bracket(p)[1]
-        monkeypatch.setattr(verify, "difference_factor", lambda x, q: 0 if x == hi else factor(x, q))
+        factor, hi = verify.difference_factor, family_bracket(m, n, s, p.r)[1]
+        monkeypatch.setattr(verify, "difference_factor", lambda x, *q: 0 if x == hi else factor(x, *q))
         assert point_checks(p)["separation"] is False
 
     def test_sweep_computes_no_root(self, monkeypatch):
@@ -593,7 +593,7 @@ class TestPointChecks:
 
         monkeypatch.setattr(extremal, "largest_real_root", refused)
         with pytest.raises(AssertionError):
-            extremal.family_root(ExtremalParams(3, 3, 7, 2))
+            extremal.family_root(3, 7, 2, 4)
         rep = separation_sweep()
         assert len(rep.points) == 135 and rep.failures == []
 
@@ -656,7 +656,7 @@ class TestPointChecks:
                     n = (k - 1) * m + extra
                     for s in range(1, m):
                         p = ExtremalParams(k, m, n, s)
-                        q1 = family_root(p)
+                        q1 = family_root(m, n, s, p.r)
                         for r in range(1, p.r + 1):
                             g = join(complete_bipartite(s, r), complete_bipartite(m - s, n - r))
                             (value,), _ = spectral_radii(signless_laplacian(g)[None])
@@ -666,7 +666,7 @@ class TestPointChecks:
 
     def test_order_over_dense_cap_refused_before_any_check(self, monkeypatch):
         assert verify.DENSE_CAP == 4096
-        monkeypatch.setattr(verify, "family_char_coeffs", lambda p: pytest.fail("a check ran"))
+        monkeypatch.setattr(verify, "family_char_coeffs", lambda *mnsr: pytest.fail("a check ran"))
         with pytest.raises(CapacityError, match="order 4097 exceeds dense cap 4096"):
             point_checks(ExtremalParams(3, 3, 4094, 2))
 
