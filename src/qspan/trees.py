@@ -105,7 +105,7 @@ def find_violation_bruteforce(g: BipartiteGraph, f: DegreeDemand) -> HallViolati
 
 
 def _augment(g: BipartiteGraph, cap: list[int], held: list[int], owner: list[int],
-             blocked: int = 0) -> tuple[int | None, tuple[int, ...]]:
+             blocked: int = 0, starts=None) -> tuple[int | None, tuple[int, ...]]:
     """One alternating-path search on the b-matching held / owner.
 
     held[a] is the bitmask of B-vertices matched to A-vertex a, at most
@@ -115,11 +115,13 @@ def _augment(g: BipartiteGraph, cap: list[int], held: list[int], owner: list[int
     an A-vertex takes a neighbour it does not hold, whose holder takes
     another, until a free B-vertex ends the path. The matching is then
     shifted along the path, which gives its start one more B-vertex, and
-    (that free B-vertex, ()) is returned. When no path exists the result is
+    (that free B-vertex, ()) is returned. A caller may keep the A-vertices
+    below their caps in the list starts, in index order; the start leaves it
+    once its cap is full. When no path exists the result is
     (None, the A-vertices explored): the A-part of the residual source side
     of the matching's flow network, that is, its unique minimal minimum cut.
     """
-    came = {a: None for a in range(g.m) if held[a].bit_count() < cap[a]}
+    came = dict.fromkeys([a for a in range(g.m) if held[a].bit_count() < cap[a]] if starts is None else starts)
     queue = list(came)
     for a in queue:
         out = g.adj[a] & ~held[a] & ~blocked
@@ -134,6 +136,8 @@ def _augment(g: BipartiteGraph, cap: list[int], held: list[int], owner: list[int
                     held[a] |= 1 << b
                     owner[b] = a
                     if came[a] is None:
+                        if starts is not None and held[a].bit_count() == cap[a]:
+                            starts.remove(a)
                         return end, ()
                     prev, b_prev = came[a]
                     held[a] &= ~(1 << b_prev)
@@ -148,10 +152,11 @@ def _max_matching(g: BipartiteGraph, cap: list[int]) -> tuple[list[int], list[in
     """Maximum b-matching (held, owner) giving A-vertex a at most cap[a] B-vertices.
 
     Each A-vertex in index order first takes its lowest-index free
-    neighbours; augmenting paths then run until none is left.
+    neighbours; augmenting paths then run until none is left, each search
+    from the list of A-vertices still below their caps, in index order.
     """
     held, owner = [0] * g.m, [-1] * g.n
-    taken = 0
+    taken, deficient = 0, []
     for a, row in enumerate(g.adj):
         room, free = cap[a], row & ~taken
         while room and free:
@@ -161,7 +166,9 @@ def _max_matching(g: BipartiteGraph, cap: list[int]) -> tuple[list[int], list[in
             owner[low.bit_length() - 1] = a
             room -= 1
         taken |= held[a]
-    while _augment(g, cap, held, owner)[0] is not None:
+        if room:
+            deficient.append(a)
+    while deficient and _augment(g, cap, held, owner, 0, deficient)[0] is not None:
         pass
     return held, owner
 

@@ -9,9 +9,9 @@ Three entry points:
   strict inequality that places the family members below the threshold.
 * subgraph_monotonicity_fuzz: samples Perron-Frobenius monotonicity, q(H)
   <= q(G) for a connected spanning subgraph H of a connected G (each removal
-  a uniformly random non-bridge, by one shuffle and reach), solving each
-  distinct matrix once per shape; strictness is spot-checked in integers by
-  Collatz-Wielandt bounds from the rounded top eigenvectors.
+  a uniformly random non-bridge, by one shuffle and a test on the A-rows),
+  solving each distinct matrix once per shape; strictness is spot-checked in
+  integers by Collatz-Wielandt bounds from the rounded top eigenvectors.
 
 The census is a breadth-first search of single-edge deletions down from
 K_{m,n}: adding an edge never lowers q, so the graphs with
@@ -59,10 +59,10 @@ from .extremal import (
 from .graph_core import (
     BipartiteGraph,
     DegreeDemand,
+    as_index,
     complete_bipartite,
     is_connected,
     iter_bits,
-    reach,
     to_edge_list,
 )
 from .poly import exact_char_poly, exact_char_polys
@@ -285,7 +285,8 @@ def scan_stats(k: int, m: int, n: int) -> ScanStats:
     copy test is exact: m-1 A-vertices that see all of B and one that sees
     k-1 of B are the extremal graph up to relabelling A and B.
     """
-    ExtremalParams(k, m, n, 1)    # admissibility first, then capacity
+    p = ExtremalParams(k, m, n, 1)    # admissibility first, then capacity
+    k, m, n = p.k, p.m, p.n
     _check_point(m, n)
     qstar = spectral_threshold(k, m, n)
     stats = ScanStats(qstar, 0, 0, 0, [], [])
@@ -325,8 +326,9 @@ def certify_threshold(k: int, m: int, n: int) -> TheoremReport:
     eigen chunk, or whose search would spend more than CENSUS_CAP entries
     (see _up_set), raises CapacityError before any tree is built.
     """
-    stats = scan_stats(k, m, n)
     p1 = ExtremalParams(k, m, n, 1)
+    k, m, n = p1.k, p1.m, p1.n
+    stats = scan_stats(k, m, n)
     star = (p1.m, p1.n, p1.s, p1.r)
     gstar = extremal_graph(k, m, n)
     gstar_infeasible = is_violation(gstar, DegreeDemand.uniform(m, k), (0,))
@@ -414,10 +416,12 @@ def point_checks(p: ExtremalParams, quotient_poly=None) -> dict:
     return checks
 
 
-def _grid_axis(values, default) -> tuple:
-    """The axis as a tuple, cut one value past SWEEP_POINT_CAP so that a huge
-    range is refused by the caps instead of being materialised."""
-    return default if values is None else tuple(itertools.islice(values, SWEEP_POINT_CAP + 1))
+def _grid_axis(values, default, what: str) -> tuple:
+    """The axis as a tuple of ints (as_index), cut one value past
+    SWEEP_POINT_CAP so that a huge range is refused by the caps instead of
+    being materialised."""
+    return default if values is None else tuple(
+        as_index(v, what) for v in itertools.islice(values, SWEEP_POINT_CAP + 1))
 
 
 def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0) -> SweepReport:
@@ -431,9 +435,9 @@ def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0)
     every interior point's family_quotient feeds point_checks. seed is only a
     grid label.
     """
-    k_values = _grid_axis(k_values, DEFAULT_K_VALUES)
-    m_values = _grid_axis(m_values, DEFAULT_M_VALUES)
-    n_extras = _grid_axis(n_extras, DEFAULT_N_EXTRAS)
+    k_values = _grid_axis(k_values, DEFAULT_K_VALUES, "grid k value")
+    m_values = _grid_axis(m_values, DEFAULT_M_VALUES, "grid m value")
+    n_extras = _grid_axis(n_extras, DEFAULT_N_EXTRAS, "grid n offset")
     if any(k < 3 for k in k_values):
         raise InputError("grid k values must be >= 3")
     if any(m < 3 for m in m_values):
@@ -485,7 +489,7 @@ def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0)
         "k_values": list(k_values),
         "m_values": list(m_values),
         "n_extras": list(n_extras),
-        "seed": seed,
+        "seed": as_index(seed, "seed"),
     }
     return SweepReport(grid=grid, points=points, failures=failures)
 
@@ -497,30 +501,50 @@ FUZZ_MAX_N = 8
 STRICT_CHECK_BUDGET = 400
 
 
+def _rows_connected(rows: list, full_b: int) -> bool:
+    """True iff the A-rows (B-neighbour masks) make a connected graph on B =
+    full_b: the B-set reached from row 0 grows by every row that meets it
+    until none does, and then no row may be left and the set must be full_b."""
+    seen, left = rows[0], rows[1:]
+    while True:
+        rest = []
+        for row in left:
+            if row & seen:
+                seen |= row
+            else:
+                rest.append(row)
+        if not rest:
+            return seen == full_b
+        if len(rest) == len(left):
+            return False
+        left = rest
+
+
 def _random_connected(rng: random.Random, m: int, n: int) -> BipartiteGraph:
     """A random connected graph on (m, n): up to 300 draws, each with its own
-    edge probability and one rng.random() per (a, b) in row order, filling the
-    rows and columns that reach tests; K_{m,n} if none connects."""
-    spans = ((1 << m) - 1, (1 << n) - 1)
+    edge probability and one rng.random() per (a, b) in row order, kept once
+    its rows pass _rows_connected; K_{m,n} if none does."""
+    draw, bits, full_b = rng.random, [1 << b for b in range(n)], (1 << n) - 1
     for _ in range(300):
         p = rng.uniform(0.3, 0.9)
-        rows, cols = [0] * m, [0] * n
-        for a in range(m):
-            for b in range(n):
-                if rng.random() < p:
-                    rows[a] |= 1 << b
-                    cols[b] |= 1 << a
-        if reach(rows[0], rows, cols) == spans:
+        rows = []
+        for _ in range(m):
+            row = 0
+            for bit in bits:
+                if draw() < p:
+                    row |= bit
+            rows.append(row)
+        if _rows_connected(rows, full_b):
             return BipartiteGraph(m, n, tuple(rows))
     return complete_bipartite(m, n)
 
 
 def _random_spanning_subgraph(rng: random.Random, g: BipartiteGraph) -> BipartiteGraph:
     """g less a uniform number, 0 to its cycle rank, of removals, each of a
-    uniformly random non-bridge, by one shuffle and reach: each edge in turn
-    is dropped if the rows and columns without it still span g. Removals only
-    make bridges, so the first non-bridge left in the order is a uniform pick
-    among them."""
+    uniformly random non-bridge, by one shuffle of to_edge_list(g): each edge
+    in turn is dropped if the rows without it still pass _rows_connected.
+    Removals only make bridges, so the first non-bridge left in the order is
+    a uniform pick among them."""
     edge_count = g.edge_count
     slack = edge_count - (g.m + g.n - 1)
     removals = rng.randint(0, slack) if slack > 0 else 0
@@ -529,18 +553,15 @@ def _random_spanning_subgraph(rng: random.Random, g: BipartiteGraph) -> Bipartit
         return g
     edges = to_edge_list(g)
     rng.shuffle(edges)
-    rows, cols = list(g.adj), list(g.b_adj())
-    spans = ((1 << g.m) - 1, (1 << g.n) - 1)
+    rows, full_b = list(g.adj), (1 << g.n) - 1
     for a, b in edges:
         rows[a] ^= 1 << b
-        cols[b] ^= 1 << a
-        if reach(rows[0], rows, cols) == spans:
+        if _rows_connected(rows, full_b):
             removals -= 1
             if not removals:
                 break
         else:
             rows[a] |= 1 << b
-            cols[b] |= 1 << a
     return BipartiteGraph(g.m, g.n, tuple(rows))
 
 

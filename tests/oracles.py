@@ -10,6 +10,13 @@ None of these has a caller in the package itself:
 * non_bridges: the edges whose removal leaves a graph connected, one
   is_connected call per edge, from which the fuzz's subgraph drawing is
   checked;
+* column_random_connected / column_random_spanning_subgraph: the fuzz's
+  draw as it was before it tested connectivity on the A-rows alone, keeping
+  the columns too and running reach over both per candidate, against which
+  the fuzz's pairs are checked;
+* rebuilt_max_matching: the b-matching as it was before it kept its list of
+  A-vertices below their caps, every search rebuilding its starts from all
+  of A, against which trees._max_matching is checked;
 * random_demand_instances: a deterministic corpus of (connected graph,
   demand) pairs on which the checkers and the constructor are compared;
 * per_anchor_first_violation: the Hall search as it was before the matching's
@@ -128,6 +135,51 @@ def non_bridges(g: BipartiteGraph) -> list[tuple[int, int]]:
     return keep
 
 
+def column_random_connected(rng: random.Random, m: int, n: int) -> BipartiteGraph:
+    """A random connected graph on (m, n): up to 300 draws, each with its own
+    edge probability and one rng.random() per (a, b) in row order, filling the
+    rows and columns that reach tests; K_{m,n} if none connects."""
+    spans = ((1 << m) - 1, (1 << n) - 1)
+    for _ in range(300):
+        p = rng.uniform(0.3, 0.9)
+        rows, cols = [0] * m, [0] * n
+        for a in range(m):
+            for b in range(n):
+                if rng.random() < p:
+                    rows[a] |= 1 << b
+                    cols[b] |= 1 << a
+        if reach(rows[0], rows, cols) == spans:
+            return BipartiteGraph(m, n, tuple(rows))
+    return complete_bipartite(m, n)
+
+
+def column_random_spanning_subgraph(rng: random.Random, g: BipartiteGraph) -> BipartiteGraph:
+    """g less a uniform number, 0 to its cycle rank, of removals, each of a
+    uniformly random non-bridge, by one shuffle and reach: each edge in turn
+    is dropped if the rows and columns without it still span g."""
+    edge_count = g.edge_count
+    slack = edge_count - (g.m + g.n - 1)
+    removals = rng.randint(0, slack) if slack > 0 else 0
+    if not removals:
+        rng.shuffle([None] * edge_count)   # shuffle draws by length alone; keeps the stream
+        return g
+    edges = to_edge_list(g)
+    rng.shuffle(edges)
+    rows, cols = list(g.adj), list(g.b_adj())
+    spans = ((1 << g.m) - 1, (1 << g.n) - 1)
+    for a, b in edges:
+        rows[a] ^= 1 << b
+        cols[b] ^= 1 << a
+        if reach(rows[0], rows, cols) == spans:
+            removals -= 1
+            if not removals:
+                break
+        else:
+            rows[a] |= 1 << b
+            cols[b] |= 1 << a
+    return BipartiteGraph(g.m, g.n, tuple(rows))
+
+
 def random_demand_instances(count: int, seed: int = 0):
     """Deterministic corpus of (connected graph, demand vector) pairs used to
     cross-validate the two condition checkers and the constructor."""
@@ -177,6 +229,27 @@ def per_anchor_first_violation(g: BipartiteGraph, f: DegreeDemand, cap: list[int
                     raise InternalError("alternating search gave no genuine violating subset")
                 return HallViolation(subset)
     return None
+
+
+def rebuilt_max_matching(g: BipartiteGraph, cap: list[int]) -> tuple[list[int], list[int]]:
+    """Maximum b-matching (held, owner) giving A-vertex a at most cap[a]
+    B-vertices: each A-vertex in index order takes its lowest-index free
+    neighbours, then augmenting paths run until none is left, each search
+    finding its starts by a bit_count over every row of A."""
+    held, owner = [0] * g.m, [-1] * g.n
+    taken = 0
+    for a, row in enumerate(g.adj):
+        room, free = cap[a], row & ~taken
+        while room and free:
+            low = free & -free
+            free ^= low
+            held[a] |= low
+            owner[low.bit_length() - 1] = a
+            room -= 1
+        taken |= held[a]
+    while _augment(g, cap, held, owner)[0] is not None:
+        pass
+    return held, owner
 
 
 def sweep_anchor(g: BipartiteGraph, held):

@@ -27,7 +27,13 @@ from qspan import (
 from qspan import trees
 from qspan.graph_core import PART_SIZE_CAP
 
-from oracles import connected_graphs, per_anchor_first_violation, random_demand_instances, sweep_anchor
+from oracles import (
+    connected_graphs,
+    per_anchor_first_violation,
+    random_demand_instances,
+    rebuilt_max_matching,
+    sweep_anchor,
+)
 
 
 def demand(*values):
@@ -226,8 +232,8 @@ def _spy_stall_repairs(monkeypatch):
     ends = []
     real = trees._augment
 
-    def spy(g, cap, held, owner, blocked=0):
-        result = real(g, cap, held, owner, blocked)
+    def spy(g, cap, held, owner, blocked=0, *starts):
+        result = real(g, cap, held, owner, blocked, *starts)
         if blocked:
             ends.append(result[0])
         return result
@@ -553,6 +559,30 @@ class TestAnchorSweep:
             assert got == sweep_anchor(g, held)
             anchors.append(got)
         assert len(anchors) > 10000 and anchors.count(None) < len(anchors) - 1000
+
+
+class TestMaxMatching:
+    def test_matches_rebuilt_starts(self, monkeypatch):
+        # keeping the A-vertices below their caps in a list finds the very
+        # paths that a search rebuilding them from all of A finds
+        paths = []
+        real = trees._augment
+
+        def spy(*args):
+            result = real(*args)
+            if len(args) > 5 and result[0] is not None:
+                paths.append(result[0])
+            return result
+
+        monkeypatch.setattr(trees, "_augment", spy)
+        rng = random.Random(11)
+        for _ in range(3000):
+            m = rng.randint(1, 12)
+            n, p = rng.randint(1, 3 * m), rng.choice((0.1, 0.2, 0.35))
+            g = BipartiteGraph(m, n, tuple(sum(1 << b for b in range(n) if rng.random() < p) for _ in range(m)))
+            cap = [rng.randint(0, 3) for _ in range(m)]
+            assert trees._max_matching(g, cap) == rebuilt_max_matching(g, cap), (g, cap)
+        assert len(paths) > 500
 
 
 class TestLongPath:

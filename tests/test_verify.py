@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import random
 import sys
@@ -31,7 +32,7 @@ from qspan import (
     signless_laplacian,
     subgraph_monotonicity_fuzz,
 )
-from qspan import extremal, graph_core, spectral, trees, verify
+from qspan import cli, extremal, graph_core, spectral, trees, verify
 from qspan.extremal import (
     ExtremalParams,
     family_bracket,
@@ -58,6 +59,8 @@ from oracles import (
     _short_dyadic,
     b_class_size,
     b_class_up_set,
+    column_random_connected,
+    column_random_spanning_subgraph,
     connected_filter,
     join_chain,
     non_bridges,
@@ -281,6 +284,14 @@ class TestCensusEngine:
         for k, m, n in ORACLE_POINTS:
             rep = certify_threshold(k, m, n)
             assert rep.counterexamples == [] and rep.extremal_found, (k, m, n)
+
+    def test_numpy_int_point_runs_on_ints(self):
+        # the census runs on ExtremalParams' validated ints, so numpy ints
+        # neither reach the mask engine nor the report
+        rep = certify_threshold(np.int64(3), np.int32(3), np.uint8(7))
+        assert rep == certify_threshold(3, 3, 7) and rep.graphs_above_bound == 505
+        assert all(type(v) is int for v in rep.params.values())
+        assert scan_stats(np.int64(3), np.int16(3), np.int64(7)) == scan_stats(3, 3, 7)
 
     def test_non_copy_within_slack_is_internal_error(self, monkeypatch):
         # at (3,3,7) a class that is no copy of G* sits 0.047 below q*
@@ -694,6 +705,20 @@ class TestSweep:
             "seed": 9,
         }
 
+    def test_numpy_int_grid_reports_ints(self):
+        rep = separation_sweep((np.int64(3),), (np.int32(3), 4), (np.uint8(1),), seed=np.int64(9))
+        assert rep == separation_sweep((3,), (3, 4), (1,), seed=9)
+        payload = {"grid": rep.grid, "points": rep.points, "failures": rep.failures}
+        assert json.loads(cli.emit_json(payload)) == payload
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("value", [3.0, True, "3"])
+    def test_non_integer_grid_value_refused(self, axis, value):
+        grid = [(3,), (3,), (1,)]
+        grid[axis] = (value,)
+        with pytest.raises(InputError, match="is not an integer"):
+            separation_sweep(*grid)
+
     def test_grids_at_the_caps_run(self):
         assert (verify.SWEEP_POINT_CAP, verify.SWEEP_ORDER_CAP) == (1400, 64)
         rep = separation_sweep(range(3, 5), range(3, 10), range(1, 21))   # order <= 56
@@ -874,7 +899,7 @@ class TestStrictRootComparison:
 
 class TestSpanningSubgraphDrawing:
     """The fuzz's H: a uniform number of removals, each a uniformly random
-    non-bridge, drawn by one shuffle and reach."""
+    non-bridge, drawn by one shuffle and a connectivity test on the A-rows."""
 
     GRAPHS = [complete_bipartite(2, 3), BipartiteGraph(3, 3, (0b111, 0b011, 0b110)),
               BipartiteGraph(2, 4, (0b1111, 0b1011)), BipartiteGraph(3, 2, (0b11, 0b11, 0b01))]
@@ -939,13 +964,30 @@ class TestSpanningSubgraphDrawing:
         assert digest.hexdigest() == "c14d0cf61ed948253ba97aa168eda886d83dcc6f4892bef04740cc5428d75065"
 
     def test_drawing_builds_no_graph_per_candidate(self, monkeypatch):
-        connected, transposed = [], []
-        transpose = graph_core._transpose
-        monkeypatch.setattr(verify, "is_connected", lambda g: connected.append(g))
-        monkeypatch.setattr(graph_core, "_transpose",
-                            lambda adj, n: transposed.append(n) or transpose(adj, n))
+        # connectivity is decided on the A-rows alone: no columns, no search
+        calls = []
+        for module, name in [(graph_core, "_transpose"), (graph_core, "reach"), (graph_core, "is_connected"),
+                             (verify, "reach"), (verify, "is_connected")]:
+            real = getattr(module, name, None)
+            monkeypatch.setattr(module, name, lambda *args, name=name, real=real: calls.append(name) or real(*args),
+                                raising=False)
         pairs = list(verify._fuzz_pairs(300, seed=3))
-        assert connected == [] and 0 < len(transposed) <= len(pairs) == 300
+        assert calls == [] and len(pairs) == 300
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pairs_match_column_reference(self, seed, monkeypatch):
+        # the row test draws the very pairs that reach over rows and columns drew
+        drawn = list(verify._fuzz_pairs(3000, seed))
+        monkeypatch.setattr(verify, "_random_connected", column_random_connected)
+        monkeypatch.setattr(verify, "_random_spanning_subgraph", column_random_spanning_subgraph)
+        assert drawn == list(verify._fuzz_pairs(3000, seed))
+
+    def test_rows_connected_matches_is_connected(self):
+        rng = random.Random(7)
+        for _ in range(5000):
+            m, n = rng.randint(1, 7), rng.randint(1, 9)
+            g = BipartiteGraph(m, n, tuple(rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m)))
+            assert verify._rows_connected(list(g.adj), (1 << n) - 1) == is_connected(g), g
 
 
 class TestShortDyadic:
