@@ -50,6 +50,9 @@ def format_float(x: float) -> str:
 
 _encode = json.encoder.encode_basestring_ascii
 _BASES = (dict, list, tuple, bool, float, int, str)
+# leaf writers by exact type, called straight from a dict or scalar list; subclasses go through _emit
+_LEAVES = {bool: {False: "false", True: "true"}.__getitem__, float: format_float, int: str, str: _encode,
+           type(None): {None: "null"}.__getitem__}
 
 
 def _emit(value, indent: int) -> str:
@@ -60,7 +63,9 @@ def _emit(value, indent: int) -> str:
     if kind is dict:
         if not value:
             return "{}"
-        inner = ",\n".join(f'{pad}  {_encode(str(k))}: {_emit(v, indent + 1)}' for k, v in value.items())
+        inner = ",\n".join([f'{pad}  {_encode(str(k))}: '
+                            f'{_emit(v, indent + 1) if (leaf := _LEAVES.get(type(v))) is None else leaf(v)}'
+                            for k, v in value.items()])
         return "{\n" + inner + "\n" + pad + "}"
     if kind is list or kind is tuple:
         if not value:
@@ -68,18 +73,10 @@ def _emit(value, indent: int) -> str:
         if any(isinstance(v, dict) for v in value):
             inner = ",\n".join(f"{pad}  {_emit(v, indent + 1)}" for v in value)
             return "[\n" + inner + "\n" + pad + "]"
-        return "[" + ", ".join(_emit(v, indent) for v in value) + "]"
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is float:
-        return format_float(value)
-    if kind is int:
-        return str(value)
-    if kind is str:
-        return _encode(value)
-    if value is None:
-        return "null"
-    return json.dumps(value)
+        return "[" + ", ".join([_emit(v, indent) if (leaf := _LEAVES.get(type(v))) is None else leaf(v)
+                                for v in value]) + "]"
+    leaf = _LEAVES.get(kind)
+    return json.dumps(value) if leaf is None else leaf(value)
 
 
 def emit_json(report: dict) -> str:

@@ -1,8 +1,8 @@
 """Exact arithmetic: characteristic polynomials and their roots.
 
 Coefficient vectors are ascending (c0 first). Characteristic polynomials
-(batched over a numpy object array of Python ints) and root bisection run in
-plain integers, so roots are correctly rounded floats.
+(batched over int64 under a proven overflow bound, else Python ints) and root
+bisection run in exact integers, so roots are correctly rounded floats.
 """
 
 from __future__ import annotations
@@ -40,10 +40,12 @@ def _horner(coeffs, x, den=1):
 
 
 def _int_matrix(rows):
-    """A square matrix as lists of ints; entries may be of any type that
-    Fraction maps to an integer."""
+    """A square matrix as rows of ints, all-int rows as given; entries may be
+    of any type that Fraction maps to an integer."""
     if any(len(row) != len(rows) for row in rows):
         raise InputError("matrix is not square")
+    if all(type(x) is int for row in rows for x in row):
+        return rows
     bad = [x for row in rows for x in row if type(x) is not int and Fraction(x).denominator != 1]
     if bad:
         raise InputError(f"entries must be integers, got {bad[0]!r}")
@@ -79,11 +81,15 @@ def exact_char_polys(stack) -> list:
     matrices of one order, in stack order; [] for an empty stack.
 
     Entries may be of any type that Fraction maps to an integer. Runs the
-    trace recursion (Faddeev-LeVerrier) once over an (N, t, t) numpy object
-    array of Python ints, exact at any size: for an integer matrix every
-    c_k = -tr(A M_k) / k is an integer, so a nonzero remainder is a defect.
-    The Cayley-Hamilton identity is checked on every final auxiliary matrix,
-    so a wrong result cannot escape silently.
+    trace recursion (Faddeev-LeVerrier) once over an (N, t, t) numpy stack:
+    for an integer matrix every c_k = -tr(A M_k) / k is an integer, so a
+    nonzero remainder is a defect. The Cayley-Hamilton identity is checked on
+    every final auxiliary matrix, so a wrong result cannot escape silently.
+    The stack is int64 when t (2w)^t < 2^63, w its largest absolute row sum,
+    and Python ints (exact at any size) otherwise. int64 cannot overflow:
+    every eigenvalue has |lambda| <= w, so |c_j| <= C(t, j) w^j; so M_k =
+    sum_{i<k} c_i A^(k-1-i) has absolute row sums <= 2^t w^(k-1), every entry
+    and partial sum of A M_k is at most 2^t w^k, and every trace t 2^t w^t.
     """
     stack = list(stack)
     if not stack:
@@ -93,17 +99,19 @@ def exact_char_polys(stack) -> list:
         raise InputError("matrices in one stack must have one order")
     if t > CHAR_POLY_CAP:
         raise CapacityError(f"order {t} exceeds exact char poly cap {CHAR_POLY_CAP}")
-    mat = np.array([_int_matrix(rows) for rows in stack], dtype=object).reshape(len(stack), t, t)
-    diag = np.arange(t)
+    mats = [_int_matrix(rows) for rows in stack]
+    w = max((sum(map(abs, row)) for rows in mats for row in rows), default=0)
+    mat = np.array(mats, dtype=np.int64 if t * (2 * w) ** t < 2 ** 63 else object).reshape(len(stack), t, t)
     prod, descending = mat.copy(), [[1] * len(stack)]     # A M_1, as M_1 = I
     for k in range(1, t + 1):
         prod = prod if k == 1 else np.matmul(mat, prod)
-        neg_trace = -prod[:, diag, diag].sum(axis=1)
+        diag = prod.reshape(len(stack), -1)[:, :: t + 1]    # a view into prod
+        neg_trace = -diag.sum(axis=1)
         ck = neg_trace // k
         if (ck * k != neg_trace).any():
             raise InternalError("characteristic polynomial of an integer matrix must be integral")
-        descending.append(ck)
-        prod[:, diag, diag] += ck[:, None]
+        descending.append(ck.tolist())
+        diag += ck[:, None]
     if (prod != 0).any():
         raise InternalError("Cayley-Hamilton check failed in exact_char_polys")
     return [PolyCoeffs(tuple(reversed(coeffs))) for coeffs in zip(*descending)]

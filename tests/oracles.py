@@ -31,6 +31,9 @@ None of these has a caller in the package itself:
   checked;
 * per_matrix_char_poly: the trace recursion on one matrix in lists of ints,
   against which the batched poly.exact_char_polys is checked;
+* reference_emit: the CLI's JSON writer as it was before its table of
+  exact-type leaves, one recursive call per value, against which
+  cli.emit_json is checked byte for byte;
 * separates_top_eigenvalues (with _positive_definite and _short_dyadic): the
   fuzz's strictness certificate as it was before the Collatz-Wielandt
   bounds, x I - small positive definite and x I - big not (Sylvester's
@@ -48,6 +51,7 @@ None of these has a caller in the package itself:
 
 import bisect
 import itertools
+import json
 import math
 import operator
 import random
@@ -56,6 +60,7 @@ from fractions import Fraction
 import numpy as np
 
 from qspan import BipartiteGraph, CapacityError, DegreeDemand, InputError, InternalError, NumericalError
+from qspan.cli import format_float
 from qspan.graph_core import complete_bipartite, is_connected, iter_bits, join, reach, to_edge_list
 from qspan.poly import BISECTION_CAP, CHAR_POLY_CAP, PolyCoeffs, _horner, _int_matrix, _integral
 from qspan.trees import HallViolation, _augment, is_violation
@@ -325,6 +330,40 @@ def per_matrix_char_poly(rows) -> PolyCoeffs:
     if any(any(row) for row in aux):
         raise InternalError("Cayley-Hamilton check failed in exact_char_poly")
     return PolyCoeffs(tuple(reversed(descending)))
+
+
+_encode = json.encoder.encode_basestring_ascii
+_BASES = (dict, list, tuple, bool, float, int, str)
+
+
+def reference_emit(value, indent: int) -> str:
+    kind = type(value)
+    if kind not in _BASES:   # a subclass takes its base's branch, as isinstance would
+        kind = next((base for base in _BASES if isinstance(value, base)), kind)
+    pad = "  " * indent
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = ",\n".join(f'{pad}  {_encode(str(k))}: {reference_emit(v, indent + 1)}' for k, v in value.items())
+        return "{\n" + inner + "\n" + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if any(isinstance(v, dict) for v in value):
+            inner = ",\n".join(f"{pad}  {reference_emit(v, indent + 1)}" for v in value)
+            return "[\n" + inner + "\n" + pad + "]"
+        return "[" + ", ".join(reference_emit(v, indent) for v in value) + "]"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is float:
+        return format_float(value)
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return _encode(value)
+    if value is None:
+        return "null"
+    return json.dumps(value)
 
 
 def _positive_definite(a) -> bool:

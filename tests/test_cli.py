@@ -1,5 +1,6 @@
 """Command line interface: JSON shape, exit codes, error mapping."""
 
+import dataclasses
 import enum
 import json
 import math
@@ -10,6 +11,8 @@ import numpy as np
 
 from qspan import cli, complete_bipartite, extremal_graph, verify, write_graph
 from qspan.cli import emit_json, format_float, main
+
+from oracles import reference_emit
 
 
 @pytest.fixture
@@ -88,6 +91,90 @@ class TestEmitJson:
 
         assert emit_json([np.float64(2.5), True, None, Small.ONE, Rows([1, 2])]) == (
             f"[2.50000000000, true, null, {Small.ONE}, [1, 2]]")
+
+
+class TestEmitMatchesReference:
+    """emit_json against oracles.reference_emit, byte for byte, on every CLI
+    JSON report and on the odd values the writer must still take."""
+
+    @pytest.fixture
+    def payloads(self, monkeypatch, capsys):
+        """Runs CLI argument lists and returns every payload they emitted."""
+        seen = []
+
+        def spy(report):
+            seen.append(report)
+            return emit_json(report)
+
+        monkeypatch.setattr(cli, "emit_json", spy)
+
+        def run(*argvs):
+            for argv in argvs:
+                main(argv)
+            capsys.readouterr()
+            return seen
+        return run
+
+    @staticmethod
+    def assert_matches_reference(value):
+        assert emit_json(value) == reference_emit(value, 0)
+
+    def test_reports(self, payloads, k37, gstar):
+        reports = payloads(
+            ["spectral", k37],
+            ["check-tree", k37, "--k", "3"],
+            ["check-tree", gstar, "--k", "3"],
+            ["verify-theorem", "--k", "3", "--m", "3", "--n", "7"],
+            ["proof-sweep"],
+            ["proof-sweep", "--k-range", "3..7", "--m-range", "3..8", "--n-extra", "0..8"],
+            ["proof-sweep", "--k-range", "3..4", "--m-range", "3..9", "--n-extra", "1..20"],
+        )
+        assert [len(r.get("points", ())) for r in reports] == [0, 0, 0, 0, 135, 1110, 1400]
+        assert [r.get("feasible") for r in reports[1:3]] == [True, False]
+        for report in reports:
+            self.assert_matches_reference(report)
+
+    def test_report_with_counterexamples(self, payloads, monkeypatch):
+        certify = verify.certify_threshold
+
+        def with_counterexamples(k, m, n):
+            found = [{"mask": 7, "edges": [[0, 0], [0, 1], [0, 2]]}, {"mask": 1 << 20, "edges": [[2, 6]]}]
+            return dataclasses.replace(certify(k, m, n), counterexamples=found)
+
+        monkeypatch.setattr(verify, "certify_threshold", with_counterexamples)
+        (report,) = payloads(["verify-theorem", "--k", "3", "--m", "3", "--n", "7"])
+        assert len(report["counterexamples"]) == 2
+        self.assert_matches_reference(report)
+
+    def test_odd_values(self):
+        class Small(enum.IntEnum):
+            ONE = 1
+
+        class Rows(list):
+            pass
+
+        class Table(dict):
+            pass
+
+        class Count(int):
+            pass
+
+        class Name(str):
+            pass
+
+        self.assert_matches_reference({
+            "subclasses": [Rows([1, Count(2)]), Table(a=Name("x")), Small.ONE, Name("y")],
+            "mixed": [np.float64(2.5), True, False, None, 0, -3, 1.0, "s", [], {}],
+            Name("key"): Rows(),
+            "nested": Table({"rows": Rows([Table(c=Count(3))]), "empty": Table(), "list": []}),
+            "\u00e9\u2013\U0001d53c": "\x00\x1f \u00e9",
+            3: None,
+            None: np.float64(-0.1),
+            2.5: Small.ONE,
+            Small.ONE: [Name("\u2013"), Count(-4)],
+        })
+        for value in ({}, [], (), Rows(), Table(), [{}], [[], {}], ([1], (2, 3))):
+            self.assert_matches_reference(value)
 
 
 class TestSpectral:

@@ -483,6 +483,35 @@ class TestExactCharPolys:
         self.assert_matches_oracle(stack)
         assert max(abs(c) for c in exact_char_polys(stack[:1])[0].coeffs) > 2 ** 63
 
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("t", range(1, CHAR_POLY_CAP + 1))
+    def test_random_stacks_at_int64_bound_match_oracle(self, monkeypatch, t, above):
+        # w: the largest row sum with t (2w)^t < 2^63, where the recursion
+        # runs on int64, or one more, where it runs on Python ints
+        lo, hi = 0, 2 ** 62
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if t * (2 * mid) ** t < 2 ** 63 else (lo, mid)
+        w = hi if above else lo
+        rng = random.Random(100 + t)
+
+        def row():   # t random integers whose absolute values sum to w
+            cuts = sorted(rng.randint(0, w) for _ in range(t - 1))
+            return [rng.choice((-1, 1)) * (b - a) for a, b in zip([0, *cuts], [*cuts, w])]
+
+        stack = [[row() for _ in range(t)] for _ in range(3)]
+        stack.append([[abs(x) for x in row()] for _ in range(t)])
+        stack.append([[-w * (i == j) for j in range(t)] for i in range(t)])
+        matmul, dtypes = np.matmul, set()
+
+        def spy(a, b):
+            dtypes.add(a.dtype)
+            return matmul(a, b)
+
+        monkeypatch.setattr(poly.np, "matmul", spy)
+        self.assert_matches_oracle(stack)
+        assert dtypes == (set() if t == 1 else {np.dtype(object) if above else np.dtype(np.int64)})
+
     def test_empty_stack(self):
         assert exact_char_polys([]) == []
         assert exact_char_polys(iter(())) == []
