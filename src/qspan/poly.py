@@ -7,6 +7,7 @@ bisection run in exact integers, so roots are correctly rounded floats.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -46,9 +47,11 @@ def _int_matrix(rows):
         raise InputError("matrix is not square")
     if all(type(x) is int for row in rows for x in row):
         return rows
-    bad = [x for row in rows for x in row if type(x) is not int and Fraction(x).denominator != 1]
-    if bad:
-        raise InputError(f"entries must be integers, got {bad[0]!r}")
+    for x in (x for row in rows for x in row if type(x) is not int):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):   # an x no Fraction reads is refused
+            if Fraction(x).denominator == 1:
+                continue
+        raise InputError(f"entries must be integers, got {x!r}")
     return [[x if type(x) is int else int(Fraction(x)) for x in row] for row in rows]
 
 
@@ -80,8 +83,9 @@ def exact_char_polys(stack) -> list:
     """Exact monic characteristic polynomials of a stack of small integer
     matrices of one order, in stack order; [] for an empty stack.
 
-    Entries may be of any type that Fraction maps to an integer. Runs the
-    trace recursion (Faddeev-LeVerrier) once over an (N, t, t) numpy stack:
+    An int64 ndarray of shape (N, t, t) is taken as it is; other stacks hold
+    matrices with entries of any type that Fraction maps to an integer. Runs
+    the trace recursion (Faddeev-LeVerrier) once over an (N, t, t) numpy stack:
     for an integer matrix every c_k = -tr(A M_k) / k is an integer, so a
     nonzero remainder is a defect. The Cayley-Hamilton identity is checked on
     every final auxiliary matrix, so a wrong result cannot escape silently.
@@ -91,16 +95,23 @@ def exact_char_polys(stack) -> list:
     sum_{i<k} c_i A^(k-1-i) has absolute row sums <= 2^t w^(k-1), every entry
     and partial sum of A M_k is at most 2^t w^k, and every trace t 2^t w^t.
     """
-    stack = list(stack)
-    if not stack:
+    array = isinstance(stack, np.ndarray) and stack.dtype == np.int64
+    if array and (stack.ndim != 3 or stack.shape[1] != stack.shape[2]):
+        raise InputError(f"an int64 stack must have shape (N, t, t), got {stack.shape}")
+    stack = stack if array else list(stack)
+    if not len(stack):
         return []
     t = len(stack[0])
-    if any(len(rows) != t for rows in stack):
+    if not array and any(len(rows) != t for rows in stack):
         raise InputError("matrices in one stack must have one order")
     if t > CHAR_POLY_CAP:
         raise CapacityError(f"order {t} exceeds exact char poly cap {CHAR_POLY_CAP}")
-    mats = [_int_matrix(rows) for rows in stack]
-    w = max((sum(map(abs, row)) for rows in mats for row in rows), default=0)
+    if array:   # row sums are exact in int64 if t |entry| < 2^63; a larger entry alone passes the bound
+        big = max(int(stack.max(initial=0)), -int(stack.min(initial=0)))
+        mats, w = stack, int(np.abs(stack).sum(axis=2).max(initial=0)) if big * t < 2 ** 63 else big
+    else:
+        mats = [_int_matrix(rows) for rows in stack]
+        w = max((sum(map(abs, row)) for rows in mats for row in rows), default=0)
     mat = np.array(mats, dtype=np.int64 if t * (2 * w) ** t < 2 ** 63 else object).reshape(len(stack), t, t)
     prod, descending = mat.copy(), [[1] * len(stack)]     # A M_1, as M_1 = I
     for k in range(1, t + 1):

@@ -36,6 +36,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -357,18 +358,47 @@ SWEEP_POINT_CAP = 1400    # separation_sweep: at most this many points per grid
 SWEEP_ORDER_CAP = 64      # separation_sweep: family order m + n at most this
 
 
-def point_checks(p: ExtremalParams, quotient_poly=None) -> dict:
+def _algebraic_checks(k, m, n, s, quotient_coeffs) -> dict:
+    """point_checks' checks but join_chain, at a point of ints or at int64 columns
+    of points alike: only +, -, *, comparisons, & and |, so each is a bool or a bool column."""
+    r = (k - 1) * s
+    lo, hi = family_bracket(m, n, s, r)
+    fam = family_char_coeffs(m, n, s, r)
+    base = family_char_coeffs(m, n, 1, k - 1)
+    d0, d1, d2 = difference_factor_coeffs(k, m, n, s)
+    diff = tuple(bc - fc for bc, fc in zip(base.coeffs, fam.coeffs))
+    psi_lo, psi_hi = difference_factor(lo, k, m, n, s), difference_factor(hi, k, m, n, s)
+    fn = upper_endpoint_quadratic(k, m, n)
+
+    def equal(xs, ys):   # xs == ys, element by element
+        return functools.reduce(operator.and_, map(operator.eq, xs, ys))
+    identity = equal(diff, (0, (s - 1) * d0, (s - 1) * d1, (s - 1) * d2, 0))
+    return {
+        "coeff_identity": equal(quotient_coeffs, fam.coeffs),
+        "difference_identity": identity,
+        "upper_endpoint_negative": (psi_hi <= fn) & (fn < 0),
+        "lower_endpoint_identity": psi_lo == (k - 1) * lower_endpoint_quadratic(k, m, n, s),
+        "lower_endpoint_negative": ((psi_lo < 0) & (lower_endpoint_quadratic(k, m, n, 2) < 0)
+                                    & (lower_endpoint_quadratic(k, m, n, m - 1) < 0)),
+        "ordering": (fam.evaluate(lo) < 0) & (fam.evaluate(hi) > 0),
+        "separation": ((s == 1) & equal(fam.coeffs, base.coeffs)
+                       | (s != 1) & identity & (d2 >= 0) & (psi_lo < 0) & (psi_hi < 0)),
+    }
+
+
+def point_checks(p: ExtremalParams, algebraic=None) -> dict:
     """All identity and inequality checks for one parameter point.
 
     Every check is an exact sign or identity; no root is computed. The
     closed forms get p's (m, n, s, r), and p_1 is the quartic at (m, n, 1, k-1).
-    coeff_identity compares the closed-form quartic p_s with quotient_poly,
-    the characteristic polynomial of family_quotient, computed here if not
-    given (separation_sweep gives it from one batch). ordering asks that p_s
-    change sign on the bracket (lo, hi), which holds its root q_s. At s = 1
-    separation asks that the two quartics coincide; for s >= 2 it asks for
-    the paper's premises p_1 - p_s = x (s - 1) psi(x), d2 >= 0 and psi(lo),
-    psi(hi) < 0, so psi < 0 on the bracket and p_1(q_s) < 0, i.e. q_s < q*.
+    coeff_identity compares the closed-form quartic p_s with the characteristic
+    polynomial of family_quotient. ordering asks that p_s change sign on the
+    bracket (lo, hi), which holds its root q_s. At s = 1 separation asks that
+    the two quartics coincide; for s >= 2 it asks for the paper's premises
+    p_1 - p_s = x (s - 1) psi(x), d2 >= 0 and psi(lo), psi(hi) < 0, so
+    psi < 0 on the bracket and p_1(q_s) < 0, i.e. q_s < q*. separation_sweep
+    passes these seven as algebraic, evaluated on int64 columns, which is
+    exact: at m + n <= 64 no closed-form value reaches 2^21.
     join_chain asks that the family member have s rows 2^r - 1, r = (k-1)s,
     then m - s rows 2^n - 1 (family_rows). A join at any r has that form, and
     2^r - 1 lies in 2^r' - 1 for r <= r', so the chain nests and q only rises;
@@ -377,43 +407,10 @@ def point_checks(p: ExtremalParams, quotient_poly=None) -> dict:
     """
     if p.m + p.n > DENSE_CAP:
         raise CapacityError(f"order {p.m + p.n} exceeds dense cap {DENSE_CAP}")
-    k, m, n, s, r = p.k, p.m, p.n, p.s, p.r
-    lo, hi = family_bracket(m, n, s, r)
-    fam = family_char_coeffs(m, n, s, r)
-    checks = {}
-
-    if quotient_poly is None:
-        quotient_poly = exact_char_poly(family_quotient(m, n, s, r))
-    checks["coeff_identity"] = quotient_poly.coeffs == fam.coeffs
-
-    base = family_char_coeffs(m, n, 1, k - 1)
-    d0, d1, d2 = difference_factor_coeffs(k, m, n, s)
-    expected = (0, (s - 1) * d0, (s - 1) * d1, (s - 1) * d2, 0)
-    diff = tuple(bc - fc for bc, fc in zip(base.coeffs, fam.coeffs))
-    checks["difference_identity"] = diff == expected
-
-    psi_hi = difference_factor(hi, k, m, n, s)
-    fn = upper_endpoint_quadratic(k, m, n)
-    checks["upper_endpoint_negative"] = psi_hi <= fn < 0
-
-    psi_lo = difference_factor(lo, k, m, n, s)
-    hs = lower_endpoint_quadratic(k, m, n, s)
-    checks["lower_endpoint_identity"] = psi_lo == (k - 1) * hs
-    checks["lower_endpoint_negative"] = (
-        psi_lo < 0
-        and lower_endpoint_quadratic(k, m, n, 2) < 0
-        and lower_endpoint_quadratic(k, m, n, m - 1) < 0
-    )
-
-    checks["ordering"] = fam.evaluate(lo) < 0 < fam.evaluate(hi)
-
-    if s == 1:
-        checks["separation"] = fam == base
-    else:
-        checks["separation"] = diff == expected and d2 >= 0 and psi_lo < 0 and psi_hi < 0
-
-    checks["join_chain"] = build_family(p).adj == family_rows(m, n, s, r)
-    return checks
+    if algebraic is None:
+        quotient_poly = exact_char_poly(family_quotient(p.m, p.n, p.s, p.r))
+        algebraic = _algebraic_checks(p.k, p.m, p.n, p.s, quotient_poly.coeffs)
+    return {**algebraic, "join_chain": build_family(p).adj == family_rows(p.m, p.n, p.s, p.r)}
 
 
 def _grid_axis(values, default, what: str) -> tuple:
@@ -431,9 +428,11 @@ def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0)
     boundary where the upper endpoint quadratic must vanish exactly, recorded
     as an expected boundary rather than a failure. A grid of more than
     SWEEP_POINT_CAP points, or with a family order m + n above SWEEP_ORDER_CAP,
-    raises CapacityError before any point runs. One exact_char_polys call over
-    every interior point's family_quotient feeds point_checks. seed is only a
-    grid label.
+    raises CapacityError before any point runs. The checks but join_chain run
+    once over int64 columns (k, m, n, s) of all interior points, exact as at
+    m + n <= SWEEP_ORDER_CAP = 64 no closed-form value reaches 2^21; one
+    exact_char_polys call takes their (N, 4, 4) int64 quotient stack. seed is
+    only a grid label.
     """
     k_values = _grid_axis(k_values, DEFAULT_K_VALUES, "grid k value")
     m_values = _grid_axis(m_values, DEFAULT_M_VALUES, "grid m value")
@@ -456,9 +455,13 @@ def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0)
     if order > SWEEP_ORDER_CAP:
         raise CapacityError(f"grid reaches family order m + n = {order}, above {SWEEP_ORDER_CAP}")
 
-    interior = [ExtremalParams(k, m, (k - 1) * m + extra, s)
-                for k, m, extra in grid_points if extra for s in range(1, m)]
-    batch = zip(interior, exact_char_polys([family_quotient(p.m, p.n, p.s, p.r) for p in interior]))
+    ks, ms, ns, ss = np.array([(k, m, (k - 1) * m + extra, s) for k, m, extra in grid_points if extra
+                               for s in range(1, m)], dtype=np.int64).reshape(-1, 4).T
+    entries = np.broadcast_arrays(*itertools.chain(*family_quotient(ms, ns, ss, (ks - 1) * ss)))
+    polys = exact_char_polys(np.stack(entries, axis=1).reshape(-1, 4, 4))
+    coeffs = np.array([q.coeffs for q in polys], dtype=np.int64).reshape(-1, 5).T   # ascending quartics
+    columns = {name: check.tolist() for name, check in _algebraic_checks(ks, ms, ns, ss, coeffs).items()}
+    rows = zip(*columns.values())
     points = []
     failures = []
     for k, m, extra in grid_points:
@@ -475,7 +478,7 @@ def separation_sweep(k_values=None, m_values=None, n_extras=None, seed: int = 0)
                 failures.append({"k": k, "m": m, "n": n, "check": "upper_endpoint_zero"})
             continue
         for s in range(1, m):
-            checks = point_checks(*next(batch))
+            checks = point_checks(ExtremalParams(k, m, n, s), dict(zip(columns, next(rows))))
             point = {
                 "k": k, "m": m, "n": n, "s": s,
                 "expected_boundary": False,

@@ -39,6 +39,10 @@ None of these has a caller in the package itself:
   bounds, x I - small positive definite and x I - big not (Sylvester's
   criterion by Bareiss elimination in ints), at the shortest dyadic in the
   middle half of the gap, against which the bounds are checked;
+* scalar_algebraic_checks: point_checks' seven checks but join_chain at one
+  point of ints, with and, chained comparisons and tuple ==, as point_checks
+  computed them before the sweep evaluated them on int64 columns, against
+  which verify._algebraic_checks is checked, off the hypothesis too;
 * join_chain: the joins at r = 1..(k-1)s, each built from two complete
   graphs, against which verify.point_checks's closed-form rows are checked;
 * quotient: the quotient matrix of Q(G) over any vertex partition, from the
@@ -61,6 +65,14 @@ import numpy as np
 
 from qspan import BipartiteGraph, CapacityError, DegreeDemand, InputError, InternalError, NumericalError
 from qspan.cli import format_float
+from qspan.extremal import (
+    difference_factor,
+    difference_factor_coeffs,
+    family_bracket,
+    family_char_coeffs,
+    lower_endpoint_quadratic,
+    upper_endpoint_quadratic,
+)
 from qspan.graph_core import complete_bipartite, is_connected, iter_bits, join, reach, to_edge_list
 from qspan.poly import BISECTION_CAP, CHAR_POLY_CAP, PolyCoeffs, _horner, _int_matrix, _integral
 from qspan.trees import HallViolation, _augment, is_violation
@@ -409,6 +421,35 @@ def _short_dyadic(qh: float, qg: float) -> Fraction:
     while (j := -((-lo.numerator << t) // lo.denominator)) * hi.denominator > hi.numerator << t:
         t += 1
     return Fraction(j, 1 << t)
+
+
+def scalar_algebraic_checks(k: int, m: int, n: int, s: int, quotient_coeffs) -> dict:
+    """The checks of verify.point_checks but join_chain, at any point of ints
+    (admissible or not), one scalar sign or identity at a time."""
+    r = (k - 1) * s
+    lo, hi = family_bracket(m, n, s, r)
+    fam = family_char_coeffs(m, n, s, r)
+    base = family_char_coeffs(m, n, 1, k - 1)
+    d0, d1, d2 = difference_factor_coeffs(k, m, n, s)
+    expected = (0, (s - 1) * d0, (s - 1) * d1, (s - 1) * d2, 0)
+    diff = tuple(bc - fc for bc, fc in zip(base.coeffs, fam.coeffs))
+    psi_hi = difference_factor(hi, k, m, n, s)
+    psi_lo = difference_factor(lo, k, m, n, s)
+    fn = upper_endpoint_quadratic(k, m, n)
+    return {
+        "coeff_identity": tuple(quotient_coeffs) == fam.coeffs,
+        "difference_identity": diff == expected,
+        "upper_endpoint_negative": psi_hi <= fn < 0,
+        "lower_endpoint_identity": psi_lo == (k - 1) * lower_endpoint_quadratic(k, m, n, s),
+        "lower_endpoint_negative": (
+            psi_lo < 0
+            and lower_endpoint_quadratic(k, m, n, 2) < 0
+            and lower_endpoint_quadratic(k, m, n, m - 1) < 0
+        ),
+        "ordering": fam.evaluate(lo) < 0 < fam.evaluate(hi),
+        "separation": fam == base if s == 1 else (
+            diff == expected and d2 >= 0 and psi_lo < 0 and psi_hi < 0),
+    }
 
 
 def join_chain(p) -> list[BipartiteGraph]:

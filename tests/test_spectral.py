@@ -9,6 +9,7 @@ oracles.per_matrix_char_poly does the same for exact_char_polys.
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -415,6 +416,13 @@ class TestExactCharPoly:
         with pytest.raises(InputError, match="integers"):
             exact_char_poly([[0.5]])
 
+    @pytest.mark.parametrize("entry", ["x", None, [1], object(), np.True_, math.nan, math.inf],
+                             ids=["str", "None", "list", "object", "numpy-bool", "nan", "inf"])
+    def test_entry_that_fraction_cannot_read_rejected(self, entry):
+        # Fraction raises ValueError, TypeError or OverflowError on each of these
+        with pytest.raises(InputError, match=re.escape(f"entries must be integers, got {entry!r}")):
+            exact_char_poly([[1, 0], [0, entry]])
+
     def test_coefficients_are_ints(self):
         rows = [[2, 1, 0], [1, 3, 1], [0, 1, 1]]
         assert all(type(c) is int for c in exact_char_poly(rows).coeffs)
@@ -446,6 +454,14 @@ class TestExactCharPoly:
         rows = [[Fraction(3, 2), Fraction(3, 2)], [Fraction(3, 2), Fraction(3, 2)]]
         with pytest.raises(InputError, match="integers"):
             exact_char_poly(rows)
+
+
+def near_2_20(count, seed):
+    """count random 4x4 matrices of entries near +-2**20: their row sums near
+    2**22 put them past the int64 bound, 4 (2w)**4 >= 2**63."""
+    rng = random.Random(seed)
+    return [[[rng.choice((-1, 1)) * rng.randint(2 ** 20 - 64, 2 ** 20) for _ in range(4)] for _ in range(4)]
+            for _ in range(count)]
 
 
 def grid_quotients(k_values, m_values, n_extras):
@@ -483,11 +499,11 @@ class TestExactCharPolys:
         self.assert_matches_oracle(stack)
         assert max(abs(c) for c in exact_char_polys(stack[:1])[0].coeffs) > 2 ** 63
 
-    @pytest.mark.parametrize("above", [False, True])
-    @pytest.mark.parametrize("t", range(1, CHAR_POLY_CAP + 1))
-    def test_random_stacks_at_int64_bound_match_oracle(self, monkeypatch, t, above):
-        # w: the largest row sum with t (2w)^t < 2^63, where the recursion
-        # runs on int64, or one more, where it runs on Python ints
+    @staticmethod
+    def bound_stack(t, above):
+        """Five random t x t matrices whose largest absolute row sum w is the
+        largest with t (2w)^t < 2^63, where the recursion runs on int64, or
+        one more, where it runs on Python ints."""
         lo, hi = 0, 2 ** 62
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -502,6 +518,11 @@ class TestExactCharPolys:
         stack = [[row() for _ in range(t)] for _ in range(3)]
         stack.append([[abs(x) for x in row()] for _ in range(t)])
         stack.append([[-w * (i == j) for j in range(t)] for i in range(t)])
+        return stack
+
+    @pytest.fixture
+    def matmul_dtypes(self, monkeypatch):
+        """The dtype of every stack the recursion multiplies."""
         matmul, dtypes = np.matmul, set()
 
         def spy(a, b):
@@ -509,8 +530,63 @@ class TestExactCharPolys:
             return matmul(a, b)
 
         monkeypatch.setattr(poly.np, "matmul", spy)
-        self.assert_matches_oracle(stack)
-        assert dtypes == (set() if t == 1 else {np.dtype(object) if above else np.dtype(np.int64)})
+        return dtypes
+
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("t", range(1, CHAR_POLY_CAP + 1))
+    def test_random_stacks_at_int64_bound_match_oracle(self, matmul_dtypes, t, above):
+        self.assert_matches_oracle(self.bound_stack(t, above))
+        assert matmul_dtypes == (set() if t == 1 else {np.dtype(object) if above else np.dtype(np.int64)})
+
+    @pytest.fixture
+    def int_matrix_calls(self, monkeypatch):
+        """How many matrices go through poly._int_matrix."""
+        calls, int_matrix = [], poly._int_matrix
+        monkeypatch.setattr(poly, "_int_matrix", lambda rows: calls.append(None) or int_matrix(rows))
+        return calls
+
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("t", range(1, CHAR_POLY_CAP + 1))
+    def test_int64_array_stacks_at_bound_match_oracle(self, matmul_dtypes, int_matrix_calls, t, above):
+        # an int64 (N, t, t) array is taken as it is, on the same side of the bound as its rows
+        stack = self.bound_stack(t, above)
+        got = exact_char_polys(np.array(stack, dtype=np.int64))
+        assert [p.coeffs for p in got] == [per_matrix_char_poly(rows).coeffs for rows in stack]
+        assert all(type(c) is int for p in got for c in p.coeffs)
+        assert matmul_dtypes == (set() if t == 1 else {np.dtype(object) if above else np.dtype(np.int64)})
+        assert int_matrix_calls == []
+
+    @pytest.mark.parametrize("stack", [
+        near_2_20(3, seed=20),
+        # int64 extremes: in int64, |-2**63| and these absolute row sums wrap to 0 or below
+        [[[-2 ** 63, -2 ** 63], [0, 0]], [[-2 ** 63, 0], [0, -2 ** 63]]],
+        [[[-2 ** 63]]],
+    ], ids=["near-2**20", "extremes-2x2", "extremes-1x1"])
+    def test_int64_array_past_bound_runs_on_python_ints(self, matmul_dtypes, stack):
+        got = exact_char_polys(np.array(stack, dtype=np.int64))
+        assert [p.coeffs for p in got] == [per_matrix_char_poly(rows).coeffs for rows in stack]
+        assert all(type(c) is int for p in got for c in p.coeffs)
+        assert matmul_dtypes <= {np.dtype(object)}
+
+    @pytest.mark.parametrize("t", [0, 4, CHAR_POLY_CAP + 1])
+    def test_empty_int64_array(self, t):
+        assert exact_char_polys(np.zeros((0, t, t), dtype=np.int64)) == []
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 4), (2, 3, 4), (2, 4, 4, 4)])
+    def test_int64_array_of_wrong_shape_rejected(self, shape):
+        with pytest.raises(InputError, match=re.escape(f"shape (N, t, t), got {shape}")):
+            exact_char_polys(np.zeros(shape, dtype=np.int64))
+
+    def test_bool_and_float_arrays_take_the_list_path(self, int_matrix_calls):
+        ints = [[[2, 1], [1, 3]], [[0, -1], [-1, 0]]]
+        want = [p.coeffs for p in exact_char_polys(ints)]
+        for dtype in (float, np.int32):
+            assert [p.coeffs for p in exact_char_polys(np.array(ints, dtype=dtype))] == want
+        assert len(int_matrix_calls) == 6
+        with pytest.raises(InputError, match="entries must be integers"):
+            exact_char_polys(np.array([[[2.0, 0.5], [0.5, 3.0]]]))
+        with pytest.raises(InputError, match="entries must be integers"):
+            exact_char_polys(np.array(ints, dtype=bool))
 
     def test_empty_stack(self):
         assert exact_char_polys([]) == []

@@ -65,7 +65,9 @@ from oracles import (
     join_chain,
     non_bridges,
     part_preserving_isomorphic,
+    per_matrix_char_poly,
     random_demand_instances,
+    scalar_algebraic_checks,
     separates_top_eigenvalues,
 )
 
@@ -779,6 +781,57 @@ class TestSweep:
         monkeypatch.setattr(verify, "point_checks", lambda p: pytest.fail("a point ran"))
         with pytest.raises(CapacityError, match=message):
             separation_sweep(*grid)
+
+
+def admissible_sweep_grids():
+    """One proof-sweep grid per (k, m) with k m < 64, whose n offsets 1..64 - km
+    cover every admissible point with m + n <= SWEEP_ORDER_CAP = 64."""
+    return [((k,), (m,), range(1, 65 - k * m)) for k in range(3, 22) for m in range(3, 22) if k * m < 64]
+
+
+class TestSweepColumns:
+    """separation_sweep evaluates point_checks' checks but join_chain once, on
+    int64 columns of all its points, through the function that point_checks
+    runs on ints."""
+
+    def test_columns_equal_point_checks_at_every_admissible_point(self):
+        # the closed forms reach 1,351,680 here, so int16 columns would wrap; int64 ones must not
+        points = 0
+        for grid in admissible_sweep_grids():
+            rep = separation_sweep(*grid)
+            assert rep.failures == [], grid
+            for pt in rep.points:
+                assert point_checks(ExtremalParams(pt["k"], pt["m"], pt["n"], pt["s"])) == pt["checks"], pt
+                assert all(type(ok) is bool for ok in pt["checks"].values()), pt
+            points += len(rep.points)
+        assert points == 10548
+
+    def test_columns_and_ints_match_scalar_oracle_off_the_hypothesis(self):
+        # points of ints that break the hypothesis (k, m >= 2, n >= 1, s in 1..m-1), with
+        # one quartic coefficient off by one at five points in seven, fail every
+        # check that is not an identity somewhere; columns, ints and the oracle agree
+        points = [(k, m, n, s) for k in range(2, 7) for m in range(2, 8)
+                  for n in range(1, (k - 1) * m + 4) for s in range(1, m)]
+        quartics = []
+        for i, (k, m, n, s) in enumerate(points):
+            coeffs = list(per_matrix_char_poly(family_quotient(m, n, s, (k - 1) * s)).coeffs)
+            if i % 7 < 5:
+                coeffs[i % 7] += 1
+            quartics.append(tuple(coeffs))
+        columns = verify._algebraic_checks(*np.array(points, dtype=np.int64).T,
+                                           np.array(quartics, dtype=np.int64).T)
+        seen = defaultdict(set)
+        for i, (point, quartic) in enumerate(zip(points, quartics)):
+            want = scalar_algebraic_checks(*point, quartic)
+            on_ints = verify._algebraic_checks(*point, quartic)
+            assert on_ints == want and all(type(ok) is bool for ok in on_ints.values()), point
+            assert {name: column[i] for name, column in columns.items()} == want, point
+            for name, ok in want.items():
+                seen[name].add(ok)
+        assert len(points) == 1995
+        identities = {"difference_identity", "lower_endpoint_identity"}
+        assert {name for name, oks in seen.items() if oks == {False, True}} == set(want) - identities
+        assert all(seen[name] == {True} for name in identities)
 
 
 class TestStrictRootComparison:
