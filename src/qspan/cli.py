@@ -109,7 +109,7 @@ def _cmd_spectral(args) -> int:
         "q": float(q),
         "residual": float(residual),
         "iterations": 0,
-        "method": "eigh",
+        "method": "eigh",   # with "iterations", a fixed schema-1 label, not the method used
     }
     print(emit_json(report))
     return 0

@@ -1,9 +1,11 @@
 """Signless Laplacian assembly and spectral computations.
 
 Provides the dense signless Laplacian Q = D + A of a bipartite graph as a
-float array, the spectral radii and top eigenvectors of a stack of such
-arrays from one LAPACK eigh call with a residual check, and Collatz-Wielandt
-bounds on q in integers from a graph's rows and a positive integer vector.
+float array, the spectral radii of a stack of such arrays from one LAPACK
+eigvalsh call and their top eigenvectors by at most two shifted solves
+(inverse iteration), with a residual check, and Collatz-Wielandt bounds on
+q in integers from a graph's rows and a positive integer vector. The
+spectral report's "iterations": 0 and "method": "eigh" are schema-1 labels.
 Exact characteristic polynomials (of the join family's closed-form quotient,
 for one) come from qspan.poly.
 """
@@ -48,12 +50,19 @@ def signless_laplacian(g: BipartiteGraph) -> np.ndarray:
 
 def top_eigenpairs(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Largest eigenvalues, their residuals and unit top eigenvectors (rows)
-    of a (k, t, t) stack of symmetric nonnegative matrices, from one LAPACK
-    eigh call. If the residual ||Q v - value v|| of a top eigenvector v
-    exceeds tol * max(1, value), NumericalError is raised with the first
-    such (value, residual) as best."""
+    of a (k, t, t) real ndarray stack of symmetric nonnegative matrices, taken
+    as float64. Values come from one LAPACK eigvalsh call, vectors from one
+    shifted solve (Q - mu I) w = 1 with mu just above the value (inverse
+    iteration; all-ones is never orthogonal to a nonnegative top eigenvector).
+    If a residual ||Q v - value v|| exceeds tol * max(1, value), every vector
+    takes one more solve; if one still does, NumericalError is raised with
+    the first such (value, residual) as best. No iteration count or method
+    name comes back: the spectral report's are fixed schema-1 labels."""
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tolerance must be finite and > 0, got {tol!r}")
+    if not isinstance(q, np.ndarray) or q.dtype.kind not in "biuf":
+        raise InputError(f"expected a real ndarray stack, got {getattr(q, 'dtype', type(q).__name__)}")
+    q = q.astype(np.float64, copy=False)
     if q.ndim != 3 or q.shape[1] != q.shape[2]:
         raise InputError(f"expected a stack of square matrices, got shape {q.shape}")
     if q.size == 0:
@@ -66,15 +75,23 @@ def top_eigenpairs(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nd
         raise InputError("matrix is not symmetric")
     if float(q.min()) < 0.0:
         raise InputError("matrix has negative entries")
-    vals, vecs = np.linalg.eigh(q)
-    value, vec = vals[:, -1], vecs[:, :, -1:]
-    r = q @ vec - value[:, None, None] * vec
-    residual = np.sqrt(np.swapaxes(r, 1, 2) @ r)[:, 0, 0]
-    bad = np.flatnonzero(residual > tol * np.maximum(1.0, value))
-    if bad.size:
-        best = float(value[bad[0]]), float(residual[bad[0]])
-        raise NumericalError(f"eigh residual {best[1]:.3e} exceeds tol {tol:.3e}", best=best)
-    return value, residual, vec[:, :, 0]
+    value = np.linalg.eigvalsh(q)[:, -1]
+    # relative shift 1e-13: >= 30x eigvalsh's rounding at DENSE_CAP (3.1e-15 on K_2048,2048), <= default tol / 1000
+    shifted = q.copy()
+    np.einsum("kii->ki", shifted)[...] -= (value + 1e-13 * np.maximum(1.0, value))[:, None]
+    vec = np.ones((q.shape[0], q.shape[1], 1))
+    for _ in range(2):
+        try:
+            vec = np.linalg.solve(shifted, vec)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"shifted matrix for inverse iteration is singular: {exc}") from None
+        vec /= np.linalg.norm(vec, axis=1, keepdims=True)
+        residual = np.linalg.norm(q @ vec - value[:, None, None] * vec, axis=1)[:, 0]
+        bad = np.flatnonzero(residual > tol * np.maximum(1.0, value))
+        if not bad.size:
+            return value, residual, vec[:, :, 0]
+    best = float(value[bad[0]]), float(residual[bad[0]])
+    raise NumericalError(f"top eigenvector residual {best[1]:.3e} exceeds tol {tol:.3e}", best=best)
 
 
 def spectral_radii(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
@@ -86,11 +103,14 @@ def spectral_radii(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nd
 def collatz_wielandt_bounds(rows, m: int, n: int, y) -> tuple[tuple[int, int], tuple[int, int]]:
     """(lo, hi) with lo <= q(G) <= hi as (numerator, denominator) int pairs:
     the least and greatest (Qy)_i / y_i over the vertices, A first, of the
-    graph with A-rows rows, for positive ints y (Collatz-Wielandt; Horn and
-    Johnson, Matrix Analysis, ch. 8). Each edge adds y_a + y_b to (Qy) at
-    both ends, its share of the degree and of the neighbour sum."""
+    graph whose A-rows are the m ints rows, each in [0, 2^n), for positive
+    ints y (Collatz-Wielandt; Horn and Johnson, Matrix Analysis, ch. 8). Each
+    edge adds y_a + y_b to (Qy) at both ends, its share of the degree and of
+    the neighbour sum."""
     if len(y) != m + n or not all(type(v) is int and v > 0 for v in y):
         raise InputError(f"y must be {m + n} positive integers")
+    if len(rows) != m or not all(type(r) is int and 0 <= r < 1 << n for r in rows):
+        raise InputError(f"rows must be {m} integers in [0, 2^{n})")
     qy = [0] * (m + n)
     for a, row in enumerate(rows):
         for b in iter_bits(row):

@@ -581,10 +581,10 @@ def _fuzz_pairs(trials: int, seed: int):
 def subgraph_monotonicity_fuzz(trials: int = 10000, seed: int = 0) -> MonotonicityReport:
     """Random connected G, random connected spanning subgraph H: q(H) must
     not exceed q(G) + 1e-9. Each distinct adjacency of a shape is solved once,
-    in one batched eigh per shape with every residual checked; H = G is only
-    counted. The first STRICT_CHECK_BUDGET pairs with H != G and at most 8
-    vertices are certified strict in integers: y_i = max(1, rint(2^52 |v_i| /
-    max |v|)) from each top eigenvector v gives Collatz-Wielandt bounds, and
+    in one top_eigenpairs stack per shape, every residual checked; H = G is
+    only counted. The first STRICT_CHECK_BUDGET pairs with H != G and at most
+    8 vertices are certified strict in integers: y_i = max(1, rint(2^52 |v_i|
+    / max |v|)) from each top eigenvector v gives Collatz-Wielandt bounds, and
     H's upper bound must lie below G's lower bound."""
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 0:
         raise InputError(f"trials must be a non-negative integer, got {trials!r}")

@@ -202,6 +202,16 @@ class TestSpectral:
         assert "residual" in captured.err
         assert captured.out == ""
 
+    def test_singular_solve_exits_one(self, k37, capsys, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        assert main(["spectral", k37]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "singular" in captured.err
+        assert captured.out == ""
+
     def test_long_path_is_fast_and_exact(self, tmp_path, capsys):
         # P_1001: A-vertex a is adjacent to B-vertices a and a+1. Q of a
         # bipartite graph is similar to its Laplacian, whose largest

@@ -1,9 +1,12 @@
 """Spectral radius, the quotient oracle, and exact characteristic polynomials.
 
 numpy.linalg.eigvalsh serves here as the oracle for spectral_radii, which
-makes one LAPACK eigh call per stack of matrices; the radius of one matrix
-is spectral_radii on a stack of one. The per-matrix trace recursion in
-oracles.per_matrix_char_poly does the same for exact_char_polys.
+takes its values from one LAPACK eigvalsh call per stack of matrices, and
+numpy.linalg.eigh for top_eigenpairs, which takes each top vector from at
+most two shifted solves; the radius of one matrix is spectral_radii on a
+stack of one. The CLI's spectral report keeps "iterations": 0 and
+"method": "eigh" as fixed schema-1 labels. The per-matrix trace recursion
+in oracles.per_matrix_char_poly is the oracle for exact_char_polys.
 """
 
 import itertools
@@ -32,10 +35,10 @@ from qspan import (
     signless_laplacian,
     spectral_radii,
 )
-from qspan import poly
+from qspan import poly, verify
 from qspan.extremal import ExtremalParams, build_family, family_bracket, family_quotient, spectral_threshold
 from qspan.poly import CHAR_POLY_CAP, PolyCoeffs, exact_char_poly, exact_char_polys, largest_real_root
-from qspan.spectral import DENSE_CAP, collatz_wielandt_bounds, top_eigenpairs
+from qspan.spectral import DENSE_CAP, collatz_wielandt_bounds, mask_bits, q_matrices, top_eigenpairs
 
 from oracles import bisect_root, connected_graphs, per_matrix_char_poly, quotient
 
@@ -55,6 +58,24 @@ def random_graph(rng, m, n, p=0.5):
         sum(1 << b for b in range(n) if rng.random() < p) for _ in range(m)
     )
     return BipartiteGraph(m, n, adj)
+
+
+def path_graph(m):
+    """The path a_0 b_0 a_1 ... b_{m-2} a_{m-1} on 2m - 1 vertices."""
+    return from_edge_list(m, m - 1, [(a + d, a) for a in range(m - 1) for d in (0, 1)])
+
+
+def fuzz_stacks(trials=3000, seed=1):
+    """The (k, t, t) Q stacks that subgraph_monotonicity_fuzz(trials, seed)
+    solves: per shape, each distinct adjacency of an H != G pair, in order."""
+    shapes = {}
+    for g, h in verify._fuzz_pairs(trials, seed):
+        if h.adj != g.adj:
+            index = shapes.setdefault((g.m, g.n), {})
+            index.setdefault(g.adj)
+            index.setdefault(h.adj)
+    return [q_matrices(mask_bits([r for adj in index for r in adj], n).reshape(-1, m, n))
+            for (m, n), index in shapes.items()]
 
 
 def fraction_char_poly(rows):
@@ -212,11 +233,11 @@ class TestSpectralRadii:
                 assert residual <= 1e-10 * max(1.0, value)
 
     def test_residual_over_tol_raises_with_first_best(self):
-        # K_{1,1} has residual 0; the path after it is the first that fails 1e-300
+        # the edgeless graph has residual 0; the path after it is the first that fails 1e-300
         path = signless_laplacian(from_edge_list(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)]))
-        k11 = signless_laplacian(from_edge_list(2, 3, [(0, 0)]))
+        edgeless = signless_laplacian(from_edge_list(2, 3, []))
         with pytest.raises(NumericalError) as info:
-            spectral_radii(np.stack([k11, path, path]), tol=1e-300)
+            spectral_radii(np.stack([edgeless, path, path]), tol=1e-300)
         value, residual = info.value.best
         assert value == pytest.approx(oracle_radius(path), abs=1e-12)
         assert 0 < residual <= 1e-12
@@ -252,6 +273,26 @@ class TestSpectralRadii:
         with pytest.raises(InputError, match="at least one matrix"):
             spectral_radii(np.zeros(shape))
 
+    @pytest.mark.parametrize("stack, name", [
+        ([[[1.0]]], "list"),
+        (np.array([[[1.0]]], dtype=object), "object"),
+        (np.array([[["1"]]]), "<U1"),
+        (np.array([[[1.0]]], dtype=complex), "complex128"),
+    ], ids=["list", "object", "str", "complex"])
+    def test_rejects_stacks_that_are_not_real_arrays(self, stack, name):
+        with pytest.raises(InputError, match=re.escape(f"expected a real ndarray stack, got {name}")):
+            spectral_radii(stack)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int32, np.int64, np.float16, np.float32])
+    def test_real_stacks_are_taken_as_float64(self, dtype):
+        # 0/1 entries, so every dtype holds the same matrices
+        q = np.array([[[0, 1], [1, 0]], [[1, 1], [1, 1]], [[0, 0], [0, 0]], [[1, 0], [0, 0]]])
+        got = top_eigenpairs(q.astype(dtype))
+        want = top_eigenpairs(q.astype(np.float64))
+        for a, b in zip(got, want):
+            assert a.dtype == np.float64
+            np.testing.assert_array_equal(a, b)
+
 
 class TestTopEigenpairs:
     def test_radii_are_its_first_two(self):
@@ -273,6 +314,92 @@ class TestTopEigenpairs:
         with pytest.raises(NumericalError):
             top_eigenpairs(signless_laplacian(from_edge_list(2, 3, [(0, 0), (0, 1), (1, 1)]))[None],
                            tol=1e-300)
+
+    @pytest.fixture(scope="class")
+    def stacks(self):
+        return fuzz_stacks()
+
+    @staticmethod
+    def solve_spy(monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(len(a)) or solve(a, b))
+        return calls
+
+    def test_fuzz_stacks_pinned(self, stacks):
+        assert (len(stacks), sum(len(q) for q in stacks)) == (35, 2907)
+
+    def test_values_are_eigvalsh_bit_for_bit(self, stacks):
+        for q in stacks:
+            np.testing.assert_array_equal(top_eigenpairs(q)[0], np.linalg.eigvalsh(q)[:, -1])
+
+    def test_vectors_match_eigh_up_to_sign_on_gapped_stacks(self, stacks):
+        for q in stacks:
+            _, _, vectors = top_eigenpairs(q)
+            vals, vecs = np.linalg.eigh(q)
+            assert (vals[:, -1] - vals[:, -2]).min() > 0.05
+            top = vecs[:, :, -1]
+            np.testing.assert_allclose(np.linalg.norm(vectors, axis=1), 1.0, rtol=0, atol=1e-14)
+            sign = np.sign(np.einsum("ki,ki->k", vectors, top))[:, None]
+            np.testing.assert_allclose(vectors, sign * top, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("graph", [
+        complete_bipartite(1, 1000),
+        path_graph(501),
+        # two equal components: a double top eigenvalue
+        from_edge_list(6, 8, [(a + 3 * c, b + 4 * c) for c in (0, 1) for a in range(3) for b in range(4)]),
+        # two K_{40,40} joined by one edge: a top gap near 0.026
+        from_edge_list(80, 80, [(a + 40 * c, b + 40 * c) for c in (0, 1) for a in range(40) for b in range(40)]
+                       + [(0, 40)]),
+        from_edge_list(3, 4, []),
+    ], ids=["K_1,1000", "P_1001", "double-top", "joined-K_40,40", "edgeless"])
+    def test_residual_a_tenth_of_tol(self, graph):
+        q = signless_laplacian(graph)[None]
+        value, residual, vectors = top_eigenpairs(q)
+        assert value[0] == np.linalg.eigvalsh(q)[0, -1]
+        assert residual[0] <= 1e-11 * max(1.0, value[0])
+        assert np.linalg.norm(vectors[0]) == pytest.approx(1.0, abs=1e-13)
+
+    def test_residual_a_tenth_of_tol_on_random_graphs(self):
+        rng = random.Random(46)
+        for m, n, p in [(600, 600, 0.5), (600, 40, 0.05), (7, 600, 0.3), (250, 350, 0.01)]:
+            value, residual, _ = top_eigenpairs(signless_laplacian(random_graph(rng, m, n, p))[None])
+            assert residual[0] <= 1e-11 * max(1.0, value[0])
+
+    def test_one_solve_at_default_tol(self, stacks, monkeypatch):
+        calls = self.solve_spy(monkeypatch)
+        for q in stacks:
+            top_eigenpairs(q)
+        assert calls == [len(q) for q in stacks]
+
+    def test_second_solve_only_where_one_misses_tol(self, stacks, monkeypatch):
+        # a stack takes a second solve iff some one-solve residual misses tol = 1e-13, and then passes
+        one = [top_eigenpairs(q) for q in stacks]
+        calls = self.solve_spy(monkeypatch)
+        twice = 0
+        for q, (value, residual, _) in zip(stacks, one):
+            del calls[:]
+            top_eigenpairs(q, tol=1e-13)
+            misses = bool((residual > 1e-13 * np.maximum(1.0, value)).any())
+            assert calls == [len(q)] * (1 + misses)
+            twice += misses
+        assert 0 < twice < len(stacks)
+
+    def test_star_takes_two_solves_at_tol_1e_13(self, monkeypatch):
+        # one solve leaves K_{1,1000} a relative residual near 1.6e-12
+        calls = self.solve_spy(monkeypatch)
+        value, residual, _ = top_eigenpairs(signless_laplacian(complete_bipartite(1, 1000))[None], tol=1e-13)
+        assert calls == [1, 1]
+        assert value[0] == pytest.approx(1001, abs=1e-10)
+        assert residual[0] <= 1e-13 * value[0]
+
+    def test_singular_solve_is_numerical_error(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(NumericalError, match="singular"):
+            top_eigenpairs(signless_laplacian(complete_bipartite(1, 1))[None])
 
 
 class TestCollatzWielandt:
@@ -306,6 +433,15 @@ class TestCollatzWielandt:
     def test_rejects_bad_vectors(self, y):
         with pytest.raises(InputError, match="positive integers"):
             collatz_wielandt_bounds((1, 1), 2, 1, y)
+
+    @pytest.mark.parametrize("rows", [(1, 1, 1), (1,), (1, 2), (1, -1), (1, True), (1, 1.0), (1, np.int64(1))],
+                             ids=["more-than-m", "fewer-than-m", "bit-at-n", "negative", "bool", "float",
+                                  "numpy-int"])
+    def test_rejects_bad_rows(self, rows):
+        # unchecked, (1, 1, 1) read a third A-row and bounded K_{2,1} (q = 3) above by 8,
+        # and a bit at n or a negative row indexed y out of range
+        with pytest.raises(InputError, match=re.escape("rows must be 2 integers in [0, 2^1)")):
+            collatz_wielandt_bounds(rows, 2, 1, [1, 1, 1])
 
 
 class TestQuotientMatrix:
