@@ -88,9 +88,9 @@ class BipartiteGraph:
         """Adjacency from the B side: a bitmask of A-indices per B-vertex.
 
         The columns are computed at most once per graph (parse_graph's fast
-        path fills them as it reads the edges) and cached outside the
-        fields, so ==, hash and repr do not see them. A race between threads
-        at worst computes the same columns twice.
+        path packs them from the edge indices, as it does the rows) and
+        cached outside the fields, so ==, hash and repr do not see them. A
+        race between threads at worst computes the same columns twice.
         """
         cols = self.__dict__.get("_cols")
         if cols is None:
@@ -264,10 +264,11 @@ def parse_graph(text: str, source: str = "<string>") -> BipartiteGraph:
     A canonical text, one `p bip <m> <n>` header and then only `e <a> <b>`
     lines, each field 1 to 5 ASCII digits and each line ended by a newline,
     with every size and index in range, has its edge block decoded by one
-    numpy call and is read in one pass that fills the rows and the cached
-    columns (BipartiteGraph.b_adj) together. Any other text (comments, blank
-    lines, CRLF, tabs, signs, a missing final newline, an error) takes the
-    line loop, which names the line at fault.
+    numpy call; _pack_rows then builds the rows and the cached columns
+    (BipartiteGraph.b_adj) from the decoded indices in bit-packed blocks of
+    at most _BLOCK_ENTRIES entries. Any other text (comments, blank lines,
+    CRLF, tabs, signs, a missing final newline, an error) takes the line
+    loop, which names the line at fault.
     """
     return _parse_canonical(text) or _parse_lines(text, source)
 
@@ -276,8 +277,9 @@ def _parse_canonical(text: str) -> BipartiteGraph | None:
     """The graph of a canonical text, or None for the line loop to read.
 
     One np.fromstring call decodes the edge block, its `e`s blanked, as
-    whitespace-separated ints; the rows and columns are filled from two int
-    lists, so no m-by-n array is built."""
+    whitespace-separated ints. _pack_rows turns the (A, B) indices into the
+    rows and the (B, A) indices into the columns; no m-by-n array is built,
+    and no block holds more than _BLOCK_ENTRIES bools."""
     if not _CANONICAL.fullmatch(text):
         return None
     head = text.index("\n")
@@ -290,13 +292,48 @@ def _parse_canonical(text: str) -> BipartiteGraph | None:
     a_ids, b_ids = ids[0::2], ids[1::2]
     if a_ids.size and (a_ids.max() >= m or b_ids.max() >= n):
         return None
-    rows, cols = [0] * m, [0] * n
-    for a, b in zip(a_ids.tolist(), b_ids.tolist()):
-        rows[a] |= 1 << b
-        cols[b] |= 1 << a
-    g = BipartiteGraph(m, n, tuple(rows))
-    object.__setattr__(g, "_cols", tuple(cols))
+    g = BipartiteGraph(m, n, tuple(_pack_rows(m, n, a_ids, b_ids)))
+    object.__setattr__(g, "_cols", tuple(_pack_rows(n, m, b_ids, a_ids)))
     return g
+
+
+_BLOCK_ENTRIES = 1 << 20   # bool entries per _pack_rows block: bounds its scratch memory at 1 MiB
+
+
+def _pack_rows(count: int, width: int, heads, tails) -> list[int]:
+    """count rows of width bits as ints, bit tails[i] set in row heads[i].
+
+    The bits are set in a bool block, np.packbits packs it little-endian
+    along each row, and one int.from_bytes reads each row. If all count
+    rows fit in one block of _BLOCK_ENTRIES they are packed as they are.
+    Otherwise the edges are sorted by row, and only rows with an edge take
+    a slot in a block, _BLOCK_ENTRIES // width rows at a time."""
+    per_block = _BLOCK_ENTRIES // width   # width <= PART_SIZE_CAP, so at least 64
+    if count <= per_block:
+        return _pack_block(count, width, heads, tails)
+    order = np.argsort(heads, kind="stable")
+    heads, tails = heads[order], tails[order]
+    new = np.diff(heads, prepend=-1) != 0   # the first edge of each row with an edge
+    slots = np.cumsum(new) - 1
+    starts = np.append(np.flatnonzero(new), heads.size)
+    used = heads[starts[:-1]].tolist()
+    rows = [0] * count
+    for lo in range(0, len(used), per_block):
+        hi = min(lo + per_block, len(used))
+        edges = slice(starts[lo], starts[hi])
+        packed = _pack_block(hi - lo, width, slots[edges] - lo, tails[edges])
+        for a, row in zip(used[lo:hi], packed):
+            rows[a] = row
+    return rows
+
+
+def _pack_block(count: int, width: int, heads, tails) -> list[int]:
+    """_pack_rows for rows that fit in one block."""
+    block = np.zeros((count, width), dtype=bool)
+    block[heads, tails] = True
+    packed = np.packbits(block, axis=1, bitorder="little")
+    data, step = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
 
 
 def _parse_lines(text: str, source: str) -> BipartiteGraph:
@@ -346,9 +383,17 @@ def _parse_lines(text: str, source: str) -> BipartiteGraph:
     return BipartiteGraph(m, n, tuple(adj))
 
 
+def _file_path(path):
+    """path, unless it has __index__: open() would take an int or bool as a
+    file descriptor, and close it."""
+    if hasattr(type(path), "__index__"):
+        raise InputError(f"path must be a str or os.PathLike, got {path!r}")
+    return path
+
+
 def _read_text(path) -> str:
     """File contents as text; a byte that is not UTF-8 is an InputError at its line."""
-    with open(path, "rb") as fh:
+    with open(_file_path(path), "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")
@@ -362,7 +407,7 @@ def read_graph(path) -> BipartiteGraph:
 
 
 def write_graph(g: BipartiteGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_file_path(path), "w", encoding="utf-8") as fh:
         fh.write(format_graph(g))
 
 

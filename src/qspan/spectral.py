@@ -107,6 +107,8 @@ def collatz_wielandt_bounds(rows, m: int, n: int, y) -> tuple[tuple[int, int], t
     ints y (Collatz-Wielandt; Horn and Johnson, Matrix Analysis, ch. 8). Each
     edge adds y_a + y_b to (Qy) at both ends, its share of the degree and of
     the neighbour sum."""
+    if not (type(m) is int and type(n) is int and m >= 1 and n >= 1):
+        raise InputError(f"part sizes must be integers >= 1, got m={m!r}, n={n!r}")
     if len(y) != m + n or not all(type(v) is int and v > 0 for v in y):
         raise InputError(f"y must be {m + n} positive integers")
     if len(rows) != m or not all(type(r) is int and 0 <= r < 1 << n for r in rows):

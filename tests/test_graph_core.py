@@ -1,9 +1,11 @@
 """Bipartite graph container, join operation, and file round trips."""
 
 import hashlib
+import os
 import pickle
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,7 +25,10 @@ from qspan import (
     join,
     parse_demands,
     parse_graph,
+    read_demands,
+    read_graph,
     to_edge_list,
+    write_graph,
 )
 from qspan import graph_core
 from qspan.graph_core import PART_SIZE_CAP
@@ -345,6 +350,32 @@ class TestFileFormat:
         # the same characters in a comment leave a valid field valid
         parse(f"# {field}\n" + template.format(3), "f")
 
+    @pytest.mark.parametrize("call", [
+        lambda fd: read_graph(fd),
+        lambda fd: read_demands(fd),
+        lambda fd: write_graph(complete_bipartite(1, 1), fd),
+        lambda fd: read_graph(bool(fd)),
+        lambda fd: write_graph(complete_bipartite(1, 1), np.int64(fd)),
+    ], ids=["read_graph", "read_demands", "write_graph", "bool", "numpy-int"])
+    def test_descriptor_path_refused_and_left_open(self, call):
+        # open() takes an int as a file descriptor and closes it with the file
+        read, write = os.pipe()
+        try:
+            with pytest.raises(InputError, match="path must be a str or os.PathLike"):
+                call(write)
+            os.fstat(write)   # still open
+            assert os.write(write, b"x") == 1
+        finally:
+            os.close(read)
+            os.close(write)
+
+    def test_str_and_pathlike_paths(self, tmp_path):
+        g = from_edge_list(2, 3, [(0, 2), (1, 0)])
+        write_graph(g, tmp_path / "g.graph")
+        assert read_graph(tmp_path / "g.graph") == read_graph(str(tmp_path / "g.graph")) == g
+        (tmp_path / "f.txt").write_text("2\n3\n")
+        assert read_demands(tmp_path / "f.txt") == read_demands(str(tmp_path / "f.txt")) == DegreeDemand((2, 3))
+
 
 class TestCanonicalParse:
     """parse_graph's one-pass read of canonical text against the line loop."""
@@ -365,25 +396,65 @@ class TestCanonicalParse:
                             lambda text, source: calls.append(text) or line_loop(text, source))
         return calls
 
+    @staticmethod
+    def _shuffled_text(rng, g):
+        header, *lines = format_graph(g).splitlines()
+        lines += rng.sample(lines, len(lines) // 3)   # duplicated edges
+        rng.shuffle(lines)
+        return "\n".join([header] + lines) + "\n"
+
     def _canonical_texts(self):
         rng = random.Random(7)
         for _ in range(40):
             m, n = rng.randint(1, 30), rng.randint(1, 30)
-            g = BipartiteGraph(m, n, tuple(rng.getrandbits(n) for _ in range(m)))
-            header, *lines = format_graph(g).splitlines()
-            lines += rng.sample(lines, len(lines) // 3)   # duplicated edges
-            rng.shuffle(lines)
-            yield "\n".join([header] + lines) + "\n"
+            yield self._shuffled_text(rng, BipartiteGraph(m, n, tuple(rng.getrandbits(n) for _ in range(m))))
+        # sizes at and around a packed byte's and a 64-bit word's edge, with
+        # empty rows and columns: each A-vertex, and each B-index, is dropped
+        # with probability 1/3
+        for m in (1, 7, 8, 9, 16, 17, 64, 65):
+            for n in (1, 7, 8, 9, 16, 17, 64, 65):
+                cols = rng.getrandbits(n) & rng.getrandbits(n)
+                rows = tuple(rng.getrandbits(n) & cols if rng.random() < 2 / 3 else 0 for _ in range(m))
+                yield self._shuffled_text(rng, BipartiteGraph(m, n, rows))
         yield "p bip 3 4\n"                                    # empty edge block
         yield "p bip 1 1\ne 0 0\n"                            # single edge
         yield "p bip 0003 04\ne 02 0003\ne 00000 1\n"        # leading zeros
         yield f"p bip {PART_SIZE_CAP} 12345\ne 16383 12344\ne 09999 0\n"   # 5 digits
 
+    @staticmethod
+    def _rows_and_columns(g):
+        return g.m, g.n, g.adj, g.b_adj()
+
     def test_canonical_matches_line_loop(self, monkeypatch):
         texts = list(self._canonical_texts())
-        expected = [self._outcome(graph_core._parse_lines, text) for text in texts]
+        expected = []
+        for text in texts:
+            g = graph_core._parse_lines(text, "f")
+            expected.append((g.m, g.n, g.adj, graph_core._transpose(g.adj, g.n)))
         calls = self._spy(monkeypatch)
-        assert [self._outcome(parse_graph, text) for text in texts] == expected
+        assert [self._rows_and_columns(parse_graph(text)) for text in texts] == expected
+        assert calls == []
+
+    def test_blocks_of_few_rows(self, monkeypatch):
+        # 130 entries: two rows a block at width 65, so the sizes up to 65 meet
+        # full blocks, a last part block, and rows left out for lack of edges
+        texts = [text for text in self._canonical_texts() if max(map(int, text.split()[2:4])) <= 65]
+        expected = [self._rows_and_columns(parse_graph(text)) for text in texts]
+        monkeypatch.setattr(graph_core, "_BLOCK_ENTRIES", 130)
+        assert [self._rows_and_columns(parse_graph(text)) for text in texts] == expected
+
+    def test_many_blocks_at_the_cap(self, monkeypatch):
+        # 16,384 x 200 with 20,000 random edges: about 30% of the A-vertices
+        # have no edge, the rest take 3 blocks of up to 5,242 rows, and the
+        # columns 4 blocks of up to 64
+        rng = random.Random(36)
+        m, n = PART_SIZE_CAP, 200
+        edges = [f"e {rng.randrange(m)} {rng.randrange(n)}\n" for _ in range(20000)]
+        text = f"p bip {m} {n}\n" + "".join(edges)
+        g = graph_core._parse_lines(text, "f")
+        assert m - g.adj.count(0) > 2 * (graph_core._BLOCK_ENTRIES // n) and g.adj.count(0) > m // 5
+        calls = self._spy(monkeypatch)
+        assert self._rows_and_columns(parse_graph(text)) == (m, n, g.adj, graph_core._transpose(g.adj, n))
         assert calls == []
 
     @pytest.mark.parametrize("text", [
@@ -452,6 +523,22 @@ class TestCanonicalParse:
         finally:
             tracemalloc.stop()
         assert g.adj[-1] == 2 and peak < 4 << 20
+
+    def test_sparse_rows_at_cap_use_bounded_blocks(self):
+        # every A-vertex has one edge, at the last B-index: the rows take 34.6
+        # MiB as ints, and one bool block over all of them would take 256 MiB
+        top = PART_SIZE_CAP - 1
+        text = f"p bip {PART_SIZE_CAP} {PART_SIZE_CAP}\n" + "".join(f"e {a} {top}\n" for a in range(PART_SIZE_CAP))
+        tracemalloc.start()
+        try:
+            g = parse_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = sys.getsizeof(g.adj) + sum(sys.getsizeof(row) for row in g.adj)
+        # margin: a 1 MiB block, its packed bytes and their copy, the decoded
+        # indices, the text's copy and the row list
+        assert g.adj == (1 << top,) * PART_SIZE_CAP and peak < rows + (6 << 20)
 
 
 class TestColumnCache:

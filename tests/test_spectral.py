@@ -443,6 +443,16 @@ class TestCollatzWielandt:
         with pytest.raises(InputError, match=re.escape("rows must be 2 integers in [0, 2^1)")):
             collatz_wielandt_bounds(rows, 2, 1, [1, 1, 1])
 
+    @pytest.mark.parametrize("rows, m, n, y", [
+        ((0,), 1, -1, []), ((), 0, 0, []), ((1,), 1, 0, [1]), ((1,), True, 1, [1, 1]),
+        ((1,), 1, 1.0, [1, 1]), ((1,), np.int64(1), 1, [1, 1]),
+    ], ids=["negative-n", "zero-parts", "zero-n", "bool-m", "float-n", "numpy-m"])
+    def test_rejects_bad_part_sizes(self, rows, m, n, y):
+        # unchecked, n = -1 was a negative shift count (ValueError) and m = n = 0
+        # read qy[0] of an empty list (IndexError)
+        with pytest.raises(InputError, match="part sizes must be integers >= 1"):
+            collatz_wielandt_bounds(rows, m, n, y)
+
 
 class TestQuotientMatrix:
     # the test oracle's quotient, on partitions small enough to work by hand
