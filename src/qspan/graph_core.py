@@ -316,7 +316,7 @@ def _pack_rows(count: int, width: int, heads, tails) -> list[int]:
     new = np.diff(heads, prepend=-1) != 0   # the first edge of each row with an edge
     slots = np.cumsum(new) - 1
     starts = np.append(np.flatnonzero(new), heads.size)
-    used = heads[starts[:-1]].tolist()
+    used = heads[new].tolist()
     rows = [0] * count
     for lo in range(0, len(used), per_block):
         hi = min(lo + per_block, len(used))
