@@ -33,7 +33,7 @@ from .graph_core import (
     read_graph,
     write_graph,
 )
-from .spectral import signless_laplacian, spectral_radii
+from .spectral import signless_laplacian, top_eigenpairs
 from .trees import construct_tree
 
 
@@ -101,7 +101,7 @@ def _load_demand(args, m: int) -> DegreeDemand:
 
 def _cmd_spectral(args) -> int:
     g = read_graph(args.graph)
-    (q,), (residual,) = spectral_radii(signless_laplacian(g)[None], tol=args.tol)
+    (q,), (residual,), _ = top_eigenpairs(signless_laplacian(g)[None], tol=args.tol)
     report = {
         "schema": "1",
         "m": g.m,
@@ -174,17 +174,7 @@ def _cmd_verify_theorem(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise InputError(f"jobs must be >= 1, got {args.jobs}")
     report = verify.certify_threshold(args.k, args.m, args.n)
-    payload = {
-        "schema": "1",
-        "params": report.params,
-        "qstar": report.qstar,
-        "graphs_total": report.graphs_total,
-        "graphs_connected": report.graphs_connected,
-        "graphs_above_bound": report.graphs_above_bound,
-        "counterexamples": report.counterexamples,
-        "extremal_found": report.extremal_found,
-    }
-    print(emit_json(payload))
+    print(emit_json({"schema": "1", **vars(report)}))
     ok = not report.counterexamples and report.extremal_found
     print(
         f"checked {report.graphs_total} graphs ({report.graphs_connected} connected), "
@@ -220,13 +210,7 @@ def _cmd_proof_sweep(args) -> int:
         range(e_lo, e_hi + 1),
         seed=args.seed,
     )
-    payload = {
-        "schema": "1",
-        "grid": report.grid,
-        "points": report.points,
-        "failures": report.failures,
-    }
-    print(emit_json(payload))
+    print(emit_json({"schema": "1", **vars(report)}))
     boundary = sum(1 for pt in report.points if pt["expected_boundary"])
     print(
         f"swept {len(report.points)} points ({boundary} expected boundary), "

@@ -12,6 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 
@@ -25,7 +26,10 @@ def _integral(coeffs):
     """Coefficients as integers: ints as they are, else scaled by the lcm of their denominators."""
     if all(type(c) is int for c in coeffs):
         return list(coeffs)
-    fracs = [Fraction(c) for c in coeffs]
+    try:
+        fracs = [Fraction(c) for c in coeffs]
+    except (TypeError, ValueError, OverflowError):   # nan, inf, None, "a": not a finite exact number
+        raise InputError(f"coefficients must be finite exact numbers, got {coeffs!r}") from None
     scale = math.lcm(*(c.denominator for c in fracs))
     return [int(c * scale) for c in fracs]
 
@@ -135,16 +139,17 @@ def exact_char_poly(rows) -> PolyCoeffs:
 
 def largest_real_root(p: PolyCoeffs, bracket) -> float:
     """Correctly rounded root of p in a bracket that changes sign and isolates
-    the largest real root, its ends ints, Fractions or floats within the float
-    range. Bisection on integer numerators over a doubling denominator stops
-    once both ends round to one float, which is then the root, as int true
-    division rounds correctly. Once they round to adjacent floats a < b, p's
-    exact sign at (a + b) / 2 decides: the root is a or b by its side, or that
-    midpoint rounded half-even if p vanishes there."""
-    for end in bracket[:2]:
+    the largest real root, its ends integers (numpy's too, bools not), Fractions
+    or floats within the float range. Bisection on integer numerators over a
+    doubling denominator stops once both ends round to one float, which is then
+    the root, as int true division rounds correctly. Once they round to adjacent
+    floats a < b, p's exact sign at (a + b) / 2 decides: the root is a or b by
+    its side, or that midpoint rounded half-even if p vanishes there."""
+    ends = [index(end) if hasattr(type(end), "__index__") and type(end) is not bool else end for end in bracket[:2]]
+    for end in ends:
         if type(end) is bool or not isinstance(end, (int, Fraction, float)) or not abs(end) <= sys.float_info.max:
             raise InputError(f"bracket ends must be ints, Fractions or floats, finite and within the float range, got {end!r}")
-    lo, hi = Fraction(bracket[0]), Fraction(bracket[1])
+    lo, hi = Fraction(ends[0]), Fraction(ends[1])
     if not lo < hi:
         raise InputError(f"invalid bracket ({bracket[0]}, {bracket[1]})")
     coeffs = _integral(p.coeffs)

@@ -94,12 +94,6 @@ def top_eigenpairs(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nd
     raise NumericalError(f"top eigenvector residual {best[1]:.3e} exceeds tol {tol:.3e}", best=best)
 
 
-def spectral_radii(q: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """The values and residuals of top_eigenpairs(q, tol)."""
-    value, residual, _ = top_eigenpairs(q, tol)
-    return value, residual
-
-
 def collatz_wielandt_bounds(rows, m: int, n: int, y) -> tuple[tuple[int, int], tuple[int, int]]:
     """(lo, hi) with lo <= q(G) <= hi as (numerator, denominator) int pairs:
     the least and greatest (Qy)_i / y_i over the vertices, A first, of the

@@ -77,8 +77,8 @@ CENSUS_SLACK = 1e-9       # census: eigvalsh q this close to q* must be an extre
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Census outcome; counterexamples must be empty and the extremal graph
-    must appear, attain the threshold, and be infeasible."""
+    """Census outcome, fields in report key order; counterexamples must be
+    empty and the extremal graph must appear, attain the threshold and be infeasible."""
 
     params: dict
     qstar: float
@@ -91,7 +91,7 @@ class TheoremReport:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Per-point identity/inequality checks over a parameter grid."""
+    """Per-point identity/inequality checks over a parameter grid, fields in report key order."""
 
     grid: dict
     points: list

@@ -9,8 +9,9 @@ import pytest
 
 import numpy as np
 
-from qspan import cli, complete_bipartite, extremal_graph, verify, write_graph
+from qspan import cli, complete_bipartite, extremal_graph, read_graph, signless_laplacian, verify, write_graph
 from qspan.cli import emit_json, format_float, main
+from qspan.spectral import top_eigenpairs
 
 from oracles import reference_emit
 
@@ -189,6 +190,12 @@ class TestSpectral:
         assert report["q"] == pytest.approx(10.0, abs=1e-9)
         assert 0 <= report["residual"] <= 1e-9
         assert report["iterations"] == 0 and report["method"] == "eigh"
+
+    def test_q_and_residual_are_top_eigenpairs_first_two(self, k37, capsys):
+        (q,), (residual,), _ = top_eigenpairs(signless_laplacian(read_graph(k37))[None])
+        assert main(["spectral", k37]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["q"], report["residual"]) == (float(format_float(q)), float(format_float(residual)))
 
     def test_nan_tol_is_input_error(self, k37, capsys):
         assert main(["spectral", k37, "--tol", "nan"]) == 2

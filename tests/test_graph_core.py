@@ -21,17 +21,14 @@ from qspan import (
     construct_tree,
     format_graph,
     from_edge_list,
-    is_connected,
-    join,
     parse_demands,
     parse_graph,
     read_demands,
     read_graph,
-    to_edge_list,
     write_graph,
 )
 from qspan import graph_core
-from qspan.graph_core import PART_SIZE_CAP
+from qspan.graph_core import PART_SIZE_CAP, is_connected, join, to_edge_list
 
 from oracles import part_preserving_isomorphic
 

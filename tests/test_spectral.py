@@ -1,9 +1,9 @@
 """Spectral radius, the quotient oracle, and exact characteristic polynomials.
 
-numpy.linalg.eigvalsh serves here as the oracle for spectral_radii, which
-takes its values from one LAPACK eigvalsh call per stack of matrices, and
-numpy.linalg.eigh for top_eigenpairs, which takes each top vector from at
-most two shifted solves; the radius of one matrix is spectral_radii on a
+numpy.linalg.eigvalsh serves here as the oracle for the values of
+top_eigenpairs, which takes them from one LAPACK eigvalsh call per stack of
+matrices, and numpy.linalg.eigh for its top vectors, which it takes from at
+most two shifted solves; the radius of one matrix is top_eigenpairs on a
 stack of one. The CLI's spectral report keeps "iterations": 0 and
 "method": "eigh" as fixed schema-1 labels. The per-matrix trace recursion
 in oracles.per_matrix_char_poly is the oracle for exact_char_polys.
@@ -29,14 +29,19 @@ from qspan import (
     NumericalError,
     complete_bipartite,
     extremal_graph,
-    family_char_coeffs,
-    family_root,
     from_edge_list,
     signless_laplacian,
-    spectral_radii,
 )
 from qspan import poly, verify
-from qspan.extremal import ExtremalParams, build_family, family_bracket, family_quotient, spectral_threshold
+from qspan.extremal import (
+    ExtremalParams,
+    build_family,
+    family_bracket,
+    family_char_coeffs,
+    family_quotient,
+    family_root,
+    spectral_threshold,
+)
 from qspan.poly import CHAR_POLY_CAP, PolyCoeffs, exact_char_poly, exact_char_polys, largest_real_root
 from qspan.spectral import DENSE_CAP, collatz_wielandt_bounds, mask_bits, q_matrices, top_eigenpairs
 
@@ -48,8 +53,8 @@ def oracle_radius(mtx: np.ndarray) -> float:
 
 
 def radius(mtx: np.ndarray, tol: float = 1e-10) -> tuple[float, float]:
-    """(value, residual) of one matrix: spectral_radii on a stack of one."""
-    (value,), (residual,) = spectral_radii(mtx[None], tol)
+    """(value, residual) of one matrix: top_eigenpairs on a stack of one."""
+    (value,), (residual,) = top_eigenpairs(mtx[None], tol)[:2]
     return float(value), float(residual)
 
 
@@ -225,7 +230,7 @@ class TestSpectralRadii:
         rng = random.Random(43)
         for m, n in [(1, 1), (2, 5), (4, 4), (6, 8)]:
             q = self.stack(rng, 25, m, n)
-            values, residuals = spectral_radii(q)
+            values, residuals = top_eigenpairs(q)[:2]
             assert values.shape == residuals.shape == (25,)
             np.testing.assert_allclose(values, np.linalg.eigvalsh(q)[:, -1], rtol=0, atol=1e-12)
             for mtx, value, residual in zip(q, values.tolist(), residuals.tolist()):
@@ -237,7 +242,7 @@ class TestSpectralRadii:
         path = signless_laplacian(from_edge_list(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)]))
         edgeless = signless_laplacian(from_edge_list(2, 3, []))
         with pytest.raises(NumericalError) as info:
-            spectral_radii(np.stack([edgeless, path, path]), tol=1e-300)
+            top_eigenpairs(np.stack([edgeless, path, path]), tol=1e-300)[:2]
         value, residual = info.value.best
         assert value == pytest.approx(oracle_radius(path), abs=1e-12)
         assert 0 < residual <= 1e-12
@@ -245,33 +250,33 @@ class TestSpectralRadii:
     def test_rejects_bad_stacks(self):
         sym = signless_laplacian(complete_bipartite(2, 3))
         with pytest.raises(InputError, match="symmetric"):
-            spectral_radii(np.stack([sym, np.triu(sym)]))
+            top_eigenpairs(np.stack([sym, np.triu(sym)]))[:2]
         with pytest.raises(InputError, match="symmetric"):
-            spectral_radii(np.array([[[0.0, 1.0], [2.0, 0.0]]]))
+            top_eigenpairs(np.array([[[0.0, 1.0], [2.0, 0.0]]]))[:2]
         with pytest.raises(InputError, match="negative"):
-            spectral_radii(np.stack([sym, -sym]))
+            top_eigenpairs(np.stack([sym, -sym]))[:2]
         with pytest.raises(InputError, match="stack of square"):
-            spectral_radii(sym)
+            top_eigenpairs(sym)[:2]
         with pytest.raises(InputError, match="stack of square"):
-            spectral_radii(np.zeros((1, 2, 3)))
+            top_eigenpairs(np.zeros((1, 2, 3)))[:2]
         with pytest.raises(InputError):
-            spectral_radii(np.stack([sym]), tol=0.0)
+            top_eigenpairs(np.stack([sym]), tol=0.0)[:2]
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_entries(self, bad):
         # an infinite entry used to come back as radius inf with a nan
         # residual, and a nan one as "not symmetric"; the array that
-        # signless_laplacian returns goes to spectral_radii unchecked
+        # signless_laplacian returns goes to top_eigenpairs unchecked
         q = signless_laplacian(complete_bipartite(2, 3))
         q[0, 0] = bad
         for stack in (np.array([[[bad]]]), q[None], np.stack([q, q])):
             with pytest.raises(InputError, match="matrix has non-finite entries"):
-                spectral_radii(stack)
+                top_eigenpairs(stack)[:2]
 
     @pytest.mark.parametrize("shape", [(0, 5, 5), (1, 0, 0), (3, 0, 0)])
     def test_rejects_empty_stacks(self, shape):
         with pytest.raises(InputError, match="at least one matrix"):
-            spectral_radii(np.zeros(shape))
+            top_eigenpairs(np.zeros(shape))[:2]
 
     @pytest.mark.parametrize("stack, name", [
         ([[[1.0]]], "list"),
@@ -281,7 +286,7 @@ class TestSpectralRadii:
     ], ids=["list", "object", "str", "complex"])
     def test_rejects_stacks_that_are_not_real_arrays(self, stack, name):
         with pytest.raises(InputError, match=re.escape(f"expected a real ndarray stack, got {name}")):
-            spectral_radii(stack)
+            top_eigenpairs(stack)[:2]
 
     @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int32, np.int64, np.float16, np.float32])
     def test_real_stacks_are_taken_as_float64(self, dtype):
@@ -299,7 +304,7 @@ class TestTopEigenpairs:
         rng = random.Random(44)
         q = TestSpectralRadii.stack(rng, 30, 3, 5)
         values, residuals, vectors = top_eigenpairs(q)
-        got = spectral_radii(q)
+        got = top_eigenpairs(q)[:2]
         np.testing.assert_array_equal(got[0], values)
         np.testing.assert_array_equal(got[1], residuals)
         assert vectors.shape == (30, 8)
@@ -901,6 +906,7 @@ class TestExactRoot:
 
     @pytest.mark.parametrize("bracket", [
         (1, 2), (Fraction(1), Fraction(3, 2)), (1.0, 1.5), (Fraction(4, 3), 2.0), (1, 1.5),
+        (np.int64(1), np.uint8(2)),
     ])
     def test_bracket_end_types(self, bracket):
         p = PolyCoeffs((-2, 0, 1))
@@ -926,7 +932,8 @@ class TestExactRoot:
             largest_real_root(PolyCoeffs((-2, 0, 1)), (2, 1))
 
     @pytest.mark.parametrize("end", [
-        math.nan, math.inf, -math.inf, None, "1", True, np.int64(1),
+        math.nan, math.inf, -math.inf, None, "1", True,
+        pytest.param(np.True_, id="np.True_"),
         pytest.param(10**401, id="10**401"),
         pytest.param(10**400, id="10**400"),
         pytest.param(Fraction(10**401, 3), id="10**401/3"),
@@ -938,6 +945,16 @@ class TestExactRoot:
             for bracket in ((end, 2), (0, end)):
                 with pytest.raises(InputError, match="bracket ends"):
                     largest_real_root(p, bracket)
+
+    def test_numpy_int_ends(self):
+        # family_bracket's ends are numpy ints when its arguments are
+        assert family_root(*map(np.int64, (3, 7, 1, 2))) == family_root(3, 7, 1, 2)
+
+    @pytest.mark.parametrize("coeffs", [(math.nan, 0, 1), (math.inf, 0, 1), ("a", 1), (None, 1)],
+                             ids=["nan", "inf", "str", "None"])
+    def test_coefficients_not_finite_exact_numbers(self, coeffs):
+        with pytest.raises(InputError, match="coefficients must be finite exact numbers"):
+            largest_real_root(PolyCoeffs(coeffs), (0, 2))
 
 
 class TestSeededRoot:
@@ -972,7 +989,34 @@ class TestPublicNames:
         for name in qspan.__all__:
             assert getattr(qspan, name) is not None, name
 
-    def test_polynomial_names_come_from_poly(self):
-        assert qspan.PolyCoeffs is qspan.poly.PolyCoeffs
-        assert qspan.largest_real_root is qspan.poly.largest_real_root
+    ENTRY_POINTS = [
+        "BipartiteGraph", "CapacityError", "DegreeDemand", "ExtremalParams", "FeasibilityResult",
+        "HallViolation", "InputError", "InternalError", "NumericalError", "QspanError", "SweepReport",
+        "TheoremReport", "TreeCertificate", "build_family", "certify_threshold", "complete_bipartite",
+        "construct_tree", "extremal_graph", "format_graph", "from_edge_list", "is_violation",
+        "parse_demands", "parse_graph", "read_demands", "read_graph", "separation_sweep",
+        "signless_laplacian", "spectral_threshold", "verify_certificate", "write_graph",
+    ]
+    HELPERS = {
+        "extremal": ["difference_factor", "difference_factor_coeffs", "family_bracket", "family_char_coeffs",
+                     "family_quotient", "family_root", "family_rows", "lower_endpoint_quadratic",
+                     "upper_endpoint_quadratic"],
+        "graph_core": ["is_connected", "join", "to_edge_list"],
+        "poly": ["PolyCoeffs", "largest_real_root"],
+        "trees": ["find_violation_bruteforce", "find_violation_flow"],
+        "verify": ["MonotonicityReport", "point_checks", "subgraph_monotonicity_fuzz"],
+    }
+
+    def test_namespace_holds_only_the_entry_points(self):
+        assert sorted(qspan.__all__) == self.ENTRY_POINTS
+        bound = {}
+        exec("from qspan import *", bound)
+        assert sorted(bound.keys() - {"__builtins__"}) == self.ENTRY_POINTS
+
+    def test_helpers_resolve_in_their_modules(self):
+        for module, names in self.HELPERS.items():
+            for name in names:
+                assert getattr(getattr(qspan, module), name) is not None, name
+                assert not hasattr(qspan, name), name
+        assert not hasattr(qspan.spectral, "spectral_radii")
         assert qspan.verify.exact_char_poly is qspan.poly.exact_char_poly

@@ -17,15 +17,13 @@ from qspan import (
     complete_bipartite,
     construct_tree,
     extremal_graph,
-    find_violation_bruteforce,
-    find_violation_flow,
     from_edge_list,
-    is_connected,
     is_violation,
     verify_certificate,
 )
 from qspan import trees
-from qspan.graph_core import PART_SIZE_CAP
+from qspan.graph_core import PART_SIZE_CAP, is_connected
+from qspan.trees import find_violation_bruteforce, find_violation_flow
 
 from oracles import (
     connected_graphs,

@@ -23,14 +23,9 @@ from qspan import (
     certify_threshold,
     complete_bipartite,
     extremal_graph,
-    find_violation_bruteforce,
-    is_connected,
     is_violation,
-    join,
-    point_checks,
     separation_sweep,
     signless_laplacian,
-    subgraph_monotonicity_fuzz,
 )
 from qspan import cli, extremal, graph_core, spectral, trees, verify
 from qspan.extremal import (
@@ -41,8 +36,10 @@ from qspan.extremal import (
     family_root,
     spectral_threshold,
 )
+from qspan.graph_core import is_connected, join
 from qspan.poly import exact_char_polys
-from qspan.spectral import q_matrices, spectral_radii
+from qspan.spectral import q_matrices, top_eigenpairs
+from qspan.trees import find_violation_bruteforce
 from qspan.verify import (
     _b_classes,
     _blocks,
@@ -51,7 +48,9 @@ from qspan.verify import (
     _labellings,
     _up_set,
     connected_bipartite_count,
+    point_checks,
     scan_stats,
+    subgraph_monotonicity_fuzz,
 )
 
 from oracles import (
@@ -672,7 +671,7 @@ class TestPointChecks:
                         q1 = family_root(m, n, s, p.r)
                         for r in range(1, p.r + 1):
                             g = join(complete_bipartite(s, r), complete_bipartite(m - s, n - r))
-                            (value,), _ = spectral_radii(signless_laplacian(g)[None])
+                            (value,), _ = top_eigenpairs(signless_laplacian(g)[None])[:2]
                             assert value <= q1 + 1e-9
                             solves += 1
         assert solves == 855
@@ -1084,13 +1083,13 @@ class TestMonotonicityFuzz:
         # q(K_{3,3}) = 6; any proper spanning subgraph sits strictly below
         tree = BipartiteGraph(3, 3, (0b111, 0b001, 0b001))
         assert is_connected(tree)
-        (value,), _ = spectral_radii(signless_laplacian(tree)[None])
+        (value,), _ = top_eigenpairs(signless_laplacian(tree)[None])[:2]
         assert value < 6.0 - 1e-6
 
     def test_identical_graphs_equal(self):
         g = complete_bipartite(3, 4)
-        (a,), _ = spectral_radii(signless_laplacian(g)[None])
-        (b,), _ = spectral_radii(signless_laplacian(g)[None])
+        (a,), _ = top_eigenpairs(signless_laplacian(g)[None])[:2]
+        (b,), _ = top_eigenpairs(signless_laplacian(g)[None])[:2]
         assert abs(a - b) <= 1e-12
 
     def test_small_run_clean(self):
@@ -1116,9 +1115,9 @@ class TestMonotonicityFuzz:
         for g, h in verify._fuzz_pairs(300, seed=3):
             by_shape[g.m, g.n] += [g, h]
         for graphs in by_shape.values():
-            values, _ = spectral_radii(np.stack([signless_laplacian(x) for x in graphs]))
+            values, _ = top_eigenpairs(np.stack([signless_laplacian(x) for x in graphs]))[:2]
             for x, value in zip(graphs, values.tolist()):
-                (alone,), _ = spectral_radii(signless_laplacian(x)[None])
+                (alone,), _ = top_eigenpairs(signless_laplacian(x)[None])[:2]
                 assert abs(value - alone) <= 1e-12
 
     def test_violations_reported_in_trial_order(self, monkeypatch):
